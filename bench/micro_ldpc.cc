@@ -10,6 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "ldpc/batch.h"
@@ -232,13 +234,16 @@ BENCHMARK(BM_PrunedSyndromeBatch)->Arg(1)->Arg(8)->Arg(64);
 void
 BM_DecodeBatch(benchmark::State &state)
 {
-    // Batched min-sum over `lanes` distinct words at one RBER; per-item
-    // time against BM_MinSumDecodeWorkspace at the same RBER (60 =
-    // 0.006) is the lockstep datapath's per-word speedup.
+    // Batched min-sum over `lanes` distinct words; Args = {lanes, RBER
+    // in 1e-4}. Per-item time against BM_MinSumDecodeWorkspace at the
+    // same RBER (60 = 0.006) is the lockstep datapath's per-word
+    // speedup; at 160 = 0.016 every lane hits the 20-iteration cap, so
+    // ns_per_lane_iteration is the kernels' own cost without the
+    // early-exit mix.
     const QcLdpcCode &code = theCode();
     const MinSumDecoder dec(code, 20);
     const auto lanes = static_cast<std::size_t>(state.range(0));
-    const double rber = 0.006;
+    const double rber = static_cast<double>(state.range(1)) * 1e-4;
     Rng rng(5);
     std::vector<HardWord> words(lanes);
     std::vector<const HardWord *> ptrs(lanes);
@@ -249,15 +254,33 @@ BM_DecodeBatch(benchmark::State &state)
     }
     BatchDecodeWorkspace ws;
     std::vector<DecodeResult> results(lanes);
+    // ns_per_lane_iteration: decode time over the iterations the lanes
+    // ran, summed (the rifbench ldpc.ns_per_iteration definition). At
+    // the cap every lane runs the full schedule, so 8x this is the cost
+    // of one 8-lane iteration of the batched kernels.
+    double decode_ns = 0.0;
+    double lane_iterations = 0.0;
     for (auto _ : state) {
+        const auto t0 = std::chrono::steady_clock::now();
         dec.decodeBatch(ptrs.data(), lanes, rber, ws, results.data());
         benchmark::DoNotOptimize(results.data());
+        decode_ns += std::chrono::duration<double, std::nano>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+        for (const DecodeResult &r : results)
+            lane_iterations += r.iterations;
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(lanes));
+    state.counters["ns_per_lane_iteration"] =
+        decode_ns / lane_iterations;
 }
-BENCHMARK(BM_DecodeBatch)->Arg(1)->Arg(8)->Arg(64)
+BENCHMARK(BM_DecodeBatch)
+    ->Args({1, 60})
+    ->Args({8, 60})
+    ->Args({64, 60})
+    ->Args({8, 160})
     ->Unit(benchmark::kMillisecond);
 
 void

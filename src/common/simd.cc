@@ -1,5 +1,6 @@
 #include "common/simd.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -46,78 +47,75 @@ xorFunnelWordsScalar(std::uint64_t *dst, const std::uint64_t *a,
     }
 }
 
+/** c2v of edge e in lane l, rebuilt from its check's state. */
+inline float
+c2vLane(const MinSumCheck8 &c, std::uint32_t e, unsigned edge_bits,
+        std::size_t l)
+{
+    const float mag = e == c.minEdge[l] ? c.mag2[l] : c.mag1[l];
+    const std::uint32_t sign =
+        c.sign[l] ^ (((edge_bits >> l) & 1u) ? kFloatSignBit : 0u);
+    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(mag) ^ sign);
+}
+
 void
 minsumCheckPass8Scalar(const std::uint32_t *cs, std::size_t m,
-                       const float *v2c, float *c2v, float alpha)
+                       const std::uint32_t *edge_var, const float *total,
+                       MinSumCheck8 *checks, std::uint8_t *edge_sign,
+                       float alpha)
 {
     constexpr std::size_t L = 8;
     for (std::size_t chk = 0; chk < m; ++chk) {
+        const MinSumCheck8 old = checks[chk];
         const std::uint32_t lo = cs[chk];
         const std::uint32_t hi = cs[chk + 1];
-        float min1[L], min2[L], sgn[L];
-        std::uint32_t minE[L];
+        float min1[L], min2[L];
+        std::uint32_t minE[L], sgn[L];
         for (std::size_t l = 0; l < L; ++l) {
             min1[l] = 1e30f;
             min2[l] = 1e30f;
             minE[l] = lo;
-            sgn[l] = 1.0f;
+            sgn[l] = 0;
         }
         for (std::uint32_t e = lo; e < hi; ++e) {
-            const float *ve = v2c + static_cast<std::size_t>(e) * L;
+            const float *tv =
+                total + static_cast<std::size_t>(edge_var[e]) * L;
+            const unsigned old_bits = edge_sign[e];
+            unsigned new_bits = 0;
             for (std::size_t l = 0; l < L; ++l) {
-                const float v = ve[l];
+                const float v = tv[l] - c2vLane(old, e, old_bits, l);
+                const bool neg = v < 0.0f;
+                new_bits |= static_cast<unsigned>(neg) << l;
+                sgn[l] ^= neg ? kFloatSignBit : 0u;
                 const float mag = std::fabs(v);
-                sgn[l] = v < 0.0f ? -sgn[l] : sgn[l];
-                const bool lt1 = mag < min1[l];
-                const bool lt2 = mag < min2[l];
-                min2[l] = lt1 ? min1[l] : (lt2 ? mag : min2[l]);
-                min1[l] = lt1 ? mag : min1[l];
-                minE[l] = lt1 ? e : minE[l];
+                minE[l] = mag < min1[l] ? e : minE[l];
+                min2[l] = std::min(std::max(mag, min1[l]), min2[l]);
+                min1[l] = std::min(mag, min1[l]);
             }
+            edge_sign[e] = static_cast<std::uint8_t>(new_bits);
         }
-        for (std::uint32_t e = lo; e < hi; ++e) {
-            const float *ve = v2c + static_cast<std::size_t>(e) * L;
-            float *ce = c2v + static_cast<std::size_t>(e) * L;
-            for (std::size_t l = 0; l < L; ++l) {
-                const float mag = (e == minE[l]) ? min2[l] : min1[l];
-                const float s = ve[l] < 0.0f ? -sgn[l] : sgn[l];
-                ce[l] = alpha * s * mag;
-            }
+        MinSumCheck8 &c = checks[chk];
+        for (std::size_t l = 0; l < L; ++l) {
+            c.mag1[l] = alpha * min1[l];
+            c.mag2[l] = alpha * min2[l];
+            c.minEdge[l] = minE[l];
+            c.sign[l] = sgn[l];
         }
     }
 }
 
+/** Pack the hard decisions total < 0 of n variables (see simd.h). */
 void
-minsumVarPass8Scalar(const float *chan, std::size_t n,
-                     const std::uint32_t *var_edge,
-                     const std::uint32_t *var_start, float *v2c,
-                     const float *c2v, std::uint64_t *hard_words)
+packHardDecisions8(const float *total, std::size_t n,
+                   std::uint64_t *hard_words)
 {
     constexpr std::size_t L = 8;
     std::uint64_t pack[L] = {};
     for (std::size_t v = 0; v < n; ++v) {
-        float total[L];
-        const float *cv = chan + v * L;
-        for (std::size_t l = 0; l < L; ++l)
-            total[l] = cv[l];
-        const std::uint32_t vlo = var_start[v];
-        const std::uint32_t vhi = var_start[v + 1];
-        for (std::uint32_t i = vlo; i < vhi; ++i) {
-            const float *ce =
-                c2v + static_cast<std::size_t>(var_edge[i]) * L;
-            for (std::size_t l = 0; l < L; ++l)
-                total[l] += ce[l];
-        }
-        for (std::uint32_t i = vlo; i < vhi; ++i) {
-            const std::size_t e = var_edge[i];
-            const float *ce = c2v + e * L;
-            float *ve = v2c + e * L;
-            for (std::size_t l = 0; l < L; ++l)
-                ve[l] = total[l] - ce[l];
-        }
         const unsigned bit = static_cast<unsigned>(v & 63);
         for (std::size_t l = 0; l < L; ++l)
-            pack[l] |= static_cast<std::uint64_t>(total[l] < 0.0f) << bit;
+            pack[l] |= static_cast<std::uint64_t>(total[v * L + l] < 0.0f)
+                       << bit;
         if (bit == 63 || v + 1 == n) {
             std::uint64_t *dst = hard_words + (v >> 6) * L;
             for (std::size_t l = 0; l < L; ++l) {
@@ -128,92 +126,137 @@ minsumVarPass8Scalar(const float *chan, std::size_t n,
     }
 }
 
+void
+minsumVarPass8Scalar(const std::uint8_t *chan_sign, float llr,
+                     std::size_t n, const std::uint32_t *cs, std::size_t m,
+                     const std::uint32_t *edge_var,
+                     const MinSumCheck8 *checks,
+                     const std::uint8_t *edge_sign, float *total,
+                     std::uint64_t *hard_words)
+{
+    constexpr std::size_t L = 8;
+    for (std::size_t v = 0; v < n; ++v)
+        for (std::size_t l = 0; l < L; ++l)
+            total[v * L + l] = (chan_sign[v] >> l) & 1u ? -llr : llr;
+    for (std::size_t chk = 0; chk < m; ++chk) {
+        const MinSumCheck8 c = checks[chk];
+        for (std::uint32_t e = cs[chk]; e < cs[chk + 1]; ++e) {
+            float *tv = total + static_cast<std::size_t>(edge_var[e]) * L;
+            const unsigned bits = edge_sign[e];
+            for (std::size_t l = 0; l < L; ++l)
+                tv[l] += c2vLane(c, e, bits, l);
+        }
+    }
+    packHardDecisions8(total, n, hard_words);
+}
+
 #if RIF_SIMD_X86
+
+/** Bit l of `bits` as the float sign bit of lane l. */
+__attribute__((target("avx2"))) inline __m256
+laneSignMask(unsigned bits)
+{
+    const __m256i shift = _mm256_setr_epi32(31, 30, 29, 28, 27, 26, 25, 24);
+    const __m256i at31 =
+        _mm256_sllv_epi32(_mm256_set1_epi32(static_cast<int>(bits)), shift);
+    return _mm256_castsi256_ps(_mm256_and_si256(
+        at31, _mm256_set1_epi32(static_cast<int>(kFloatSignBit))));
+}
+
+/** One check's MinSumCheck8, held in registers. */
+struct CheckRegs
+{
+    __m256 mag1, mag2, sign;
+    __m256i minEdge;
+};
+
+__attribute__((target("avx2"))) inline CheckRegs
+loadCheck(const MinSumCheck8 &c)
+{
+    return {_mm256_loadu_ps(c.mag1), _mm256_loadu_ps(c.mag2),
+            _mm256_loadu_ps(reinterpret_cast<const float *>(c.sign)),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(c.minEdge))};
+}
+
+/** All 8 lanes of c2v(e), rebuilt from its check's state. */
+__attribute__((target("avx2"))) inline __m256
+c2vLanes(const CheckRegs &c, std::uint32_t e, unsigned edge_bits)
+{
+    const __m256 isMin = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+        c.minEdge, _mm256_set1_epi32(static_cast<int>(e))));
+    const __m256 mag = _mm256_blendv_ps(c.mag1, c.mag2, isMin);
+    return _mm256_xor_ps(mag,
+                         _mm256_xor_ps(c.sign, laneSignMask(edge_bits)));
+}
 
 __attribute__((target("avx2"))) void
 minsumCheckPass8Avx2(const std::uint32_t *cs, std::size_t m,
-                     const float *v2c, float *c2v, float alpha)
+                     const std::uint32_t *edge_var, const float *total,
+                     MinSumCheck8 *checks, std::uint8_t *edge_sign,
+                     float alpha)
 {
-    // One 256-bit vector holds all 8 lanes of a message. -x is a
-    // sign-bit XOR and the products stay left-associated mul_ps, so
-    // every lane computes the exact float sequence of the scalar path.
+    // One 256-bit vector holds all 8 lanes of a message or a state
+    // field. Sign flips are sign-bit XORs and |x| an AND, so every lane
+    // computes the exact float sequence of the scalar path.
     const __m256 vabs =
         _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
     const __m256 vsign = _mm256_castsi256_ps(
-        _mm256_set1_epi32(static_cast<int>(0x80000000u)));
+        _mm256_set1_epi32(static_cast<int>(kFloatSignBit)));
     const __m256 vzero = _mm256_setzero_ps();
     const __m256 valpha = _mm256_set1_ps(alpha);
     for (std::size_t chk = 0; chk < m; ++chk) {
+        MinSumCheck8 &c = checks[chk];
+        const CheckRegs old = loadCheck(c);
         const std::uint32_t lo = cs[chk];
         const std::uint32_t hi = cs[chk + 1];
         __m256 min1 = _mm256_set1_ps(1e30f);
         __m256 min2 = min1;
-        __m256 sgn = _mm256_set1_ps(1.0f);
+        __m256 sgn = vzero;
         __m256i minE = _mm256_set1_epi32(static_cast<int>(lo));
         for (std::uint32_t e = lo; e < hi; ++e) {
-            const __m256 v =
-                _mm256_loadu_ps(v2c + static_cast<std::size_t>(e) * 8);
-            const __m256 mag = _mm256_and_ps(v, vabs);
+            const __m256 v = _mm256_sub_ps(
+                _mm256_loadu_ps(total +
+                                static_cast<std::size_t>(edge_var[e]) * 8),
+                c2vLanes(old, e, edge_sign[e]));
             const __m256 neg = _mm256_cmp_ps(v, vzero, _CMP_LT_OQ);
+            edge_sign[e] =
+                static_cast<std::uint8_t>(_mm256_movemask_ps(neg));
             sgn = _mm256_xor_ps(sgn, _mm256_and_ps(neg, vsign));
+            const __m256 mag = _mm256_and_ps(v, vabs);
             const __m256 lt1 = _mm256_cmp_ps(mag, min1, _CMP_LT_OQ);
-            const __m256 lt2 = _mm256_cmp_ps(mag, min2, _CMP_LT_OQ);
-            min2 = _mm256_blendv_ps(_mm256_blendv_ps(min2, mag, lt2),
-                                    min1, lt1);
-            min1 = _mm256_blendv_ps(min1, mag, lt1);
             minE = _mm256_blendv_epi8(
                 minE, _mm256_set1_epi32(static_cast<int>(e)),
                 _mm256_castps_si256(lt1));
+            min2 = _mm256_min_ps(_mm256_max_ps(mag, min1), min2);
+            min1 = _mm256_min_ps(mag, min1);
         }
-        for (std::uint32_t e = lo; e < hi; ++e) {
-            const __m256 v =
-                _mm256_loadu_ps(v2c + static_cast<std::size_t>(e) * 8);
-            const __m256 isMin = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
-                minE, _mm256_set1_epi32(static_cast<int>(e))));
-            const __m256 mag = _mm256_blendv_ps(min1, min2, isMin);
-            const __m256 neg = _mm256_cmp_ps(v, vzero, _CMP_LT_OQ);
-            const __m256 s = _mm256_xor_ps(sgn, _mm256_and_ps(neg, vsign));
-            _mm256_storeu_ps(c2v + static_cast<std::size_t>(e) * 8,
-                             _mm256_mul_ps(_mm256_mul_ps(valpha, s), mag));
-        }
+        _mm256_storeu_ps(c.mag1, _mm256_mul_ps(valpha, min1));
+        _mm256_storeu_ps(c.mag2, _mm256_mul_ps(valpha, min2));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(c.minEdge), minE);
+        _mm256_storeu_ps(reinterpret_cast<float *>(c.sign), sgn);
     }
 }
 
 __attribute__((target("avx2"))) void
-minsumVarPass8Avx2(const float *chan, std::size_t n,
-                   const std::uint32_t *var_edge,
-                   const std::uint32_t *var_start, float *v2c,
-                   const float *c2v, std::uint64_t *hard_words)
+minsumVarPass8Avx2(const std::uint8_t *chan_sign, float llr, std::size_t n,
+                   const std::uint32_t *cs, std::size_t m,
+                   const std::uint32_t *edge_var, const MinSumCheck8 *checks,
+                   const std::uint8_t *edge_sign, float *total,
+                   std::uint64_t *hard_words)
 {
-    const __m256 vzero = _mm256_setzero_ps();
-    std::uint64_t pack[8] = {};
-    for (std::size_t v = 0; v < n; ++v) {
-        __m256 total = _mm256_loadu_ps(chan + v * 8);
-        const std::uint32_t vlo = var_start[v];
-        const std::uint32_t vhi = var_start[v + 1];
-        for (std::uint32_t i = vlo; i < vhi; ++i)
-            total = _mm256_add_ps(
-                total, _mm256_loadu_ps(
-                           c2v + static_cast<std::size_t>(var_edge[i]) * 8));
-        for (std::uint32_t i = vlo; i < vhi; ++i) {
-            const std::size_t e = var_edge[i];
-            _mm256_storeu_ps(v2c + e * 8,
-                             _mm256_sub_ps(total,
-                                           _mm256_loadu_ps(c2v + e * 8)));
-        }
-        const unsigned bit = static_cast<unsigned>(v & 63);
-        const unsigned m8 = static_cast<unsigned>(
-            _mm256_movemask_ps(_mm256_cmp_ps(total, vzero, _CMP_LT_OQ)));
-        for (std::size_t l = 0; l < 8; ++l)
-            pack[l] |= static_cast<std::uint64_t>((m8 >> l) & 1u) << bit;
-        if (bit == 63 || v + 1 == n) {
-            std::uint64_t *dst = hard_words + (v >> 6) * 8;
-            for (std::size_t l = 0; l < 8; ++l) {
-                dst[l] = pack[l];
-                pack[l] = 0;
-            }
+    const __m256 vllr = _mm256_set1_ps(llr);
+    for (std::size_t v = 0; v < n; ++v)
+        _mm256_storeu_ps(total + v * 8,
+                         _mm256_xor_ps(vllr, laneSignMask(chan_sign[v])));
+    for (std::size_t chk = 0; chk < m; ++chk) {
+        const CheckRegs c = loadCheck(checks[chk]);
+        for (std::uint32_t e = cs[chk]; e < cs[chk + 1]; ++e) {
+            float *tv = total + static_cast<std::size_t>(edge_var[e]) * 8;
+            _mm256_storeu_ps(tv, _mm256_add_ps(_mm256_loadu_ps(tv),
+                                               c2vLanes(c, e, edge_sign[e])));
         }
     }
+    packHardDecisions8(total, n, hard_words);
 }
 
 __attribute__((target("avx2"))) void
@@ -308,10 +351,12 @@ using FunnelFn = void (*)(std::uint64_t *, const std::uint64_t *,
                           const std::uint64_t *, unsigned, std::uint64_t,
                           unsigned, std::size_t);
 using CheckPassFn = void (*)(const std::uint32_t *, std::size_t,
-                             const float *, float *, float);
-using VarPassFn = void (*)(const float *, std::size_t,
-                           const std::uint32_t *, const std::uint32_t *,
-                           float *, const float *, std::uint64_t *);
+                             const std::uint32_t *, const float *,
+                             MinSumCheck8 *, std::uint8_t *, float);
+using VarPassFn = void (*)(const std::uint8_t *, float, std::size_t,
+                           const std::uint32_t *, std::size_t,
+                           const std::uint32_t *, const MinSumCheck8 *,
+                           const std::uint8_t *, float *, std::uint64_t *);
 
 #if RIF_SIMD_X86
 XorWordsFn
@@ -410,18 +455,21 @@ xorFunnelWords(std::uint64_t *dst, const std::uint64_t *a,
 
 void
 minsumCheckPass8(const std::uint32_t *check_offsets, std::size_t m,
-                 const float *v2c, float *c2v, float alpha)
+                 const std::uint32_t *edge_var, const float *total,
+                 MinSumCheck8 *checks, std::uint8_t *edge_sign, float alpha)
 {
-    gCheckPass(check_offsets, m, v2c, c2v, alpha);
+    gCheckPass(check_offsets, m, edge_var, total, checks, edge_sign, alpha);
 }
 
 void
-minsumVarPass8(const float *chan, std::size_t n,
-               const std::uint32_t *var_edge,
-               const std::uint32_t *var_start, float *v2c,
-               const float *c2v, std::uint64_t *hard_words)
+minsumVarPass8(const std::uint8_t *chan_sign, float llr, std::size_t n,
+               const std::uint32_t *check_offsets, std::size_t m,
+               const std::uint32_t *edge_var, const MinSumCheck8 *checks,
+               const std::uint8_t *edge_sign, float *total,
+               std::uint64_t *hard_words)
 {
-    gVarPass(chan, n, var_edge, var_start, v2c, c2v, hard_words);
+    gVarPass(chan_sign, llr, n, check_offsets, m, edge_var, checks,
+             edge_sign, total, hard_words);
 }
 
 } // namespace simd

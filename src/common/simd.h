@@ -11,8 +11,13 @@
  *                    rotations)
  *
  * plus the two float passes of the 8-lane batched min-sum decoder
- * (minsumCheckPass8 / minsumVarPass8), whose lane-major layout puts the
- * eight lanes of one message in one 256-bit vector.
+ * (minsumCheckPass8 / minsumVarPass8). They keep no per-edge message
+ * array: each check holds its compressed two-min state (MinSumCheck8,
+ * the eight lanes of one field in one 256-bit vector), each edge one
+ * sign byte, each variable its eight posterior sums, and every message
+ * is rebuilt from these where it is used. Both passes walk the checks
+ * and their edges in order, so each check's state is loaded once per
+ * pass.
  *
  * Builds with RIF_SIMD=ON (the default) compile an AVX2 variant of each
  * primitive with a per-function target attribute — no global -mavx2, so
@@ -21,8 +26,10 @@
  * word-wise loops, which is the scalar-fallback CI leg. Either way the
  * results are bit-identical: the integer kernels trivially so, and the
  * float kernels perform the exact same IEEE operations in the same
- * order as their scalar fallbacks (sign flips are sign-bit XORs, no FMA
- * contraction, left-associated products).
+ * order as their scalar fallbacks (sign flips are sign-bit XORs, |x| a
+ * sign-bit AND, no FMA contraction). The min-sum passes also match the
+ * single-word MinSumDecoder::decode bit for bit; DESIGN.md §5f gives
+ * the argument.
  */
 
 #ifndef RIF_COMMON_SIMD_H
@@ -60,34 +67,76 @@ void xorFunnelWords(std::uint64_t *dst, const std::uint64_t *a,
                     const std::uint64_t *b, unsigned sb, std::uint64_t mask,
                     unsigned db, std::size_t n);
 
-/**
- * One normalized-min-sum check-node pass over 8-lane interleaved
- * messages (lane l of edge e at index e * 8 + l). For every check chk
- * in [0, m) with edge range [check_offsets[chk], check_offsets[chk+1])
- * the kernel finds, per lane, the two smallest |v2c|, the edge holding
- * the smallest and the sign product, then emits
- *
- *   c2v[e*8+l] = alpha * sign_excl * min_excl
- *
- * with the two-min exclusion trick — the same update sequence, select
- * for select, as the scalar ladder in MinSumDecoder::decode, so the
- * results are bit-identical lane for lane.
- */
-void minsumCheckPass8(const std::uint32_t *check_offsets, std::size_t m,
-                      const float *v2c, float *c2v, float alpha);
+/** Sign bit of an IEEE single, as a lane mask. */
+inline constexpr std::uint32_t kFloatSignBit = 0x80000000u;
 
 /**
- * One min-sum variable-node pass over 8-lane interleaved messages: for
- * every variable v in [0, n), total_l = chan[v*8+l] plus its edges'
- * c2v (added in adjacency order); v2c[e*8+l] = total_l - c2v[e*8+l];
- * and the hard decision total_l < 0 is packed into the word-interleaved
- * hard_words (lane l of word w at hard_words[w*8+l], tail bits zero).
- * Edges of variable v are var_edge[var_start[v] .. var_start[v+1]).
+ * Compressed state of one check node of the 8-lane normalized min-sum
+ * decoder (lane l in element [l]). Together with the sign byte its edge
+ * keeps, it gives every check-to-variable message of the check:
+ *
+ *   c2v(e, l) = (e == minEdge[l] ? mag2[l] : mag1[l]), sign bit flipped
+ *               by sign[l] ^ (bit l of the edge's v2c sign byte)
+ *
+ * mag1/mag2 carry the normalization already (alpha * min1, alpha * min2:
+ * alpha * s * mag with s = +-1 equals +-(alpha * mag) exactly). An
+ * all-zero state encodes "every message is +0", the state before the
+ * first iteration.
  */
-void minsumVarPass8(const float *chan, std::size_t n,
-                    const std::uint32_t *var_edge,
-                    const std::uint32_t *var_start, float *v2c,
-                    const float *c2v, std::uint64_t *hard_words);
+struct MinSumCheck8
+{
+    float mag1[8];            ///< alpha * smallest |v2c|
+    float mag2[8];            ///< alpha * second-smallest |v2c|
+    std::uint32_t minEdge[8]; ///< edge holding the smallest |v2c|
+    std::uint32_t sign[8];    ///< product of the v2c signs (kFloatSignBit)
+};
+
+/**
+ * One min-sum check-node pass on compressed state. Lane l of variable
+ * v's posterior is total[v * 8 + l]; bit l of edge_sign[e] is the sign
+ * (v2c < 0) of lane l's last v2c message on edge e. For every check chk
+ * in [0, m), visiting its edges e in [check_offsets[chk],
+ * check_offsets[chk + 1]) in order, the kernel
+ *
+ *   - rebuilds last iteration's c2v(e) from checks[chk] and edge_sign[e],
+ *   - forms v2c = total[edge_var[e]] - c2v(e) and stores its sign bits
+ *     back into edge_sign[e],
+ *   - folds |v2c| into the new two-min state with the ladder
+ *     min2 = min(max(mag, min1), min2), min1 = min(mag, min1), moving
+ *     minEdge on a strict mag < min1,
+ *
+ * then overwrites checks[chk] with the new state. The float sequence
+ * is the one MinSumDecoder::decode evaluates, so every lane matches it
+ * bit for bit.
+ */
+void minsumCheckPass8(const std::uint32_t *check_offsets, std::size_t m,
+                      const std::uint32_t *edge_var, const float *total,
+                      MinSumCheck8 *checks, std::uint8_t *edge_sign,
+                      float alpha);
+
+/**
+ * One min-sum variable-node pass on compressed state: for every
+ * variable v in [0, n) and lane l,
+ *
+ *   total[v * 8 + l] = chan + c2v(e_0) + c2v(e_1) + ...
+ *
+ * left to right over v's edges in increasing edge order, the order in
+ * which MinSumDecoder::decode adds them (its variable-major edge lists
+ * are sorted by edge). chan is -llr where bit l of chan_sign[v] is set,
+ * +llr otherwise. The kernel gets there check-major, loading each
+ * check's state once: it resets every total to chan, then visits the
+ * checks and their edges e in order (same offsets as minsumCheckPass8)
+ * and adds c2v(e), rebuilt from checks[chk] and edge_sign[e], to
+ * total[edge_var[e]]. Last, the hard decision total < 0 is packed into
+ * the word-interleaved hard_words (lane l of word w at
+ * hard_words[w * 8 + l], tail bits zero).
+ */
+void minsumVarPass8(const std::uint8_t *chan_sign, float llr, std::size_t n,
+                    const std::uint32_t *check_offsets, std::size_t m,
+                    const std::uint32_t *edge_var,
+                    const MinSumCheck8 *checks,
+                    const std::uint8_t *edge_sign, float *total,
+                    std::uint64_t *hard_words);
 
 } // namespace simd
 } // namespace rif

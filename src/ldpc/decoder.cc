@@ -30,12 +30,15 @@ noteDecode(const DecodeResult &result)
         mDecodeFailures.inc();
 }
 
-/** Build variable-major edge grouping from the code's check-major lists. */
+/**
+ * Build variable-major edge grouping from the code's check-major lists;
+ * edge_chk, if given, receives each edge's owning check.
+ */
 void
 buildVarAdjacency(const QcLdpcCode &code,
                   std::vector<std::uint32_t> &var_edge,
                   std::vector<std::uint32_t> &var_start,
-                  std::vector<std::uint32_t> &edge_chk)
+                  std::vector<std::uint32_t> *edge_chk = nullptr)
 {
     const auto &ev = code.checkAdjacency();
     const auto &cs = code.checkOffsets();
@@ -43,10 +46,12 @@ buildVarAdjacency(const QcLdpcCode &code,
     const std::size_t m = code.params().m();
     const std::size_t edges = ev.size();
 
-    edge_chk.resize(edges);
-    for (std::size_t chk = 0; chk < m; ++chk)
-        for (std::uint32_t e = cs[chk]; e < cs[chk + 1]; ++e)
-            edge_chk[e] = static_cast<std::uint32_t>(chk);
+    if (edge_chk) {
+        edge_chk->resize(edges);
+        for (std::size_t chk = 0; chk < m; ++chk)
+            for (std::uint32_t e = cs[chk]; e < cs[chk + 1]; ++e)
+                (*edge_chk)[e] = static_cast<std::uint32_t>(chk);
+    }
 
     std::vector<std::uint32_t> degree(n, 0);
     for (std::size_t e = 0; e < edges; ++e)
@@ -97,7 +102,7 @@ MinSumDecoder::MinSumDecoder(const QcLdpcCode &code, int max_iterations,
     : code_(code), maxIterations_(max_iterations), alpha_(alpha)
 {
     RIF_ASSERT(max_iterations > 0);
-    buildVarAdjacency(code_, varEdge_, varStart_, edgeChk_);
+    buildVarAdjacency(code_, varEdge_, varStart_);
 }
 
 DecodeResult
@@ -213,13 +218,11 @@ MinSumDecoder::decodeBatchChunk(const HardWord *const *received,
                                 BatchDecodeWorkspace &ws,
                                 DecodeResult *results) const
 {
-    // L is a compile-time constant: every `for l < L` loop below has a
-    // fixed trip count of 8 floats — one 256-bit vector — and the
-    // two-min ladder's select form compiles to cmp/blend chains with
-    // the lane state held in registers, not memory. Because the vector
-    // ops always run at full width, lanes that converged early (and the
-    // all-zero pad lanes of a short chunk) cost nothing extra: chunk
-    // cost is max-over-lanes iterations, not sum.
+    // L is a compile-time constant matching the kernels' 8 lanes, one
+    // 256-bit vector per message. Because the vector ops always run at
+    // full width, lanes that converged early (and the all-zero pad
+    // lanes of a short chunk) cost nothing extra: chunk cost is
+    // max-over-lanes iterations, not sum.
     constexpr std::size_t L = kBatchLanes;
     const auto &params = code_.params();
     const std::size_t n = params.n();
@@ -227,7 +230,6 @@ MinSumDecoder::decodeBatchChunk(const HardWord *const *received,
     const auto t = static_cast<std::size_t>(params.circulant);
     const auto &ev = code_.checkAdjacency();
     const auto &cs = code_.checkOffsets();
-    const std::size_t edges = ev.size();
     RIF_ASSERT(lanes > 0 && lanes <= L);
     for (std::size_t l = 0; l < lanes; ++l)
         RIF_ASSERT(received[l]->size() == n);
@@ -236,22 +238,21 @@ MinSumDecoder::decodeBatchChunk(const HardWord *const *received,
 
     // Pad lanes carry the all-zero word: their messages stay finite and
     // they are excluded from all result/metric bookkeeping below.
-    ws.chan.resize(n * L);
-    for (std::size_t v = 0; v < n; ++v) {
-        float *cv = ws.chan.data() + v * L;
-        for (std::size_t l = 0; l < L; ++l)
-            cv[l] = l < lanes && (*received[l])[v] ? -llr0 : llr0;
+    ws.chanSign.assign(n, 0);
+    for (std::size_t l = 0; l < lanes; ++l) {
+        const std::uint8_t *r = received[l]->data();
+        for (std::size_t v = 0; v < n; ++v)
+            ws.chanSign[v] |= static_cast<std::uint8_t>((r[v] != 0) << l);
     }
-
-    ws.v2c.resize(edges * L);
-    ws.c2v.assign(edges * L, 0.0f);
-    for (std::size_t e = 0; e < edges; ++e) {
-        const float *cv =
-            ws.chan.data() + static_cast<std::size_t>(ev[e]) * L;
-        float *ve = ws.v2c.data() + e * L;
+    // Before the first iteration every c2v is +0 (the zeroed check
+    // state), so the posterior is the channel LLR and the first check
+    // pass sees v2c = chan - 0 = chan, as MinSumDecoder::decode does.
+    ws.total.resize(n * L);
+    for (std::size_t v = 0; v < n; ++v)
         for (std::size_t l = 0; l < L; ++l)
-            ve[l] = cv[l];
-    }
+            ws.total[v * L + l] = (ws.chanSign[v] >> l) & 1u ? -llr0 : llr0;
+    ws.checks.assign(m, simd::MinSumCheck8{});
+    ws.edgeSign.assign(ev.size(), 0);
 
     ws.hard.reset(n, L);
 
@@ -266,18 +267,20 @@ MinSumDecoder::decodeBatchChunk(const HardWord *const *received,
     std::size_t remaining = lanes;
 
     for (int iter = 1; iter <= maxIterations_ && remaining > 0; ++iter) {
-        // Check-node pass: the scalar two-min trick per lane with the
-        // if/else ladder as selects — one 256-bit vector per message in
-        // the AVX2 backend, the identical operation sequence either way
-        // (see simd.h), so every lane matches MinSumDecoder::decode.
-        simd::minsumCheckPass8(cs.data(), m, ws.v2c.data(),
-                               ws.c2v.data(), alpha_);
+        // Check-node pass: each check folds last iteration's messages,
+        // rebuilt from its own state, into the new two-min state
+        // (DESIGN.md §5f argues why every lane matches
+        // MinSumDecoder::decode bit for bit).
+        simd::minsumCheckPass8(cs.data(), m, ev.data(), ws.total.data(),
+                               ws.checks.data(), ws.edgeSign.data(),
+                               alpha_);
 
-        // Variable-node pass, packing hard decisions word by word
-        // straight into the batch (no per-bit stores).
-        simd::minsumVarPass8(ws.chan.data(), n, varEdge_.data(),
-                             varStart_.data(), ws.v2c.data(),
-                             ws.c2v.data(), ws.hard.words());
+        // Variable-node pass, check-major, packing hard decisions word
+        // by word straight into the batch (no per-bit stores).
+        simd::minsumVarPass8(ws.chanSign.data(), llr0, n, cs.data(), m,
+                             ev.data(), ws.checks.data(),
+                             ws.edgeSign.data(), ws.total.data(),
+                             ws.hard.words());
 
         // Parity check: block rows are shared across lanes; a lane drops
         // out at its first non-zero row word. Rows stop once every
@@ -415,7 +418,7 @@ BitFlipDecoder::BitFlipDecoder(const QcLdpcCode &code, int max_iterations)
     : code_(code), maxIterations_(max_iterations)
 {
     RIF_ASSERT(max_iterations > 0);
-    buildVarAdjacency(code_, varEdge_, varStart_, edgeChk_);
+    buildVarAdjacency(code_, varEdge_, varStart_, &edgeChk_);
 }
 
 DecodeResult

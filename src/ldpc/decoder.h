@@ -126,8 +126,6 @@ class MinSumDecoder
     /** Edges grouped by variable: indices into the check-major arrays. */
     std::vector<std::uint32_t> varEdge_;
     std::vector<std::uint32_t> varStart_;
-    /** For each edge (check-major), the owning check. */
-    std::vector<std::uint32_t> edgeChk_;
 };
 
 /**

@@ -4,12 +4,15 @@
  * scatter/gather, batched syndrome kernels against the single-codeword
  * oracles, batched min-sum decode against per-lane decode (results,
  * iteration counts and metric totals), and the simd:: dispatch layer
- * against plain word loops. These are the tests the scalar-fallback CI
- * leg (-DRIF_SIMD=OFF) runs to pin both backends to the same bits.
+ * against plain word loops and the scalar min-sum ladder and sums.
+ * These are the tests the scalar-fallback CI leg (-DRIF_SIMD=OFF) runs
+ * to pin both backends to the same bits.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -94,6 +97,126 @@ TEST(SimdDispatch, XorFunnelWordsMatchesPlainLoop)
                 EXPECT_EQ(dst, want)
                     << "sb=" << sb << " mask=" << mask << " db=" << db;
             }
+        }
+    }
+}
+
+TEST(SimdDispatch, MinSumCheckPassMatchesScalarLadder)
+{
+    // One check over 4 variables; lane l's posteriors in totals[l]. The
+    // lanes cover a two-way tie for the minimum (lanes 0, 3), an all-way
+    // tie (lane 1), a tie for the second minimum (lane 4) and a zero
+    // posterior (lane 5). Two passes over the same posteriors: the
+    // second rebuilds the first pass's c2v from the compressed state.
+    constexpr std::size_t L = 8, deg = 4;
+    const float totals[L][deg] = {
+        {3.0f, -2.0f, 2.0f, 5.0f},   {1.0f, 1.0f, 1.0f, 1.0f},
+        {4.0f, 3.0f, -3.0f, 0.5f},   {-1.0f, -4.0f, -1.0f, -6.0f},
+        {7.0f, -0.25f, 6.5f, -6.5f}, {0.0f, 2.0f, -1.5f, 2.5f},
+        {-9.0f, 8.0f, -7.0f, 6.0f},  {0.75f, 0.5f, 0.25f, 0.125f}};
+    const float alpha = 0.8f;
+    const std::uint32_t offsets[2] = {0, deg};
+    const std::uint32_t edge_var[deg] = {0, 1, 2, 3};
+    std::vector<float> total(deg * L);
+    for (std::size_t v = 0; v < deg; ++v)
+        for (std::size_t l = 0; l < L; ++l)
+            total[v * L + l] = totals[l][v];
+
+    simd::MinSumCheck8 state{};
+    std::uint8_t edge_sign[deg] = {};
+    float c2v[L][deg] = {}; // the reference's messages, all +0 at first
+    for (int pass = 0; pass < 2; ++pass) {
+        simd::minsumCheckPass8(offsets, 1, edge_var, total.data(), &state,
+                               edge_sign, alpha);
+        for (std::size_t l = 0; l < L; ++l) {
+            // The if/else ladder of MinSumDecoder::decode.
+            float v2c[deg];
+            float min1 = 1e30f, min2 = 1e30f;
+            std::uint32_t min_e = 0;
+            int sign = 1;
+            for (std::uint32_t e = 0; e < deg; ++e) {
+                v2c[e] = totals[l][e] - c2v[l][e];
+                const float mag = std::fabs(v2c[e]);
+                if (v2c[e] < 0.0f)
+                    sign = -sign;
+                if (mag < min1) {
+                    min2 = min1;
+                    min1 = mag;
+                    min_e = e;
+                } else if (mag < min2) {
+                    min2 = mag;
+                }
+                EXPECT_EQ((edge_sign[e] >> l) & 1u, v2c[e] < 0.0f ? 1u : 0u)
+                    << "pass " << pass << " lane " << l << " edge " << e;
+            }
+            EXPECT_EQ(state.minEdge[l], min_e)
+                << "pass " << pass << " lane " << l;
+            EXPECT_EQ(state.mag1[l], alpha * min1) << "lane " << l;
+            EXPECT_EQ(state.mag2[l], alpha * min2) << "lane " << l;
+            EXPECT_EQ(state.sign[l], sign < 0 ? simd::kFloatSignBit : 0u)
+                << "lane " << l;
+            for (std::uint32_t e = 0; e < deg; ++e) {
+                float s = static_cast<float>(sign);
+                if (v2c[e] < 0.0f)
+                    s = -s;
+                c2v[l][e] = alpha * s * (e == min_e ? min2 : min1);
+            }
+        }
+    }
+}
+
+TEST(SimdDispatch, MinSumVarPassAddsInEdgeOrder)
+{
+    // Random posteriors through one check pass give arbitrary float
+    // messages. The variable pass must add them per variable in
+    // increasing edge order, as MinSumDecoder::decode does: another
+    // order rounds differently, which the decode-level tests rarely see.
+    const QcLdpcCode code(smallParams());
+    const auto &ev = code.checkAdjacency();
+    const auto &cs = code.checkOffsets();
+    const std::size_t n = code.params().n();
+    const std::size_t m = code.params().m();
+    constexpr std::size_t L = 8;
+    Rng rng(900);
+    std::vector<float> total(n * L);
+    for (float &x : total)
+        x = static_cast<float>(rng.uniform(-10.0, 10.0));
+    std::vector<simd::MinSumCheck8> checks(m);
+    std::vector<std::uint8_t> edge_sign(ev.size());
+    simd::minsumCheckPass8(cs.data(), m, ev.data(), total.data(),
+                           checks.data(), edge_sign.data(), 0.8f);
+    std::vector<std::uint8_t> chan_sign(n);
+    for (std::uint8_t &b : chan_sign)
+        b = static_cast<std::uint8_t>(rng.next());
+    const float llr = 3.3f;
+    CodewordBatch hard(n, L);
+    simd::minsumVarPass8(chan_sign.data(), llr, n, cs.data(), m, ev.data(),
+                         checks.data(), edge_sign.data(), total.data(),
+                         hard.words());
+
+    std::vector<std::uint32_t> edge_chk(ev.size());
+    std::vector<std::vector<std::uint32_t>> var_edges(n);
+    for (std::uint32_t chk = 0; chk < m; ++chk) {
+        for (std::uint32_t e = cs[chk]; e < cs[chk + 1]; ++e) {
+            edge_chk[e] = chk;
+            var_edges[ev[e]].push_back(e); // increasing edge order
+        }
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+        for (std::size_t l = 0; l < L; ++l) {
+            float want = (chan_sign[v] >> l) & 1u ? -llr : llr;
+            for (std::uint32_t e : var_edges[v]) {
+                const simd::MinSumCheck8 &c = checks[edge_chk[e]];
+                const float mag = e == c.minEdge[l] ? c.mag2[l] : c.mag1[l];
+                const bool neg =
+                    (c.sign[l] != 0) != (((edge_sign[e] >> l) & 1u) != 0);
+                want += neg ? -mag : mag;
+            }
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(total[v * L + l]),
+                      std::bit_cast<std::uint32_t>(want))
+                << "variable " << v << " lane " << l;
+            ASSERT_EQ(hard.get(l, v), want < 0.0f)
+                << "variable " << v << " lane " << l;
         }
     }
 }
@@ -193,6 +316,59 @@ TEST_P(BatchSyndromeEquivalence, WeightsMatchSingleKernels)
 INSTANTIATE_TEST_SUITE_P(CirculantSizes, BatchSyndromeEquivalence,
                          ::testing::Values(64, 96, 128));
 
+/**
+ * Decode `words` through decodeBatch (with `bws`) and one by one
+ * through decode(), and expect the same success flag, iteration count
+ * and corrected word per lane, and the same decoder metric totals.
+ * Returns the per-lane results so callers can check their preconditions.
+ */
+std::vector<DecodeResult>
+expectBatchMatchesPerLane(const MinSumDecoder &dec,
+                          const std::vector<HardWord> &words, double rber,
+                          BatchDecodeWorkspace &bws)
+{
+    const std::size_t lanes = words.size();
+    std::vector<const HardWord *> ptrs(lanes);
+    for (std::size_t l = 0; l < lanes; ++l)
+        ptrs[l] = &words[l];
+
+    metrics::MetricsScope batch_scope;
+    std::vector<DecodeResult> got(lanes);
+    dec.decodeBatch(ptrs.data(), lanes, rber, bws, got.data());
+    const metrics::Snapshot batch_snap = batch_scope.finish();
+
+    metrics::MetricsScope single_scope;
+    DecodeWorkspace ws;
+    for (std::size_t l = 0; l < lanes; ++l) {
+        const DecodeResult want = dec.decode(words[l], rber, ws);
+        EXPECT_EQ(got[l].success, want.success) << "lane " << l;
+        EXPECT_EQ(got[l].iterations, want.iterations) << "lane " << l;
+        EXPECT_EQ(got[l].word, want.word) << "lane " << l;
+    }
+    const metrics::Snapshot single_snap = single_scope.finish();
+
+    // Same metric totals as lanes-many single decodes.
+    for (const char *name : {"ldpc.decode.attempts", "ldpc.decode.iterations",
+                             "ldpc.decode.failures"}) {
+        EXPECT_EQ(batch_snap.value(name), single_snap.value(name)) << name;
+    }
+    return got;
+}
+
+/** `lanes` codewords of `code`, each with errors at rber(l). */
+template <class RberFn>
+std::vector<HardWord>
+noisyCodewords(const QcLdpcCode &code, std::size_t lanes, Rng &rng,
+               RberFn rber)
+{
+    std::vector<HardWord> words(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+        words[l] = code.encode(randomData(code.params().k(), rng));
+        injectErrors(words[l], rber(l), rng);
+    }
+    return words;
+}
+
 class BatchDecodeEquivalence : public ::testing::TestWithParam<int>
 {
 };
@@ -206,39 +382,15 @@ TEST_P(BatchDecodeEquivalence, MatchesPerLaneDecode)
 
     // Mixed difficulty so lanes converge at different iterations and
     // some fail outright.
-    std::vector<HardWord> words(lanes);
-    std::vector<const HardWord *> ptrs(lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-        words[l] = code.encode(randomData(code.params().k(), rng));
-        const double rber = (l % 4 == 3) ? 0.08 : 0.001 + 0.002 * (l % 3);
-        injectErrors(words[l], rber, rng);
-        ptrs[l] = &words[l];
-    }
-
-    metrics::MetricsScope batch_scope;
+    const auto words = noisyCodewords(code, lanes, rng, [](std::size_t l) {
+        return (l % 4 == 3) ? 0.08 : 0.001 + 0.002 * (l % 3);
+    });
     BatchDecodeWorkspace bws;
-    std::vector<DecodeResult> got(lanes);
-    dec.decodeBatch(ptrs.data(), lanes, 0.004, bws, got.data());
-    const metrics::Snapshot batch_snap = batch_scope.finish();
-
-    metrics::MetricsScope single_scope;
-    DecodeWorkspace ws;
-    int failures = 0;
-    for (std::size_t l = 0; l < lanes; ++l) {
-        const DecodeResult want = dec.decode(words[l], 0.004, ws);
-        EXPECT_EQ(got[l].success, want.success) << "lane " << l;
-        EXPECT_EQ(got[l].iterations, want.iterations) << "lane " << l;
-        EXPECT_EQ(got[l].word, want.word) << "lane " << l;
-        failures += !want.success;
-    }
-    const metrics::Snapshot single_snap = single_scope.finish();
-
-    // Same metric totals as lanes-many single decodes.
-    for (const char *name : {"ldpc.decode.attempts", "ldpc.decode.iterations",
-                             "ldpc.decode.failures"}) {
-        EXPECT_EQ(batch_snap.value(name), single_snap.value(name)) << name;
-    }
+    const auto got = expectBatchMatchesPerLane(dec, words, 0.004, bws);
     if (lanes >= 8) {
+        int failures = 0;
+        for (const DecodeResult &r : got)
+            failures += !r.success;
         EXPECT_GT(failures, 0) << "mix should include failing lanes";
     }
 }
@@ -251,24 +403,10 @@ TEST(BatchDecode, UnalignedCirculantMatchesPerLaneDecode)
     const QcLdpcCode code(smallParams(96));
     const MinSumDecoder dec(code, 10);
     Rng rng(300);
-    const std::size_t lanes = 4;
-    std::vector<HardWord> words(lanes);
-    std::vector<const HardWord *> ptrs(lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-        words[l] = code.encode(randomData(code.params().k(), rng));
-        injectErrors(words[l], 0.004, rng);
-        ptrs[l] = &words[l];
-    }
+    const auto words =
+        noisyCodewords(code, 4, rng, [](std::size_t) { return 0.004; });
     BatchDecodeWorkspace bws;
-    std::vector<DecodeResult> got(lanes);
-    dec.decodeBatch(ptrs.data(), lanes, 0.004, bws, got.data());
-    DecodeWorkspace ws;
-    for (std::size_t l = 0; l < lanes; ++l) {
-        const DecodeResult want = dec.decode(words[l], 0.004, ws);
-        EXPECT_EQ(got[l].success, want.success) << "lane " << l;
-        EXPECT_EQ(got[l].iterations, want.iterations) << "lane " << l;
-        EXPECT_EQ(got[l].word, want.word) << "lane " << l;
-    }
+    expectBatchMatchesPerLane(dec, words, 0.004, bws);
 }
 
 TEST(BatchDecode, WorkspaceReuseAcrossBatchSizes)
@@ -277,26 +415,110 @@ TEST(BatchDecode, WorkspaceReuseAcrossBatchSizes)
     const MinSumDecoder dec(code, 10);
     Rng rng(400);
     BatchDecodeWorkspace bws;
-    DecodeWorkspace ws;
     // Shrinking and regrowing the lane count through one workspace must
     // not leak state between calls.
     for (std::size_t lanes : {5u, 2u, 7u, 1u}) {
-        std::vector<HardWord> words(lanes);
-        std::vector<const HardWord *> ptrs(lanes);
-        for (std::size_t l = 0; l < lanes; ++l) {
-            words[l] = code.encode(randomData(code.params().k(), rng));
-            injectErrors(words[l], 0.003, rng);
-            ptrs[l] = &words[l];
-        }
-        std::vector<DecodeResult> got(lanes);
-        dec.decodeBatch(ptrs.data(), lanes, 0.004, bws, got.data());
-        for (std::size_t l = 0; l < lanes; ++l) {
-            const DecodeResult want = dec.decode(words[l], 0.004, ws);
-            EXPECT_EQ(got[l].success, want.success);
-            EXPECT_EQ(got[l].iterations, want.iterations);
-            EXPECT_EQ(got[l].word, want.word);
-        }
+        const auto words = noisyCodewords(code, lanes, rng,
+                                          [](std::size_t) { return 0.003; });
+        expectBatchMatchesPerLane(dec, words, 0.004, bws);
     }
+}
+
+TEST(BatchDecode, PaperCodeAtIterationCapMatchesPerLaneDecode)
+{
+    // Far above the capability (~0.0085) every lane runs all 20
+    // iterations, so the whole schedule is compared, not an early exit.
+    const QcLdpcCode code(paperCode());
+    const MinSumDecoder dec(code, 20);
+    Rng rng(500);
+    const double rber = 0.016;
+    const auto words = noisyCodewords(
+        code, MinSumDecoder::kBatchLanes, rng,
+        [&](std::size_t) { return rber; });
+    BatchDecodeWorkspace bws;
+    const auto got = expectBatchMatchesPerLane(dec, words, rber, bws);
+    for (std::size_t l = 0; l < got.size(); ++l) {
+        EXPECT_FALSE(got[l].success) << "lane " << l;
+        EXPECT_EQ(got[l].iterations, 20) << "lane " << l;
+    }
+}
+
+TEST(BatchDecode, TiedMinimaMatchPerLaneDecode)
+{
+    // Check 0 holds the data bits a and b. Flipping both (plus light
+    // noise elsewhere) leaves a and b with equal |v2c| on check 0 from
+    // the second iteration on, so the two-min state of that check has a
+    // tie for its minimum; flipping a alone gives a single minimum at
+    // a's edge, and the clean lane ties every edge. The lanes thus pick
+    // different minimum edges for the same check.
+    const QcLdpcCode code(smallParams());
+    const MinSumDecoder dec(code, 12);
+    const auto &ev = code.checkAdjacency();
+    const std::uint32_t a = ev[0];
+    const std::uint32_t b = ev[1];
+    Rng rng(600);
+    std::vector<HardWord> words(MinSumDecoder::kBatchLanes);
+    for (std::size_t l = 0; l < words.size(); ++l) {
+        words[l] = code.encode(randomData(code.params().k(), rng));
+        if (l == 0)
+            continue; // clean: every |v2c| of every check ties
+        if (l >= 4)
+            injectErrors(words[l], 0.002 * static_cast<double>(l), rng);
+        words[l][a] ^= 1;
+        if (l % 2 == 1)
+            words[l][b] ^= 1;
+    }
+    BatchDecodeWorkspace bws;
+    const auto got = expectBatchMatchesPerLane(dec, words, 0.004, bws);
+    EXPECT_TRUE(got[0].success);
+    EXPECT_EQ(got[0].iterations, 1);
+}
+
+TEST(BatchDecode, DegreeVaryingChecksMatchPerLaneDecode)
+{
+    // A short code where the dual-diagonal parity rows dominate: block
+    // row 0 has degree 5 and rows 1-3 degree 6, and the errors sit in
+    // the parity block columns only.
+    CodeParams p;
+    p.blockCols = 8;
+    p.circulant = 32;
+    const QcLdpcCode code(p);
+    const MinSumDecoder dec(code, 15);
+    Rng rng(700);
+    std::vector<HardWord> words(MinSumDecoder::kBatchLanes);
+    const std::size_t k = p.k();
+    for (std::size_t l = 0; l < words.size(); ++l) {
+        words[l] = code.encode(randomData(k, rng));
+        for (std::size_t e = 0; e < 4 * (l + 1); ++e)
+            words[l][k + rng.below(p.n() - k)] ^= 1;
+    }
+    BatchDecodeWorkspace bws;
+    const auto got = expectBatchMatchesPerLane(dec, words, 0.01, bws);
+    int successes = 0;
+    for (const DecodeResult &r : got)
+        successes += r.success;
+    EXPECT_GT(successes, 0);
+    EXPECT_LT(successes, static_cast<int>(got.size()));
+}
+
+TEST(BatchDecode, WorkspaceReuseAcrossCodes)
+{
+    // One workspace, small code then paper code then small again: the
+    // state arrays regrow to the larger code and shrink back without
+    // carrying anything over.
+    const QcLdpcCode small(smallParams());
+    const QcLdpcCode paper(paperCode());
+    const MinSumDecoder small_dec(small, 12);
+    const MinSumDecoder paper_dec(paper, 20);
+    Rng rng(800);
+    BatchDecodeWorkspace bws;
+    const auto noisy = [](std::size_t l) { return 0.002 + 0.001 * l; };
+    expectBatchMatchesPerLane(small_dec, noisyCodewords(small, 8, rng, noisy),
+                              0.004, bws);
+    expectBatchMatchesPerLane(paper_dec, noisyCodewords(paper, 8, rng, noisy),
+                              0.006, bws);
+    expectBatchMatchesPerLane(small_dec, noisyCodewords(small, 3, rng, noisy),
+                              0.004, bws);
 }
 
 } // namespace
