@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared helpers for the figure/table regeneration benches: command-line
- * scale overrides and common formatting. Every bench prints the rows or
- * series of one table/figure from the paper; absolute values differ from
- * the authors' testbed but the shape must match (see EXPERIMENTS.md).
+ * Shared helpers for the figure/table scenarios: workload-size scaling
+ * and common formatting. Every scenario reports the rows or series of
+ * one table/figure from the paper; absolute values differ from the
+ * authors' testbed but the shape must match (see EXPERIMENTS.md).
  */
 
 #ifndef RIF_BENCH_BENCH_UTIL_H
@@ -11,34 +11,12 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <string>
 
 namespace rif {
 namespace bench {
-
-/**
- * Scale factor from the command line: `<bench> [scale]`, where scale
- * multiplies the default trial/request counts. `--quick` is 0.25.
- * Only finite positive values are accepted; `inf`/`nan` and other
- * non-numeric arguments are ignored like any unrecognized argument.
- */
-inline double
-scaleArg(int argc, char **argv, double def = 1.0)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--quick")
-            return 0.25;
-        char *end = nullptr;
-        const double v = std::strtod(a.c_str(), &end);
-        if (end && *end == '\0' && std::isfinite(v) && v > 0.0)
-            return v;
-    }
-    return def;
-}
 
 /**
  * base * scale as a count: at least 1, clamped to INT_MAX instead of

@@ -32,7 +32,6 @@
 #include "odear/rearrange.h"
 #include "odear/rp_module.h"
 #include "ssd/config.h"
-#include "ssd/rp_stage.h"
 #include "trace/trace.h"
 
 namespace {
@@ -252,7 +251,7 @@ rpFixture()
 
 /**
  * Cross-page staged RP syndrome: groups of range(0) concurrently
- * in-flight codewords staged into the ChannelRpStage and flushed
+ * in-flight codewords staged into an RpSyndromeStager and flushed
  * through the 8-lane batch kernels (scalar tail below 8).
  */
 void
@@ -260,7 +259,7 @@ BM_RpSyndromeStaged(benchmark::State &state)
 {
     RpFixture &fx = rpFixture();
     const auto group = static_cast<std::size_t>(state.range(0));
-    ssd::ChannelRpStage stage(fx.rp, 1);
+    odear::RpSyndromeStager stage(fx.rp);
     std::uint64_t retries = 0;
     for (auto _ : state) {
         std::size_t i = 0;
@@ -269,10 +268,10 @@ BM_RpSyndromeStaged(benchmark::State &state)
             const std::size_t lanes =
                 std::min(group, fx.words.size() - i);
             for (std::size_t l = 0; l < lanes; ++l)
-                (void)stage.stage(0, fx.words[i + l]);
-            stage.flushAll();
+                (void)stage.stage(fx.words[i + l]);
+            stage.flush();
             for (std::size_t l = 0; l < lanes; ++l)
-                retries += stage.retry({0, l}) ? 1 : 0;
+                retries += stage.retry(l) ? 1 : 0;
             i += lanes;
         }
         benchmark::DoNotOptimize(retries);

@@ -8,10 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <array>
-#include <string>
-
-#include "common/parallel.h"
 #include "common/pool.h"
 #include "core/experiment.h"
 #include "ssd/devices.h"
@@ -106,82 +102,6 @@ BM_ReferenceEventQueue(benchmark::State &state)
     BM_QueueKernel<ReferenceSimulator>(state);
 }
 BENCHMARK(BM_ReferenceEventQueue)
-    ->Arg(static_cast<int>(Mix::Uniform))
-    ->Arg(static_cast<int>(Mix::SsdMix));
-
-/**
- * The same workload through the per-channel sharded kernel: 8 device
- * shards, every event tagged onto one of them, each incrementing only
- * its own shard's counter (the confinement contract). Measures the
- * merge/gather/flush overhead of sharded mode relative to
- * BM_EventQueue — and, on multi-core hosts with dense same-tick
- * groups, the concurrent-group payoff.
- */
-void
-BM_ShardedEventQueue(benchmark::State &state)
-{
-    const Mix mix = static_cast<Mix>(state.range(0));
-    constexpr int kEvents = 20000;
-    constexpr int kShards = 8;
-    Simulator sim(kShards);
-    std::array<int, kShards + 1> fired{};
-    for (auto _ : state) {
-        for (int i = 0; i < kEvents / 2; ++i) {
-            const auto s = static_cast<std::uint32_t>(i % kShards + 1);
-            sim.scheduleShard(s, delayFor(mix, i), [&sim, &fired, mix, s,
-                                                    i] {
-                ++fired[s];
-                sim.scheduleShard(s, delayFor(mix, i + kEvents / 2),
-                                  [&fired, s] { ++fired[s]; });
-            });
-        }
-        sim.run();
-        benchmark::DoNotOptimize(fired);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kEvents);
-    state.SetLabel(mix == Mix::Uniform ? "uniform" : "ssd-mix");
-}
-BENCHMARK(BM_ShardedEventQueue)
-    ->Arg(static_cast<int>(Mix::Uniform))
-    ->Arg(static_cast<int>(Mix::SsdMix));
-
-/**
- * The same sharded script on a 1-worker thread budget: the kernel
- * auto-collapses to the single-queue path at construction (shard tags
- * route to the one queue), so throughput should match BM_EventQueue
- * rather than paying the merge/gather/flush layer for nothing.
- */
-void
-BM_ShardedEventQueueCollapsed(benchmark::State &state)
-{
-    const Mix mix = static_cast<Mix>(state.range(0));
-    constexpr int kEvents = 20000;
-    constexpr int kShards = 8;
-    setGlobalThreadCount(1);
-    Simulator sim(kShards);
-    std::array<int, kShards + 1> fired{};
-    for (auto _ : state) {
-        for (int i = 0; i < kEvents / 2; ++i) {
-            const auto s = static_cast<std::uint32_t>(i % kShards + 1);
-            sim.scheduleShard(s, delayFor(mix, i), [&sim, &fired, mix, s,
-                                                    i] {
-                ++fired[s];
-                sim.scheduleShard(s, delayFor(mix, i + kEvents / 2),
-                                  [&fired, s] { ++fired[s]; });
-            });
-        }
-        sim.run();
-        benchmark::DoNotOptimize(fired);
-    }
-    setGlobalThreadCount(0);
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kEvents);
-    state.SetLabel(std::string(mix == Mix::Uniform ? "uniform"
-                                                   : "ssd-mix") +
-                   " collapsed=" + (sim.sharded() ? "no" : "yes"));
-}
-BENCHMARK(BM_ShardedEventQueueCollapsed)
     ->Arg(static_cast<int>(Mix::Uniform))
     ->Arg(static_cast<int>(Mix::SsdMix));
 

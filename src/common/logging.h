@@ -20,6 +20,14 @@ namespace log_detail {
 /** Emit a formatted log line to stderr. */
 void emit(const char *level, const std::string &msg);
 
+/**
+ * Flush stdout and terminate with status 1, skipping static destructors
+ * and atexit handlers. fatal() may fire on a worker-pool thread while
+ * other workers still run; std::exit would destroy the pool and every
+ * other static underneath them.
+ */
+[[noreturn]] void exitFatal();
+
 /** Build a message from stream-style arguments. */
 template <typename... Args>
 std::string
@@ -53,7 +61,7 @@ template <typename... Args>
 fatal(Args &&...args)
 {
     log_detail::emit("fatal", log_detail::format(std::forward<Args>(args)...));
-    std::exit(1);
+    log_detail::exitFatal();
 }
 
 /** Warn about questionable but non-fatal behaviour. */

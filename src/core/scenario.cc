@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <fstream>
-#include <iostream>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -184,18 +183,6 @@ runScenarios(const std::vector<const Scenario *> &selected,
         else
             trace->writeChromeJson(file);
     }
-}
-
-int
-runScenarioShim(const char *name, double scale)
-{
-    const Scenario *scenario = ScenarioRegistry::instance().find(name);
-    if (scenario == nullptr)
-        fatal("scenario '", name, "' is not registered");
-    const OptionSet no_overrides;
-    TableSink sink(std::cout);
-    runScenario(*scenario, sink, scale, no_overrides);
-    return 0;
 }
 
 } // namespace core

@@ -2,11 +2,10 @@
  * @file
  * Declarative scenario registry: every paper figure/table/ablation is a
  * named Scenario whose body reports through a ResultSink instead of
- * printing. Scenario files self-register via RIF_REGISTER_SCENARIO, the
- * `rif` driver discovers them at runtime (`rif list`, `rif run`), and
- * the legacy one-binary-per-figure benches shrink to shims over
- * runScenarioShim(). Adding a new experiment is one ~50-line file: a
- * body plus a registration line.
+ * printing. Scenario files self-register via RIF_REGISTER_SCENARIO and
+ * the `rif` driver discovers them at runtime (`rif list`, `rif run`).
+ * Adding a new experiment is one ~50-line file: a body plus a
+ * registration line.
  */
 
 #ifndef RIF_CORE_SCENARIO_H
@@ -169,13 +168,6 @@ void runScenarios(const std::vector<const Scenario *> &selected,
                   SinkFormat format, std::ostream &os, double scale,
                   const OptionSet &opts, int jobs,
                   const ObservabilityOptions &obs);
-
-/**
- * Entry point for the legacy bench shims: run the named scenario with
- * a table sink on stdout and no overrides, preserving the historical
- * `<bench> [scale|--quick]` behaviour byte-for-byte.
- */
-int runScenarioShim(const char *name, double scale);
 
 } // namespace core
 } // namespace rif

@@ -72,8 +72,7 @@ class DriveView final : public trace::TraceSource
 
 Fleet::Fleet(const ssd::SsdConfig &base, const FleetConfig &config)
     : baseCfg_(base), cfg_(config), placement_(config),
-      net_(config.drives, config.linkGBps, config.linkTicks()),
-      hostSim_(0)
+      net_(config.drives, config.linkGBps, config.linkTicks())
 {
     baseCfg_.validate();
     cfg_.validate();
@@ -86,9 +85,7 @@ Fleet::Fleet(const ssd::SsdConfig &base, const FleetConfig &config)
         cfg->seed = driveSeed(baseCfg_.seed, d);
         if (d < cfg_.agedDrives)
             cfg->peCycles = cfg_.agedPeCycles;
-        // simShards = 0: whole drives are the parallel unit here, so
-        // each drive runs the plain single-queue kernel on its worker.
-        drives_.push_back(std::make_unique<ssd::Ssd>(*cfg, 0));
+        drives_.push_back(std::make_unique<ssd::Ssd>(*cfg));
         drives_.back()->setMetricsPrefix("ssd" + std::to_string(d) + ".");
         driveCfgs_.push_back(std::move(cfg));
     }

@@ -114,8 +114,8 @@ class RpModule
  *
  * Zero steady-state allocation: the lane batch, the syndrome scratch
  * and the result vector are grown on first use and reused across
- * reset() cycles. Not thread-safe; use one stager per worker (the
- * accuracy harness) or per channel (ssd::ChannelRpStage).
+ * reset() cycles. Not thread-safe; use one stager per worker (as the
+ * accuracy harness does).
  */
 class RpSyndromeStager
 {

@@ -22,10 +22,8 @@ PageOp::pendingDieTicks() const
 }
 
 DieModel::DieModel(Simulator &sim, const SsdConfig &config,
-                   ChannelModel &channel, EccEngine &ecc,
-                   std::uint32_t shard)
-    : sim_(sim), config_(config), channel_(channel), ecc_(ecc),
-      shard_(shard)
+                   ChannelModel &channel, EccEngine &ecc)
+    : sim_(sim), config_(config), channel_(channel), ecc_(ecc)
 {
 }
 
@@ -43,9 +41,7 @@ DieModel::enqueue(PageOp *op)
 void
 DieModel::kick()
 {
-    // Batch formation only touches this die and its channel pipeline:
-    // shard-confined.
-    sim_.scheduleShard(shard_, 0, [this] { tryStart(); });
+    sim_.schedule(0, [this] { tryStart(); });
 }
 
 void
@@ -96,14 +92,9 @@ DieModel::tryStart()
     for (PageOp *op : batch) {
         const Tick t = op->pendingDieTicks();
         busy_for = std::max(busy_for, t);
-        // A read release forwards to this die's channel (shard-
-        // confined); write/erase releases invoke the completion, which
-        // touches host-side shared state — serial lane.
-        const std::uint32_t s =
-            op->type == PageOp::Type::Read ? shard_ : 0;
-        sim_.scheduleShard(s, t, [this, op] { releaseOp(op); });
+        sim_.schedule(t, [this, op] { releaseOp(op); });
     }
-    sim_.scheduleShard(shard_, busy_for, [this] {
+    sim_.schedule(busy_for, [this] {
         busy_ = false;
         tryStart();
     });
@@ -138,9 +129,8 @@ DieModel::releaseOp(PageOp *op)
 }
 
 ChannelModel::ChannelModel(Simulator &sim, const SsdConfig &config,
-                           EccEngine &ecc, ChannelUsage &usage,
-                           std::uint32_t shard)
-    : sim_(sim), config_(config), ecc_(ecc), usage_(usage), shard_(shard)
+                           EccEngine &ecc, ChannelUsage &usage)
+    : sim_(sim), config_(config), ecc_(ecc), usage_(usage)
 {
 }
 
@@ -197,15 +187,7 @@ ChannelModel::tryStart()
     usage_.transition(state, sim_.now());
     busy_ = true;
 
-    // Whether this transfer ends the read script (completing to the
-    // host) is known now: the Transfer phase about to be consumed is
-    // the last one and no decode follows. Host completions touch
-    // shared state — serial lane; everything else stays shard-local
-    // (die forward, ECC hand-off, next transfer).
-    const bool to_host = is_read && !toward_ecc &&
-                         op->phase + 1 >= op->script.phases.size();
-    sim_.scheduleShard(to_host ? 0 : shard_, config_.timing.tDmaPage,
-                       [this, op, is_read, toward_ecc] {
+    sim_.schedule(config_.timing.tDmaPage, [this, op, is_read, toward_ecc] {
         busy_ = false;
         if (!is_read) {
             // Program data is now in the die's page buffer.
@@ -228,9 +210,8 @@ ChannelModel::tryStart()
     });
 }
 
-EccEngine::EccEngine(Simulator &sim, const SsdConfig &config,
-                     std::uint32_t shard)
-    : sim_(sim), config_(config), shard_(shard)
+EccEngine::EccEngine(Simulator &sim, const SsdConfig &config)
+    : sim_(sim), config_(config)
 {
 }
 
@@ -266,11 +247,7 @@ EccEngine::tryDecode()
     const ReadPhase &ph = op->currentPhase();
     RIF_ASSERT(ph.kind == ReadPhase::Kind::Decode);
 
-    // The outcome is scripted: a failing decode re-reads on a die of
-    // this channel (shard-confined), a successful one completes to the
-    // host (serial lane).
-    sim_.scheduleShard(ph.decodeFails ? shard_ : 0, ph.duration,
-                       [this, op] {
+    sim_.schedule(ph.duration, [this, op] {
         busy_ = false;
         RIF_ASSERT(held_ > 0);
         --held_;

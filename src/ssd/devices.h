@@ -77,13 +77,8 @@ struct PageOp
 class DieModel
 {
   public:
-    /**
-     * `shard` tags the die's shard-confined events in a sharded
-     * Simulator (1 + channel index in the SSD model); 0 keeps
-     * everything on the serial lane.
-     */
     DieModel(Simulator &sim, const SsdConfig &config, ChannelModel &channel,
-             EccEngine &ecc, std::uint32_t shard = 0);
+             EccEngine &ecc);
 
     /** Queue an operation whose next phase runs on this die. */
     void enqueue(PageOp *op);
@@ -110,7 +105,6 @@ class DieModel
     const SsdConfig &config_;
     ChannelModel &channel_;
     EccEngine &ecc_;
-    std::uint32_t shard_ = 0;
     std::deque<PageOp *> queue_;
     /** Scratch for batch formation, reused across tryStart calls. */
     std::vector<PageOp *> batch_;
@@ -125,10 +119,8 @@ class DieModel
 class ChannelModel
 {
   public:
-    /** `shard` as in DieModel; transfers completing to the host stay
-     *  on the serial lane regardless. */
     ChannelModel(Simulator &sim, const SsdConfig &config, EccEngine &ecc,
-                 ChannelUsage &usage, std::uint32_t shard = 0);
+                 ChannelUsage &usage);
 
     /** Queue an operation whose next phase is a channel transfer. */
     void enqueue(PageOp *op);
@@ -148,7 +140,6 @@ class ChannelModel
     const SsdConfig &config_;
     EccEngine &ecc_;
     ChannelUsage &usage_;
-    std::uint32_t shard_ = 0;
     DieLookup dieLookup_;
     std::deque<PageOp *> queue_;
     bool busy_ = false;
@@ -163,10 +154,7 @@ class ChannelModel
 class EccEngine
 {
   public:
-    /** `shard` as in DieModel; successful decodes complete to the host
-     *  and stay on the serial lane regardless. */
-    EccEngine(Simulator &sim, const SsdConfig &config,
-              std::uint32_t shard = 0);
+    EccEngine(Simulator &sim, const SsdConfig &config);
 
     /** Wire the owning channel (poked when buffer space frees). */
     void setChannel(ChannelModel *channel) { channel_ = channel; }
@@ -190,7 +178,6 @@ class EccEngine
 
     Simulator &sim_;
     const SsdConfig &config_;
-    std::uint32_t shard_ = 0;
     ChannelModel *channel_ = nullptr;
     DieLookup dieLookup_;
     std::deque<PageOp *> queue_;

@@ -151,10 +151,17 @@ Ftl::installMappings(std::uint64_t footprint_pages)
 {
     const auto &g = config_.geometry;
     RIF_ASSERT(mapping_.empty(), "precondition must run once");
+    // The footprint comes from workload sizing and `--set` geometry
+    // overrides, so an oversized one is a configuration error, not an
+    // internal invariant.
     const double capacity =
         static_cast<double>(g.totalPages());
-    RIF_ASSERT(static_cast<double>(footprint_pages) <= capacity * 0.90,
-               "logical footprint too large for the simulated geometry");
+    if (static_cast<double>(footprint_pages) > capacity * 0.90)
+        fatal("Ftl: logical footprint of ", footprint_pages,
+              " pages exceeds 90% of the drive's ", g.totalPages(),
+              "-page capacity; raise geometry.channels, "
+              "geometry.diesPerChannel, geometry.planesPerDie, "
+              "geometry.blocksPerPlane or geometry.pagesPerBlock");
 
     mapping_.assign(footprint_pages, kInvalidPpn);
     retentionDays_.assign(footprint_pages, 0.0f);

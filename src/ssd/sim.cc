@@ -1,17 +1,13 @@
 #include "ssd/sim.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 
 namespace rif {
 namespace ssd {
 
-thread_local Simulator::PostBuffer *Simulator::tlsPost_ = nullptr;
-
-Simulator::CalendarQueue::CalendarQueue()
+Simulator::Simulator()
     : l0_(kL0Slots),
       l1_(kL1Slots),
       l0Bits_(kL0Slots / 64, 0),
@@ -19,71 +15,20 @@ Simulator::CalendarQueue::CalendarQueue()
 {
 }
 
-Simulator::Simulator(int shards) : shards_(std::max(shards, 0))
-{
-    // One queue per shard plus the serial lane; a single shard would
-    // only ever merge with the serial lane, so it stays on the classic
-    // single-queue path. Likewise a 1-worker budget: every group would
-    // run inline anyway, so sharding is pure merge/gather/flush
-    // overhead — collapse to the single queue (results are identical
-    // either way; only the throughput differs).
-    const bool shardable = shards_ > 1 && globalThreadCount() > 1;
-    queues_.resize(shardable ? static_cast<std::size_t>(shards_) + 1 : 1);
-    if (const char *env = std::getenv("RIF_SIM_PARALLEL_MIN")) {
-        const unsigned long v = std::strtoul(env, nullptr, 10);
-        parallelMin_ = v > 0 ? static_cast<std::size_t>(v) : 1;
-    }
-}
-
 void
 Simulator::schedule(Tick delay, Action action)
 {
-    scheduleShardAt(0, now_ + delay, std::move(action));
+    scheduleAt(now_ + delay, std::move(action));
 }
 
 void
 Simulator::scheduleAt(Tick when, Action action)
 {
-    scheduleShardAt(0, when, std::move(action));
-}
-
-void
-Simulator::scheduleShard(std::uint32_t shard, Tick delay, Action action)
-{
-    scheduleShardAt(shard, now_ + delay, std::move(action));
-}
-
-void
-Simulator::scheduleShardAt(std::uint32_t shard, Tick when, Action action)
-{
-    if (PostBuffer *pb = tlsPost_) {
-        // Inside a shard group: buffer, flushed after the group in
-        // (origin, emit) order so seq assignment matches a serial run.
-        RIF_ASSERT(when >= now_, "event scheduled in the past");
-        pb->recs.push_back(
-            PostRec{pb->origSeq, pb->emit++, shard, when, std::move(action)});
-        return;
-    }
-    pushEvent(shard, when, std::move(action));
-}
-
-void
-Simulator::pushEvent(std::uint32_t shard, Tick when, Action action)
-{
     RIF_ASSERT(when >= now_, "event scheduled in the past");
-    const std::size_t qi =
-        queues_.size() == 1 ? 0 : static_cast<std::size_t>(shard);
-    RIF_ASSERT(qi < queues_.size(), "shard out of range");
     const std::uint64_t seq = nextSeq_++;
     ++size_;
     if (size_ > peakSize_)
         peakSize_ = size_;
-    queues_[qi].push(when, seq, std::move(action));
-}
-
-void
-Simulator::CalendarQueue::push(Tick when, std::uint64_t seq, Action &&action)
-{
     // Keep a valid cached earliest() current: a push can only lower
     // it, and the lowered hint is exact iff the push landed in the L0
     // window. An invalid hint stays invalid (the queue may hold
@@ -123,7 +68,7 @@ Simulator::CalendarQueue::push(Tick when, std::uint64_t seq, Action &&action)
 }
 
 void
-Simulator::CalendarQueue::pushL0(Event ev)
+Simulator::pushL0(Event ev)
 {
     const std::size_t slot = static_cast<std::size_t>(ev.when - l0Base_);
     l0_[slot].push_back(std::move(ev));
@@ -137,7 +82,7 @@ Simulator::CalendarQueue::pushL0(Event ev)
 }
 
 void
-Simulator::CalendarQueue::pushL1(Event ev)
+Simulator::pushL1(Event ev)
 {
     const std::size_t slot =
         static_cast<std::size_t>((ev.when - l1Base_) >> kL0Bits);
@@ -171,7 +116,7 @@ Simulator::findSetBit(const std::vector<std::uint64_t> &bits,
 }
 
 void
-Simulator::CalendarQueue::refill()
+Simulator::refill()
 {
     RIF_ASSERT(l0Count_ == 0);
     hintValid_ = false;
@@ -191,8 +136,8 @@ Simulator::CalendarQueue::refill()
             auto &bucket = l1_[slot];
             l1Count_ -= bucket.size();
             // Cascade: scatter to exact-tick slots. Bucket order is
-            // (when, seq)-consistent per tick (see push / overflow
-            // migration), so per-slot FIFO is preserved.
+            // (when, seq)-consistent per tick (see scheduleAt /
+            // overflow migration), so per-slot FIFO is preserved.
             for (auto &ev : bucket)
                 pushL0(std::move(ev));
             bucket.clear();
@@ -222,9 +167,9 @@ Simulator::CalendarQueue::refill()
 }
 
 Tick
-Simulator::CalendarQueue::earliest(bool &exact)
+Simulator::earliest(bool &exact)
 {
-    RIF_ASSERT(hasEvents());
+    RIF_ASSERT(size_ != 0);
     if (hintValid_) {
         exact = hintExact_;
         return hintTick_;
@@ -242,7 +187,7 @@ Simulator::CalendarQueue::earliest(bool &exact)
         hintExact_ = false;
     } else {
         // The heap top is the true minimum, but the window has to be
-        // repositioned before takeTick can extract it.
+        // repositioned before drainSlot can execute it.
         hintTick_ = overflow_.front().when;
         hintExact_ = false;
     }
@@ -252,31 +197,13 @@ Simulator::CalendarQueue::earliest(bool &exact)
 }
 
 void
-Simulator::CalendarQueue::takeTick(Tick t, std::uint32_t shard,
-                                   std::vector<Pending> &out)
+Simulator::drainSlot(std::size_t slot, std::uint64_t &budget)
 {
-    const std::size_t slot = static_cast<std::size_t>(t - l0Base_);
-    RIF_ASSERT(l0Count_ > 0 && slot < kL0Slots, "takeTick needs an exact tick");
-    RIF_ASSERT((l0Bits_[slot >> 6] >> (slot & 63)) & 1);
     auto &bucket = l0_[slot];
-    for (auto &ev : bucket)
-        out.push_back(Pending{ev.seq, shard, std::move(ev.action)});
-    l0Count_ -= bucket.size();
-    bucket.clear();
-    l0Bits_[slot >> 6] &= ~(std::uint64_t(1) << (slot & 63));
-    l0Cursor_ = slot + 1;
-    hintValid_ = false;
-}
-
-void
-Simulator::drainSlot(CalendarQueue &q, std::size_t slot,
-                     std::uint64_t &budget)
-{
-    auto &bucket = q.l0_[slot];
     // Every event in an L0 bucket carries the slot's tick, so the
     // clock and the executed/pending counters move once per slot, and
     // only the action leaves the bucket per event.
-    now_ = q.l0Base_ + Tick(slot);
+    now_ = l0Base_ + Tick(slot);
     std::size_t idx = 0;
     // Index-based iteration: an action may append same-tick events to
     // this bucket (zero-delay scheduling), possibly reallocating it.
@@ -288,184 +215,17 @@ Simulator::drainSlot(CalendarQueue &q, std::size_t slot,
     }
     executed_ += idx;
     size_ -= idx;
-    q.l0Count_ -= idx;
-    q.hintValid_ = false;
+    l0Count_ -= idx;
+    hintValid_ = false;
     if (idx >= bucket.size()) {
         bucket.clear();
-        q.l0Bits_[slot >> 6] &= ~(std::uint64_t(1) << (slot & 63));
-        q.l0Cursor_ = slot + 1;
+        l0Bits_[slot >> 6] &= ~(std::uint64_t(1) << (slot & 63));
+        l0Cursor_ = slot + 1;
     } else {
         // Watchdog budget ran out mid-slot: keep the unexecuted tail.
         bucket.erase(bucket.begin(),
                      bucket.begin() + static_cast<std::ptrdiff_t>(idx));
-        q.l0Cursor_ = slot;
-    }
-}
-
-Tick
-Simulator::nextTick()
-{
-    // Find the minimum earliest() hint; whenever the argmin is only a
-    // lower bound, reposition that queue's window and rescan. A tick
-    // is returned only once every queue whose minimum equals it is
-    // exact, so gatherTick misses nothing. Advancing only argmin
-    // queues keeps every window at or below the global minimum tick —
-    // the invariant that makes later pushes (always >= now) land
-    // inside or beyond their queue's window, never before it.
-    while (true) {
-        Tick best = ~Tick(0);
-        CalendarQueue *best_inexact = nullptr;
-        for (auto &q : queues_) {
-            if (!q.hasEvents())
-                continue;
-            bool exact;
-            const Tick h = q.earliest(exact);
-            if (h < best) {
-                best = h;
-                best_inexact = exact ? nullptr : &q;
-            } else if (h == best && !exact && best_inexact == nullptr) {
-                best_inexact = &q;
-            }
-        }
-        RIF_ASSERT(best != ~Tick(0), "nextTick with no pending events");
-        if (best_inexact == nullptr)
-            return best;
-        best_inexact->refill();
-    }
-}
-
-void
-Simulator::gatherTick(Tick t)
-{
-    pending_.clear();
-    pendingIdx_ = 0;
-    for (std::size_t qi = 0; qi < queues_.size(); ++qi) {
-        CalendarQueue &q = queues_[qi];
-        if (!q.hasEvents())
-            continue;
-        bool exact;
-        if (q.earliest(exact) != t)
-            continue;
-        RIF_ASSERT(exact, "gatherTick on an unadvanced queue");
-        q.takeTick(t, static_cast<std::uint32_t>(qi), pending_);
-    }
-    RIF_ASSERT(!pending_.empty());
-    // Seqs are globally unique and assigned in schedule order, so the
-    // merged tick replays exactly the single-queue bucket order.
-    std::sort(pending_.begin(), pending_.end(),
-              [](const Pending &a, const Pending &b) {
-                  return a.seq < b.seq;
-              });
-}
-
-void
-Simulator::runGroup(std::size_t begin, std::size_t end)
-{
-    const int workers = std::max(globalThreadCount(), 1);
-    if (postBufs_.size() < static_cast<std::size_t>(workers))
-        postBufs_.resize(static_cast<std::size_t>(workers));
-
-    bool parallel = workers > 1 && end - begin >= parallelMin_;
-    if (parallel) {
-        // Partition by shard, preserving seq order within each shard.
-        if (groupLists_.size() < queues_.size())
-            groupLists_.resize(queues_.size());
-        groupUsed_.clear();
-        for (std::size_t i = begin; i < end; ++i) {
-            const std::uint32_t s = pending_[i].shard;
-            if (groupLists_[s].empty())
-                groupUsed_.push_back(s);
-            groupLists_[s].push_back(i);
-        }
-        if (groupUsed_.size() > 1) {
-            parallelForWorker(
-                groupUsed_.size(), [this](std::size_t gi, int w) {
-                    PostBuffer *prev = tlsPost_;
-                    tlsPost_ = &postBufs_[static_cast<std::size_t>(w)];
-                    for (std::size_t idx : groupLists_[groupUsed_[gi]]) {
-                        tlsPost_->origSeq = pending_[idx].seq;
-                        tlsPost_->emit = 0;
-                        Action act = std::move(pending_[idx].action);
-                        act();
-                    }
-                    tlsPost_ = prev;
-                });
-        } else {
-            parallel = false;
-        }
-        for (std::uint32_t s : groupUsed_)
-            groupLists_[s].clear();
-    }
-    if (!parallel) {
-        // Below the parallel threshold (or one shard, or one thread):
-        // run inline in seq order, still buffering schedules so the
-        // size/seq trajectories are identical to a pooled execution.
-        PostBuffer *prev = tlsPost_;
-        tlsPost_ = &postBufs_[0];
-        for (std::size_t i = begin; i < end; ++i) {
-            tlsPost_->origSeq = pending_[i].seq;
-            tlsPost_->emit = 0;
-            Action act = std::move(pending_[i].action);
-            act();
-        }
-        tlsPost_ = prev;
-    }
-    flushPosts();
-}
-
-void
-Simulator::flushPosts()
-{
-    flushOrder_.clear();
-    for (auto &pb : postBufs_)
-        for (auto &r : pb.recs)
-            flushOrder_.push_back(&r);
-    if (flushOrder_.empty())
-        return;
-    std::sort(flushOrder_.begin(), flushOrder_.end(),
-              [](const PostRec *a, const PostRec *b) {
-                  if (a->origSeq != b->origSeq)
-                      return a->origSeq < b->origSeq;
-                  return a->emitIdx < b->emitIdx;
-              });
-    for (PostRec *r : flushOrder_)
-        pushEvent(r->shard, r->when, std::move(r->action));
-    for (auto &pb : postBufs_)
-        pb.recs.clear();
-}
-
-void
-Simulator::executePending(std::uint64_t &budget)
-{
-    std::uint64_t done = 0;
-    while (pendingIdx_ < pending_.size() && budget > 0) {
-        Pending &head = pending_[pendingIdx_];
-        if (head.shard == 0) {
-            // Serial events run alone (never concurrently with a
-            // group), so they may touch any state and push directly.
-            Action act = std::move(head.action);
-            ++pendingIdx_;
-            --budget;
-            ++done;
-            act();
-            continue;
-        }
-        std::size_t e = pendingIdx_ + 1;
-        while (e < pending_.size() && pending_[e].shard != 0)
-            ++e;
-        std::size_t n = e - pendingIdx_;
-        if (static_cast<std::uint64_t>(n) > budget)
-            n = static_cast<std::size_t>(budget);
-        runGroup(pendingIdx_, pendingIdx_ + n);
-        pendingIdx_ += n;
-        budget -= n;
-        done += n;
-    }
-    executed_ += done;
-    size_ -= done;
-    if (pendingIdx_ >= pending_.size()) {
-        pending_.clear();
-        pendingIdx_ = 0;
+        l0Cursor_ = slot;
     }
 }
 
@@ -479,40 +239,18 @@ Tick
 Simulator::run(std::uint64_t max_events)
 {
     std::uint64_t budget = max_events;
-    if (queues_.size() == 1) {
-        CalendarQueue &q = queues_[0];
-        while (size_ > 0 && budget > 0) {
-            if (q.l0Count_ == 0) {
-                q.refill();
-                continue;
-            }
-            const std::size_t slot =
-                findSetBit(q.l0Bits_, q.l0Cursor_, kL0Slots);
-            if (slot == kNoSlot) {
-                // L0 window exhausted but events remain further out.
-                q.refill();
-                continue;
-            }
-            drainSlot(q, slot, budget);
-        }
-        return now_;
-    }
-
-    while (budget > 0) {
-        if (pendingIdx_ < pending_.size()) {
-            // Either fresh events gathered below or the tail kept from
-            // a budget-exhausted previous run().
-            executePending(budget);
+    while (size_ > 0 && budget > 0) {
+        if (l0Count_ == 0) {
+            refill();
             continue;
         }
-        if (size_ == 0)
-            break;
-        // A tick executed to completion may have flushed zero-delay
-        // schedules back onto itself; nextTick then returns the same
-        // tick again, replaying the single-queue same-tick-append
-        // semantics (new events carry higher seqs).
-        now_ = nextTick();
-        gatherTick(now_);
+        const std::size_t slot = findSetBit(l0Bits_, l0Cursor_, kL0Slots);
+        if (slot == kNoSlot) {
+            // L0 window exhausted but events remain further out.
+            refill();
+            continue;
+        }
+        drainSlot(slot, budget);
     }
     return now_;
 }
@@ -520,59 +258,32 @@ Simulator::run(std::uint64_t max_events)
 Tick
 Simulator::nextEventBound()
 {
-    if (pendingIdx_ < pending_.size())
-        return now_;
     if (size_ == 0)
         return ~Tick(0);
-    Tick best = ~Tick(0);
-    for (auto &q : queues_) {
-        if (!q.hasEvents())
-            continue;
-        bool exact;
-        best = std::min(best, q.earliest(exact));
-    }
-    return best;
+    bool exact;
+    return earliest(exact);
 }
 
 Tick
 Simulator::runUntil(Tick limit)
 {
     std::uint64_t budget = ~std::uint64_t(0);
-    if (queues_.size() == 1) {
-        CalendarQueue &q = queues_[0];
-        while (size_ > 0) {
-            bool exact;
-            const Tick e = q.earliest(exact);
-            // `e` is a lower bound when inexact, so e > limit means the
-            // true earliest event is beyond the horizon either way.
-            // Breaking *before* any refill is load-bearing: an
-            // out-of-horizon runUntil must leave every future
-            // nextEventBound() value untouched (the quiescence
-            // contract in sim.h that lets the fleet skip idle lanes).
-            if (e > limit)
-                break;
-            if (!exact) {
-                q.refill();
-                continue;
-            }
-            drainSlot(q, static_cast<std::size_t>(e - q.l0Base_), budget);
+    while (size_ > 0) {
+        bool exact;
+        const Tick e = earliest(exact);
+        // `e` is a lower bound when inexact, so e > limit means the
+        // true earliest event is beyond the horizon either way.
+        // Breaking *before* any refill is load-bearing: an
+        // out-of-horizon runUntil must leave every future
+        // nextEventBound() value untouched (the quiescence contract in
+        // sim.h that lets the fleet skip idle lanes).
+        if (e > limit)
+            break;
+        if (!exact) {
+            refill();
+            continue;
         }
-    } else {
-        while (true) {
-            if (pendingIdx_ < pending_.size()) {
-                // Tail kept from a budget-exhausted run(); its tick was
-                // already accepted, so finish it regardless of limit.
-                executePending(budget);
-                continue;
-            }
-            if (size_ == 0)
-                break;
-            const Tick t = nextTick();
-            if (t > limit)
-                break;
-            now_ = t;
-            gatherTick(t);
-        }
+        drainSlot(static_cast<std::size_t>(e - l0Base_), budget);
     }
     if (now_ < limit)
         now_ = limit;

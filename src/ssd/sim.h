@@ -16,20 +16,8 @@
  *    anything farther out. Same-tick FIFO order is preserved exactly:
  *    per-tick buckets are appended in schedule order and cascades
  *    replay events in (when, seq) order before any later schedule can
- *    append.
- *
- *    Constructed with `shards > 1` the kernel becomes a per-channel
- *    sharded calendar queue: every shard (plus a serial lane, shard 0)
- *    owns its own calendar queue, and the run loop merges the shards
- *    tick by tick. All events of one tick are gathered and executed in
- *    global schedule (seq) order; maximal runs of shard-tagged events
- *    are independent by construction (they only touch their shard's
- *    state) and may execute concurrently across shards. Events they
- *    schedule are buffered per worker and flushed in (origin seq, emit
- *    index) order with freshly assigned seqs — exactly the sequence a
- *    serial execution would have produced — so results, event order
- *    and every counter are bit-identical at any thread count, and to
- *    the single-queue kernel.
+ *    append. One drive runs on one kernel on one thread; parallelism
+ *    lives a level up, where a fleet runs whole drives concurrently.
  *
  *  - ReferenceSimulator: the PR-1 std::function + binary-heap kernel,
  *    kept as the oracle for equivalence tests and the BM_Reference*
@@ -56,48 +44,16 @@ class Simulator
   public:
     using Action = InlineFunction<void()>;
 
-    /**
-     * @param shards number of parallel event shards. With shards <= 1
-     *        the kernel runs the classic single-queue path and every
-     *        event is serial. With shards > 1, scheduleShard(s, ...)
-     *        for s in [1, shards] tags events that only touch shard
-     *        s's state; shard 0 remains the serial lane for events
-     *        touching shared state (host side, pools, statistics).
-     *
-     *        When the effective worker count is 1 the sharded layer
-     *        cannot pay off — same-tick groups would run inline anyway
-     *        — so the kernel auto-collapses to the single-queue path
-     *        (scheduleShard still accepts any tag and routes it to the
-     *        one queue). Sharded and single-queue execution are
-     *        bit-identical by construction, so the collapse changes
-     *        throughput only, never results.
-     */
-    explicit Simulator(int shards = 0);
+    Simulator();
 
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /** Number of parallel shards (0 = classic single-queue kernel). */
-    int shards() const { return shards_; }
-
-    /** Whether the merge/gather/flush layer is active (false when
-     *  constructed unsharded or auto-collapsed on a 1-worker budget). */
-    bool sharded() const { return queues_.size() > 1; }
-
-    /** Schedule an action `delay` ticks in the future (serial lane). */
+    /** Schedule an action `delay` ticks in the future. */
     void schedule(Tick delay, Action action);
 
     /** Schedule at an absolute tick (must not be in the past). */
     void scheduleAt(Tick when, Action action);
-
-    /**
-     * Schedule onto a shard. Shard 0 is the serial lane; an event
-     * tagged with shard s >= 1 may run concurrently with same-tick
-     * events of other shards, so its action must only touch state
-     * owned by shard s (and schedule further events, which is always
-     * safe). Collapses to the serial lane when shards() == 0.
-     */
-    void scheduleShard(std::uint32_t shard, Tick delay, Action action);
 
     /** Run until the event queue drains. Returns the final tick. */
     Tick run();
@@ -157,33 +113,6 @@ class Simulator
             return a.seq > b.seq;
         }
     };
-    /** One gathered same-tick event awaiting execution (sharded mode). */
-    struct Pending
-    {
-        std::uint64_t seq;
-        std::uint32_t shard;
-        Action action;
-    };
-    /**
-     * A schedule issued from inside a shard group, buffered until the
-     * group completes. Flushing in (origSeq, emitIdx) order assigns
-     * the same seqs a serial execution would have.
-     */
-    struct PostRec
-    {
-        std::uint64_t origSeq;
-        std::uint32_t emitIdx;
-        std::uint32_t shard;
-        Tick when;
-        Action action;
-    };
-    /** Per-worker buffer of PostRecs plus the origin-event cursor. */
-    struct PostBuffer
-    {
-        std::vector<PostRec> recs;
-        std::uint64_t origSeq = 0;
-        std::uint32_t emit = 0;
-    };
 
     // Level 0: one slot per tick, 16384 ticks (~16 us of horizon).
     static constexpr std::size_t kL0Bits = 14;
@@ -199,101 +128,25 @@ class Simulator
     static std::size_t findSetBit(const std::vector<std::uint64_t> &bits,
                                   std::size_t from, std::size_t limit);
 
+    void pushL0(Event ev);
+    void pushL1(Event ev);
     /**
-     * One two-level calendar queue (the former Simulator internals).
-     * The single-queue kernel drives exactly one of these through
-     * drainSlot; the sharded kernel owns one per shard plus the serial
-     * lane and merges them tick by tick via earliest()/takeTick().
+     * Reposition the L0 window on the next pending work: cascade the
+     * next occupied L1 slot, migrating from the overflow heap first
+     * when the L1 window itself is exhausted. Requires l0Count_ == 0.
      */
-    struct CalendarQueue
-    {
-        CalendarQueue();
-
-        bool
-        hasEvents() const
-        {
-            return l0Count_ + l1Count_ + overflow_.size() != 0;
-        }
-
-        /** Insert with the usual L0 / L1 / overflow three-way split. */
-        void push(Tick when, std::uint64_t seq, Action &&action);
-        void pushL0(Event ev);
-        void pushL1(Event ev);
-        /**
-         * Reposition the L0 window on the next pending work: cascade
-         * the next occupied L1 slot, migrating from the overflow heap
-         * first when the L1 window itself is exhausted. Requires
-         * l0Count_ == 0. In the sharded merge loop this must only be
-         * called on the queue holding the current minimum hint: the
-         * window then lands at or below the global minimum tick, so
-         * no later push (always >= now) can fall outside it.
-         */
-        void refill();
-        /**
-         * Earliest pending tick. `exact` is true when the value is a
-         * real event tick inside the L0 window (takeTick can extract
-         * it); false when it is a lower bound and refill() must
-         * reposition the window first. Cached: pushes keep the hint
-         * up to date, takeTick/refill invalidate it, so repeated
-         * merge-loop queries don't rescan the bitmaps.
-         */
-        Tick earliest(bool &exact);
-        /**
-         * Move every event at exactly tick t (an exact earliest) into
-         * `out`, tagging it with `shard`. Bucket order is seq order.
-         */
-        void takeTick(Tick t, std::uint32_t shard,
-                      std::vector<Pending> &out);
-
-        /** First tick of the L0 window (multiple of kL0Slots). */
-        Tick l0Base_ = 0;
-        /** First tick of the L1 window (multiple of kL1Span). */
-        Tick l1Base_ = 0;
-        /** Next L0 slot index to examine. */
-        std::size_t l0Cursor_ = 0;
-        /** Next L1 slot index to cascade. */
-        std::size_t l1Cursor_ = 0;
-        std::uint64_t l0Count_ = 0;
-        std::uint64_t l1Count_ = 0;
-
-        std::vector<std::vector<Event>> l0_;
-        std::vector<std::vector<Event>> l1_;
-        std::vector<std::uint64_t> l0Bits_;
-        std::vector<std::uint64_t> l1Bits_;
-        /** Events beyond the L1 window, as a (when, seq) min-heap. */
-        std::vector<Event> overflow_;
-
-        /** Cached earliest() result (see above). */
-        Tick hintTick_ = 0;
-        bool hintExact_ = false;
-        bool hintValid_ = false;
-    };
-
-    void scheduleShardAt(std::uint32_t shard, Tick when, Action action);
-    /** Assign a seq and insert into the shard's queue (not buffered). */
-    void pushEvent(std::uint32_t shard, Tick when, Action action);
-    /** Execute the events of one L0 slot in FIFO order (classic path). */
-    void drainSlot(CalendarQueue &q, std::size_t slot,
-                   std::uint64_t &budget);
-
+    void refill();
     /**
-     * Find the next tick holding events across all queues, advancing
-     * windows (refill) until every queue whose minimum equals that
-     * tick can extract it exactly.
+     * Earliest pending tick. `exact` is true when the value is a real
+     * event tick inside the L0 window (drainSlot can execute it);
+     * false when it is a lower bound and refill() must reposition the
+     * window first. Cached: pushes keep the hint up to date,
+     * drainSlot/refill invalidate it, so a fleet's nextEventBound()
+     * followed by runUntil() scans the bitmaps once.
      */
-    Tick nextTick();
-    /** Gather all queues' events at tick t into pending_, seq-sorted. */
-    void gatherTick(Tick t);
-    /** Execute pending_[pendingIdx_..] within budget (sharded path). */
-    void executePending(std::uint64_t &budget);
-    /**
-     * Execute pending_[begin, end) — a maximal run of shard-tagged
-     * events — with schedules buffered; concurrently across shards
-     * when the group is large enough and threads are available.
-     */
-    void runGroup(std::size_t begin, std::size_t end);
-    /** Push buffered schedules in (origSeq, emitIdx) order. */
-    void flushPosts();
+    Tick earliest(bool &exact);
+    /** Execute the events of one L0 slot in FIFO order. */
+    void drainSlot(std::size_t slot, std::uint64_t &budget);
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
@@ -301,31 +154,28 @@ class Simulator
     std::uint64_t size_ = 0;
     std::uint64_t peakSize_ = 0;
 
-    int shards_ = 0;
-    /** queues_[0] is the serial lane; queues_[s] is shard s. Size 1 in
-     *  classic mode (everything serial). */
-    std::vector<CalendarQueue> queues_;
+    /** First tick of the L0 window (multiple of kL0Slots). */
+    Tick l0Base_ = 0;
+    /** First tick of the L1 window (multiple of kL1Span). */
+    Tick l1Base_ = 0;
+    /** Next L0 slot index to examine. */
+    std::size_t l0Cursor_ = 0;
+    /** Next L1 slot index to cascade. */
+    std::size_t l1Cursor_ = 0;
+    std::uint64_t l0Count_ = 0;
+    std::uint64_t l1Count_ = 0;
 
-    /** Sharded mode: the current tick's gathered events. Survives
-     *  run() returning on budget exhaustion (resume mid-tick). */
-    std::vector<Pending> pending_;
-    std::size_t pendingIdx_ = 0;
-    /** Group partition scratch: per-shard index lists + used shards. */
-    std::vector<std::vector<std::size_t>> groupLists_;
-    std::vector<std::uint32_t> groupUsed_;
-    std::vector<PostBuffer> postBufs_;
-    std::vector<PostRec *> flushOrder_;
-    /** Smallest group executed via the thread pool (RIF_SIM_PARALLEL_MIN;
-     *  buffering happens regardless, so results never depend on it). */
-    std::size_t parallelMin_ = 4;
+    std::vector<std::vector<Event>> l0_;
+    std::vector<std::vector<Event>> l1_;
+    std::vector<std::uint64_t> l0Bits_;
+    std::vector<std::uint64_t> l1Bits_;
+    /** Events beyond the L1 window, as a (when, seq) min-heap. */
+    std::vector<Event> overflow_;
 
-    /**
-     * The executing worker's post buffer during group execution, null
-     * otherwise. Schedules issued while set are buffered instead of
-     * pushed. Static: at most one simulator executes a group on a
-     * given thread at a time.
-     */
-    static thread_local PostBuffer *tlsPost_;
+    /** Cached earliest() result (see above). */
+    Tick hintTick_ = 0;
+    bool hintExact_ = false;
+    bool hintValid_ = false;
 };
 
 /**

@@ -12,13 +12,8 @@
 namespace rif {
 namespace ssd {
 
-Ssd::Ssd(const SsdConfig &config) : Ssd(config, config.geometry.channels)
-{
-}
-
-Ssd::Ssd(const SsdConfig &config, int simShards)
+Ssd::Ssd(const SsdConfig &config)
     : config_(config),
-      sim_(simShards),
       rng_(config.seed),
       behavior_(makeBehaviorModel(config)),
       ftl_(std::make_unique<Ftl>(config, Rng(config.seed ^ 0xf71))),
@@ -28,25 +23,19 @@ Ssd::Ssd(const SsdConfig &config, int simShards)
     const auto &g = config_.geometry;
     stats_.channels.resize(g.channels);
 
-    // Shard the event kernel by channel: shard 1 + c owns channel c's
-    // dies, channel and ECC engine, so their events may execute
-    // concurrently; anything touching host-side state stays on the
-    // serial lane (shard 0).
     eccs_.reserve(g.channels);
     channels_.reserve(g.channels);
     for (int c = 0; c < g.channels; ++c) {
-        const auto shard = static_cast<std::uint32_t>(c + 1);
-        eccs_.push_back(std::make_unique<EccEngine>(sim_, config_, shard));
+        eccs_.push_back(std::make_unique<EccEngine>(sim_, config_));
         channels_.push_back(std::make_unique<ChannelModel>(
-            sim_, config_, *eccs_[c], stats_.channels[c], shard));
+            sim_, config_, *eccs_[c], stats_.channels[c]));
         eccs_[c]->setChannel(channels_[c].get());
     }
     dies_.reserve(g.totalDies());
     for (int c = 0; c < g.channels; ++c) {
         for (int d = 0; d < g.diesPerChannel; ++d) {
             dies_.push_back(std::make_unique<DieModel>(
-                sim_, config_, *channels_[c], *eccs_[c],
-                static_cast<std::uint32_t>(c + 1)));
+                sim_, config_, *channels_[c], *eccs_[c]));
         }
     }
     auto lookup = [this](const nand::PhysAddr &a) -> DieModel & {

@@ -30,14 +30,6 @@ class Ssd : private InjectPort
 {
   public:
     explicit Ssd(const SsdConfig &config);
-    /**
-     * @param simShards event-kernel shard count override. The default
-     *        ctor shards by channel; a fleet running whole drives on
-     *        one worker each passes 0 so every drive uses the plain
-     *        single-queue kernel (sharding inside a drive would only
-     *        add merge overhead on an already-busy pool).
-     */
-    Ssd(const SsdConfig &config, int simShards);
     ~Ssd();
 
     Ssd(const Ssd &) = delete;

@@ -1,9 +1,5 @@
 # ctest script: run simulation scenarios through the real `rif`
 # driver at RIF_THREADS=1/2/8 and require byte-identical CSV output.
-# Each thread count runs twice: once with the default sharded-kernel
-# threshold and once with RIF_SIM_PARALLEL_MIN=1, which forces every
-# shard group — however small — through the buffered thread-pool path,
-# so the (origin seq, emit index) flush order is exercised end to end.
 # The swept set covers the three substrate families: the event-driven
 # simulator (ablation_tpred) and the two analytic NAND-chain studies
 # (qlc_retry, rvs_cadence). A final pass runs the analytic pair in one
@@ -18,25 +14,18 @@ endif()
 foreach(scenario ablation_tpred qlc_retry rvs_cadence)
     set(outs "")
     foreach(threads 1 2 8)
-        foreach(pmin default 1)
-            set(out
-                ${CMAKE_CURRENT_BINARY_DIR}/rif_det_${scenario}_${threads}_${pmin}.csv)
-            set(envs RIF_THREADS=${threads})
-            if(NOT pmin STREQUAL "default")
-                list(APPEND envs RIF_SIM_PARALLEL_MIN=${pmin})
-            endif()
-            execute_process(
-                COMMAND ${CMAKE_COMMAND} -E env ${envs}
-                        ${RIF_BIN} run ${scenario} --scale 0.02 --format=csv
-                        --out ${out}
-                RESULT_VARIABLE rc)
-            if(NOT rc EQUAL 0)
-                message(FATAL_ERROR
-                    "rif run ${scenario} failed at RIF_THREADS=${threads} "
-                    "RIF_SIM_PARALLEL_MIN=${pmin} (rc=${rc})")
-            endif()
-            list(APPEND outs ${out})
-        endforeach()
+        set(out ${CMAKE_CURRENT_BINARY_DIR}/rif_det_${scenario}_${threads}.csv)
+        execute_process(
+            COMMAND ${CMAKE_COMMAND} -E env RIF_THREADS=${threads}
+                    ${RIF_BIN} run ${scenario} --scale 0.02 --format=csv
+                    --out ${out}
+            RESULT_VARIABLE rc)
+        if(NOT rc EQUAL 0)
+            message(FATAL_ERROR
+                "rif run ${scenario} failed at RIF_THREADS=${threads} "
+                "(rc=${rc})")
+        endif()
+        list(APPEND outs ${out})
     endforeach()
 
     list(GET outs 0 ref)
@@ -52,8 +41,7 @@ foreach(scenario ablation_tpred qlc_retry rvs_cadence)
     endforeach()
 
     message(STATUS
-        "rif determinism: ${scenario} identical at RIF_THREADS=1/2/8 "
-        "x RIF_SIM_PARALLEL_MIN={default,1}")
+        "rif determinism: ${scenario} identical at RIF_THREADS=1/2/8")
 endforeach()
 
 # Scenario-level parallelism: the new analytic pair in one invocation

@@ -345,18 +345,6 @@ TEST(Fleet, SkewedLoadTortureStaysThreadCountInvariant)
     EXPECT_EQ(threaded.roundsCoalesced, threaded.syncRounds);
 }
 
-TEST(Fleet, DrivesAutoCollapseTheirKernels)
-{
-    // Fleet drives are constructed with simShards=0 (whole drives are
-    // the parallel unit), so their kernels must run the single-queue
-    // path regardless of the thread budget.
-    const ssd::SsdConfig base;
-    Fleet fleet(base, makeFleet(2));
-    (void)fleet; // construction is the assertion target below
-    ssd::Ssd drive(base, 0);
-    EXPECT_FALSE(drive.simulator().sharded());
-}
-
 } // namespace
 } // namespace fabric
 } // namespace rif

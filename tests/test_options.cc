@@ -338,26 +338,5 @@ TEST(BenchScaled, NonFiniteOrNonPositiveScalesFallBackToOne)
     EXPECT_EQ(bench::scaled(1000, -2.0), 1);
 }
 
-TEST(BenchScaleArg, AcceptsOnlyFinitePositiveScales)
-{
-    auto scale_of = [](std::vector<const char *> argv) {
-        argv.insert(argv.begin(), "bench");
-        return bench::scaleArg(static_cast<int>(argv.size()),
-                               const_cast<char **>(argv.data()));
-    };
-    EXPECT_DOUBLE_EQ(scale_of({"0.5"}), 0.5);
-    EXPECT_DOUBLE_EQ(scale_of({"--quick"}), 0.25);
-    EXPECT_DOUBLE_EQ(scale_of({}), 1.0);
-    // inf/nan/zero/negative and non-numeric arguments are ignored.
-    EXPECT_DOUBLE_EQ(scale_of({"inf"}), 1.0);
-    EXPECT_DOUBLE_EQ(scale_of({"nan"}), 1.0);
-    EXPECT_DOUBLE_EQ(scale_of({"-inf"}), 1.0);
-    EXPECT_DOUBLE_EQ(scale_of({"0"}), 1.0);
-    EXPECT_DOUBLE_EQ(scale_of({"-3"}), 1.0);
-    EXPECT_DOUBLE_EQ(scale_of({"fast"}), 1.0);
-    // The first acceptable argument wins.
-    EXPECT_DOUBLE_EQ(scale_of({"nan", "2.0"}), 2.0);
-}
-
 } // namespace
 } // namespace rif

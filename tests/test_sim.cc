@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "ssd/sim.h"
 
@@ -251,169 +250,6 @@ TEST(Simulator, MatchesReferenceKernelOnRandomScripts)
         ASSERT_EQ(calendar.size(), heap.size()) << "seed=" << seed;
         EXPECT_EQ(calendar, heap) << "seed=" << seed;
     }
-}
-
-// ---------------------------------------------------------------------
-// Sharded kernel: per-channel queues merged tick by tick must preserve
-// the exact serial execution order the single-queue kernel produces.
-
-constexpr std::uint32_t kShards = 4;
-
-/**
- * Shard tag as a pure function of the event id, so the reference run's
- * global log can be partitioned the same way. Children (ids >= 100000)
- * hop one shard over from their parent to exercise cross-shard
- * scheduling from inside a group; every fifth key lands on the serial
- * lane so shard groups are regularly split by serial barriers.
- */
-std::uint32_t
-shardFor(int id)
-{
-    const int key = id >= 100000 ? id - 100000 + 1 : id;
-    if (key % 5 == 0)
-        return 0;
-    return 1 + static_cast<std::uint32_t>(key) % kShards;
-}
-
-/**
- * The same script as runRandomScript (identical ids, delays and
- * spawning rule) with every event tagged via shardFor. Each event
- * appends only to its own shard's log — the shard-confinement
- * contract — so the run is race-free even when same-tick groups
- * execute on the thread pool.
- */
-std::vector<std::vector<std::pair<Tick, int>>>
-runShardedScript(std::uint64_t seed)
-{
-    Simulator sim(static_cast<int>(kShards));
-    std::vector<std::vector<std::pair<Tick, int>>> logs(kShards + 1);
-    Rng rng(seed);
-    int next_id = 0;
-    for (int i = 0; i < 400; ++i) {
-        const Tick d = kDelays[rng.below(12)];
-        const int id = next_id++;
-        const std::uint32_t s = shardFor(id);
-        sim.scheduleShard(s, d, [&logs, &sim, id, s] {
-            logs[s].emplace_back(sim.now(), id);
-            if (id % 3 == 0) {
-                const Tick child =
-                    kDelays[static_cast<std::size_t>(id) % 12];
-                const int cid = 100000 + id;
-                const std::uint32_t cs = shardFor(cid);
-                sim.scheduleShard(cs, child, [&logs, &sim, cid, cs] {
-                    logs[cs].emplace_back(sim.now(), cid);
-                });
-            }
-        });
-    }
-    sim.run();
-    return logs;
-}
-
-TEST(ShardedSimulator, MatchesReferenceKernelPerShard)
-{
-    // The serial reference order, partitioned by shardFor, is exactly
-    // what every shard must observe: the sharded kernel executes each
-    // tick's events in global seq order, so each shard's subsequence
-    // equals the reference's subsequence.
-    for (std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
-        const auto logs = runShardedScript(seed);
-        const auto ref = runRandomScript<ReferenceSimulator>(seed);
-        std::vector<std::vector<std::pair<Tick, int>>> want(kShards + 1);
-        for (const auto &entry : ref)
-            want[shardFor(entry.second)].push_back(entry);
-        std::size_t total = 0;
-        for (const auto &l : logs)
-            total += l.size();
-        ASSERT_EQ(total, ref.size()) << "seed=" << seed;
-        for (std::uint32_t s = 0; s <= kShards; ++s)
-            EXPECT_EQ(logs[s], want[s]) << "seed=" << seed
-                                        << " shard=" << s;
-    }
-}
-
-TEST(ShardedSimulator, ThreadCountInvariant)
-{
-    // Bit-identical per-shard logs whether groups run inline (1
-    // worker) or on the pool (4 workers): buffered schedules are
-    // flushed in (origin seq, emit index) order either way.
-    setGlobalThreadCount(1);
-    const auto one = runShardedScript(42);
-    setGlobalThreadCount(4);
-    const auto four = runShardedScript(42);
-    setGlobalThreadCount(0);
-    EXPECT_EQ(one, four);
-}
-
-TEST(ShardedSimulator, SerialLaneBarriersShardGroups)
-{
-    // A serial-lane event splits same-tick shard work into groups: all
-    // shard events scheduled before it complete first, none scheduled
-    // after it have started. The serial event may therefore read every
-    // shard's state — exactly how host-side completions observe device
-    // shards.
-    Simulator sim(2);
-    std::vector<int> l1, l2;
-    std::size_t seen_at_barrier = 99;
-    sim.scheduleShard(1, 5, [&l1] { l1.push_back(1); });
-    sim.scheduleShard(2, 5, [&l2] { l2.push_back(2); });
-    sim.scheduleShard(0, 5, [&] { seen_at_barrier = l1.size() + l2.size(); });
-    sim.scheduleShard(1, 5, [&l1] { l1.push_back(3); });
-    sim.run();
-    EXPECT_EQ(seen_at_barrier, 2u);
-    EXPECT_EQ(l1, (std::vector<int>{1, 3}));
-    EXPECT_EQ(l2, (std::vector<int>{2}));
-}
-
-TEST(ShardedSimulator, RunBoundResumesMidTick)
-{
-    // The watchdog can stop inside a gathered tick; resuming must pick
-    // up the remaining pending events without skipping or reordering.
-    Simulator sim(2);
-    std::vector<int> order;
-    for (int i = 0; i < 6; ++i)
-        sim.scheduleShard(0, 9, [&order, i] { order.push_back(i); });
-    sim.run(2);
-    EXPECT_EQ(order, (std::vector<int>{0, 1}));
-    EXPECT_FALSE(sim.empty());
-    sim.run(3);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(ShardedSimulator, CollapsesToSerialWhenUnsharded)
-{
-    // scheduleShard on a shards==0 kernel must behave exactly like
-    // schedule: everything lands on the single serial queue.
-    Simulator sim;
-    std::vector<int> order;
-    sim.scheduleShard(3, 10, [&order] { order.push_back(1); });
-    sim.schedule(10, [&order] { order.push_back(2); });
-    sim.scheduleShard(1, 5, [&order] { order.push_back(0); });
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(ShardedSimulator, AutoCollapsesOnOneWorkerBudget)
-{
-    // With one worker there is nothing to overlap, so a sharded
-    // construction request collapses to the single-queue kernel (no
-    // gather/merge/flush tax) while shard tags keep routing correctly.
-    setGlobalThreadCount(1);
-    Simulator collapsed(8);
-    EXPECT_FALSE(collapsed.sharded());
-    std::vector<int> order;
-    collapsed.scheduleShard(5, 10, [&order] { order.push_back(1); });
-    collapsed.scheduleShard(2, 5, [&order] { order.push_back(0); });
-    collapsed.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1}));
-
-    // A real worker budget keeps the sharded path.
-    setGlobalThreadCount(4);
-    Simulator sharded(8);
-    EXPECT_TRUE(sharded.sharded());
-    setGlobalThreadCount(0);
 }
 
 } // namespace

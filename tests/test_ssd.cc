@@ -10,9 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
-#include "ldpc/channel.h"
-#include "ssd/rp_stage.h"
 #include "ssd/ssd.h"
 #include "trace/trace.h"
 
@@ -373,47 +370,6 @@ TEST(SsdIntegration, SteadyStateReadPathDoesNotGrowPools)
     EXPECT_EQ(longrun.second, warm.second);
     // Page ops: bounded by concurrency, not by reads retired.
     EXPECT_LT(longrun.first, warm.first + 32);
-}
-
-TEST(ChannelRpStage, PerChannelStagingMatchesScalarAndPreservesOrder)
-{
-    // Round-robin 4 channels with skewed per-channel counts (channel 0
-    // gets a full group plus tail, channel 3 only a 1-lane tail); every
-    // slot must read back the scalar datapath's weight and decision.
-    ldpc::CodeParams p;
-    p.circulant = 64;
-    const ldpc::QcLdpcCode code(p);
-    const odear::RpModule rp(code, odear::RpConfig{});
-    const odear::CodewordRearranger &rr = rp.rearranger();
-    ChannelRpStage stage(rp, 4);
-    Rng rng(47);
-    std::vector<std::pair<ChannelRpStage::Slot, BitVec>> staged;
-    const int perChannel[4] = {11, 8, 3, 1};
-    for (int c = 0; c < 4; ++c) {
-        for (int i = 0; i < perChannel[c]; ++i) {
-            ldpc::HardWord word =
-                code.encode(ldpc::randomData(code.params().k(), rng));
-            ldpc::injectErrors(word, 0.008, rng);
-            BitVec flash = rr.toFlashLayout(ldpc::toBitVec(word));
-            const ChannelRpStage::Slot s = stage.stage(c, flash);
-            EXPECT_EQ(s.channel, c);
-            EXPECT_EQ(s.index, static_cast<std::size_t>(i));
-            staged.emplace_back(s, std::move(flash));
-        }
-    }
-    EXPECT_EQ(stage.staged(), 23u);
-    stage.flushAll();
-    for (const auto &[slot, flash] : staged) {
-        EXPECT_EQ(stage.weight(slot), rp.computedWeight(flash));
-        EXPECT_EQ(stage.retry(slot), rp.predictRetry(flash));
-    }
-    // Recycled stage: same equivalence after reset().
-    stage.reset();
-    EXPECT_EQ(stage.staged(), 0u);
-    const ChannelRpStage::Slot s = stage.stage(2, staged.front().second);
-    EXPECT_EQ(s.index, 0u);
-    stage.flushAll();
-    EXPECT_EQ(stage.weight(s), rp.computedWeight(staged.front().second));
 }
 
 TEST(ChannelUsage, TransitionAccounting)
