@@ -102,13 +102,11 @@ Fleet::driveConfig(int drive) const
 }
 
 FleetStats
-Fleet::runCoupled(trace::TraceSource &source, ssd::ArrivalPolicy *policy)
+Fleet::runCoupled(trace::TraceSource &source, ssd::ArrivalPolicy &policy)
 {
     tracing::TrackScope track(tracing::currentTrack() + 1);
     tracing::setTrackLabel(tracing::currentTrack(), "ssd0");
-    const ssd::SsdStats drive = policy
-                                    ? drives_[0]->run(source, *policy)
-                                    : drives_[0]->run(source);
+    const ssd::SsdStats drive = drives_[0]->run(source, policy);
 
     stats_.makespan = drive.makespan;
     stats_.commands = drive.hostRequests;
@@ -127,12 +125,6 @@ Fleet::runCoupled(trace::TraceSource &source, ssd::ArrivalPolicy *policy)
 FleetStats
 Fleet::run(trace::TraceSource &source)
 {
-    // The degenerate single-drive, zero-latency fleet has no modeled
-    // interconnect to cross: couple the host loop straight to the
-    // drive (its own closed loop). This is the bare-Ssd equivalence
-    // anchor.
-    if (cfg_.drives == 1 && cfg_.linkTicks() == 0)
-        return runCoupled(source, nullptr);
     ssd::ClosedLoopArrival closed(cfg_.qd);
     return run(source, closed);
 }
@@ -140,11 +132,12 @@ Fleet::run(trace::TraceSource &source)
 FleetStats
 Fleet::run(trace::TraceSource &source, ssd::ArrivalPolicy &policy)
 {
+    // The degenerate single-drive, zero-latency fleet has no modeled
+    // interconnect to cross: the host driver runs on the drive's own
+    // lane. This is the bare-Ssd equivalence anchor.
     if (cfg_.drives == 1 && cfg_.linkTicks() == 0)
-        return runCoupled(source, &policy);
+        return runCoupled(source, policy);
 
-    source_ = &source;
-    arrival_ = &policy;
     const int n = cfg_.drives;
     const std::uint32_t baseTrack = tracing::currentTrack();
 
@@ -171,7 +164,13 @@ Fleet::run(trace::TraceSource &source, ssd::ArrivalPolicy &policy)
 
     // Start injection at host time zero: the closed loop fills its
     // window immediately, the open loop schedules the first arrival.
-    policy.prime(*this, 0);
+    ssd::HostDriver host(hostSim_, {&source}, policy,
+                         [this](const trace::IoRecord &rec, int,
+                                Tick issuedAt) {
+                             startCommand(rec, issuedAt);
+                         });
+    host_ = &host;
+    host.prime();
 
     // Conservative drive-parallel rounds. Any message crossing the
     // interconnect from time t arrives no earlier than t + L, so with
@@ -277,35 +276,13 @@ Fleet::run(trace::TraceSource &source, ssd::ArrivalPolicy &policy)
                                   .eventsExecuted();
     }
     publishFleetMetrics();
-    source_ = nullptr;
-    arrival_ = nullptr;
+    host.publishMetrics();
+    host_ = nullptr;
     return stats_;
 }
 
-bool
-Fleet::pullNext(int, trace::IoRecord &out)
-{
-    if (exhausted_)
-        return false;
-    if (!source_->next(out)) {
-        exhausted_ = true;
-        return false;
-    }
-    return true;
-}
-
-bool
-Fleet::inject(int queue)
-{
-    trace::IoRecord rec;
-    if (!pullNext(queue, rec))
-        return false;
-    startRecord(rec, queue, hostSim_.now());
-    return true;
-}
-
 void
-Fleet::startRecord(const trace::IoRecord &rec, int, Tick issuedAt)
+Fleet::startCommand(const trace::IoRecord &rec, Tick issuedAt)
 {
     Command *cmd = cmdPool_.acquire();
     cmd->isRead = rec.isRead;
@@ -380,7 +357,8 @@ Fleet::submitSub(Command *cmd, const SubIo &sub)
     // hook runs there too at retirement and only touches this drive's
     // completion buffer, so drive phases stay data-race free.
     drv->simulator().scheduleAt(arrival, [this, drv, cmd, lpn, pages, d] {
-        drv->submitIo(cmd->isRead, lpn, pages,
+        const trace::IoRecord rec{cmd->isRead, lpn, pages, 0};
+        drv->submitIo(rec, 0, drv->simulator().now(),
                       [this, cmd, pages, d](Tick at) {
                           doneBufs_[static_cast<std::size_t>(d)].push_back(
                               DoneRec{at, cmd, d,
@@ -409,7 +387,7 @@ Fleet::deliverCompletion(const DoneRec &rec)
             lastDone_ = std::max(lastDone_, now);
             cmdPool_.release(rec.cmd);
             --outstanding_;
-            arrival_->onCompletion(*this, 0);
+            host_->complete(0);
         }
     });
 }
@@ -467,24 +445,6 @@ Fleet::publishFleetMetrics() const
     gauge("fabric.host.queue_peak", "cmds",
           "peak outstanding host commands",
           static_cast<std::uint64_t>(outstandingPeak_));
-    // Same open-loop surface as a single drive (see Ssd): only
-    // published when an open-loop policy offered the load, keeping
-    // closed-loop snapshots byte-identical.
-    if (arrival_ && arrival_->stats().openLoop) {
-        const ssd::ArrivalStats &a = arrival_->stats();
-        counter("host.arrival.offered", "ops",
-                "open-loop records arriving at the host", a.offered);
-        counter("host.arrival.injected", "ops",
-                "arrivals started on the device", a.injected);
-        counter("host.arrival.dropped", "ops",
-                "arrivals discarded because the host queue was full",
-                a.dropped);
-        counter("host.queue.enqueued", "ops",
-                "arrivals parked in the bounded host queue",
-                a.enqueued);
-        gauge("host.queue.depth_peak", "reqs",
-              "bounded host-queue depth high-water mark", a.queuePeak);
-    }
     counter("fabric.makespan_ticks", "ticks",
             "host-observed fleet run length", stats_.makespan);
     dist("fabric.read_latency_us",

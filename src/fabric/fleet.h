@@ -1,15 +1,18 @@
 /**
  * @file
  * A rack-scale fleet: N independent Ssd instances behind a modeled
- * host-side interconnect, replaying one host workload closed-loop at a
- * fleet-wide queue depth. Placement (striping or replication) maps each
- * host command to per-drive sub-IOs; replicated reads pick the
- * least-loaded replica. The performance core is conservative
- * drive-parallel simulation: each drive advances on its own event lane
- * to a shared horizon bounded by the link latency (no message can cross
- * the interconnect in less than one link delay), so drives execute
- * concurrently and only synchronize at interconnect-crossing events —
- * bit-identical at any thread count.
+ * host-side interconnect, replaying one host workload through the same
+ * HostDriver a bare drive uses (ssd/arrival.h): closed-loop at a
+ * fleet-wide queue depth, or open-loop under any ArrivalPolicy. The
+ * driver runs on the fleet's host lane and starts each command through
+ * placement plus per-drive sub-IO submission. Placement (striping or
+ * replication) maps each host command to per-drive sub-IOs; replicated
+ * reads pick the least-loaded replica. The performance core is
+ * conservative drive-parallel simulation: each drive advances on its
+ * own event lane to a shared horizon bounded by the link latency (no
+ * message can cross the interconnect in less than one link delay), so
+ * drives execute concurrently and only synchronize at
+ * interconnect-crossing events — bit-identical at any thread count.
  *
  * The execution vehicle is a persistent WorkerTeam: drive lanes live on
  * pinned workers that park on an epoch barrier between rounds instead
@@ -87,7 +90,7 @@ struct FleetStats
 };
 
 /** A fleet of SSDs behind one host. */
-class Fleet : private ssd::InjectPort
+class Fleet
 {
   public:
     /**
@@ -105,24 +108,23 @@ class Fleet : private ssd::InjectPort
     /**
      * Replay `source` closed-loop (up to config.qd outstanding host
      * commands) until it is exhausted and every command has completed
-     * back at the host.
-     *
-     * The degenerate 1-drive, zero-latency fleet runs the drive's own
-     * closed loop directly (coupled mode) and is byte-identical to a
-     * bare Ssd at the drive's forked seed — the anchor the fabric
-     * equivalence tests pin.
+     * back at the host: run(source, ClosedLoopArrival(config.qd)).
      */
     FleetStats run(trace::TraceSource &source);
 
     /**
      * Replay under an explicit injection policy (see ssd/arrival.h).
-     * ClosedLoopArrival(config.qd) reproduces run(source)'s non-coupled
-     * path byte-for-byte; OpenLoopArrival offers load at the records'
-     * arrival ticks with a bounded host queue and drop accounting.
-     * Arrival events run on the host lane, so the conservative
-     * drive-parallel rounds (and their bit-identical guarantee at any
-     * thread count) are unchanged: a submission at host tick t reaches
-     * a drive no earlier than t + linkTicks, past every round horizon.
+     * OpenLoopArrival offers load at the records' arrival ticks with a
+     * bounded host queue and drop accounting. Arrival events run on
+     * the host lane, so the conservative drive-parallel rounds (and
+     * their bit-identical guarantee at any thread count) are
+     * unchanged: a submission at host tick t reaches a drive no
+     * earlier than t + linkTicks, past every round horizon.
+     *
+     * The degenerate 1-drive, zero-latency fleet has no interconnect to
+     * cross and replays on the drive's own lane (coupled mode): it is
+     * byte-identical to a bare Ssd at the drive's forked seed under the
+     * same policy — the anchor the fabric equivalence tests pin.
      */
     FleetStats run(trace::TraceSource &source,
                    ssd::ArrivalPolicy &policy);
@@ -150,21 +152,12 @@ class Fleet : private ssd::InjectPort
         std::uint64_t bytes = 0;
     };
 
-    // ---- InjectPort (the surface the ArrivalPolicy drives) ----------
-    bool pullNext(int queue, trace::IoRecord &out) override;
-    void startRecord(const trace::IoRecord &rec, int queue,
-                     Tick issuedAt) override;
-    bool inject(int queue) override;
-    Tick now() const override { return hostSim_.now(); }
-    void scheduleAt(Tick when, InlineFunction<void()> fn) override
-    {
-        hostSim_.scheduleAt(when, std::move(fn));
-    }
-
-    /** Coupled fast path: policy == nullptr runs the drive's own
-     *  closed loop (the historical bare-Ssd equivalence anchor). */
+    /** Coupled mode: the policy paces drive 0's own replay. */
     FleetStats runCoupled(trace::TraceSource &source,
-                          ssd::ArrivalPolicy *policy);
+                          ssd::ArrivalPolicy &policy);
+    /** The host driver's start callback: place one host command and
+     *  submit its sub-IOs, latency measured from `issuedAt`. */
+    void startCommand(const trace::IoRecord &rec, Tick issuedAt);
     void submitSub(Command *cmd, const SubIo &sub);
     /** Egress-deliver one buffered completion into the host kernel. */
     void deliverCompletion(const DoneRec &rec);
@@ -180,9 +173,8 @@ class Fleet : private ssd::InjectPort
 
     /** Host-side event lane (completion arrivals, injection). */
     ssd::Simulator hostSim_;
-    trace::TraceSource *source_ = nullptr;
-    /** The active injection policy (null outside run()). */
-    ssd::ArrivalPolicy *arrival_ = nullptr;
+    /** The replay's host driver on hostSim_ (null outside run()). */
+    ssd::HostDriver *host_ = nullptr;
 
     /** Outstanding sub-IOs per drive (replica steering signal). */
     std::vector<int> driveLoad_;
@@ -198,7 +190,6 @@ class Fleet : private ssd::InjectPort
 
     int outstanding_ = 0;
     int outstandingPeak_ = 0;
-    bool exhausted_ = false;
     Tick lastDone_ = 0;
 
     FleetStats stats_;

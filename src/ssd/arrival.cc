@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "core/tracing.h"
 #include "trace/workload.h"
 
@@ -16,10 +17,10 @@ ClosedLoopArrival::ClosedLoopArrival(int queueDepth)
 }
 
 void
-ClosedLoopArrival::prime(InjectPort &port, int queue)
+ClosedLoopArrival::prime(HostDriver &host, int queue)
 {
     for (int i = 0; i < queueDepth_; ++i) {
-        if (!port.inject(queue))
+        if (!host.inject(queue))
             break;
         ++stats_.injected;
     }
@@ -27,9 +28,9 @@ ClosedLoopArrival::prime(InjectPort &port, int queue)
 }
 
 void
-ClosedLoopArrival::onCompletion(InjectPort &port, int queue)
+ClosedLoopArrival::onCompletion(HostDriver &host, int queue)
 {
-    if (port.inject(queue)) {
+    if (host.inject(queue)) {
         ++stats_.injected;
         ++stats_.offered;
     }
@@ -52,26 +53,26 @@ OpenLoopArrival::state(int queue)
 }
 
 void
-OpenLoopArrival::prime(InjectPort &port, int queue)
+OpenLoopArrival::prime(HostDriver &host, int queue)
 {
     state(queue);
-    scheduleNextArrival(port, queue);
+    scheduleNextArrival(host, queue);
 }
 
 void
-OpenLoopArrival::scheduleNextArrival(InjectPort &port, int queue)
+OpenLoopArrival::scheduleNextArrival(HostDriver &host, int queue)
 {
     QueueState &qs = state(queue);
-    if (!port.pullNext(queue, qs.pending))
+    if (!host.pullNext(queue, qs.pending))
         return;
     qs.pendingValid = true;
-    const Tick at = std::max(qs.pending.arrival, port.now());
-    port.scheduleAt(at,
-                    [this, &port, queue] { onArrival(port, queue); });
+    const Tick at = std::max(qs.pending.arrival, host.now());
+    host.scheduleAt(at,
+                    [this, &host, queue] { onArrival(host, queue); });
 }
 
 void
-OpenLoopArrival::onArrival(InjectPort &port, int queue)
+OpenLoopArrival::onArrival(HostDriver &host, int queue)
 {
     QueueState &qs = state(queue);
     RIF_ASSERT(qs.pendingValid);
@@ -82,24 +83,24 @@ OpenLoopArrival::onArrival(InjectPort &port, int queue)
     if (qs.inFlight < deviceDepth_) {
         ++qs.inFlight;
         ++stats_.injected;
-        port.startRecord(rec, queue, port.now());
+        host.startRecord(rec, queue, host.now());
     } else if (qs.waiting.size() <
                static_cast<std::size_t>(queueCap_)) {
-        qs.waiting.push_back(Waiting{rec, port.now()});
+        qs.waiting.push_back(Waiting{rec, host.now()});
         ++stats_.enqueued;
         stats_.queuePeak = std::max(
             stats_.queuePeak,
             static_cast<std::uint64_t>(qs.waiting.size()));
     } else {
         ++stats_.dropped;
-        tracing::instant("host.queue.drop", port.now(), 0, "queue",
+        tracing::instant("host.queue.drop", host.now(), 0, "queue",
                          static_cast<std::int64_t>(queue));
     }
-    scheduleNextArrival(port, queue);
+    scheduleNextArrival(host, queue);
 }
 
 void
-OpenLoopArrival::onCompletion(InjectPort &port, int queue)
+OpenLoopArrival::onCompletion(HostDriver &host, int queue)
 {
     QueueState &qs = state(queue);
     --qs.inFlight;
@@ -110,9 +111,76 @@ OpenLoopArrival::onCompletion(InjectPort &port, int queue)
     ++qs.inFlight;
     ++stats_.injected;
     tracing::complete("host.queue.wait", w.arrivedAt,
-                      port.now() - w.arrivedAt, 0, "queue",
+                      host.now() - w.arrivedAt, 0, "queue",
                       static_cast<std::int64_t>(queue));
-    port.startRecord(w.rec, queue, w.arrivedAt);
+    host.startRecord(w.rec, queue, w.arrivedAt);
+}
+
+HostDriver::HostDriver(Simulator &lane,
+                       const std::vector<trace::TraceSource *> &sources,
+                       ArrivalPolicy &policy, StartFn start)
+    : lane_(lane), policy_(policy), start_(std::move(start))
+{
+    queues_.reserve(sources.size());
+    for (trace::TraceSource *s : sources)
+        queues_.push_back(Queue{s, false});
+}
+
+void
+HostDriver::prime()
+{
+    for (std::size_t q = 0; q < queues_.size(); ++q)
+        policy_.prime(*this, static_cast<int>(q));
+}
+
+bool
+HostDriver::pullNext(int queue, trace::IoRecord &out)
+{
+    Queue &q = queues_[static_cast<std::size_t>(queue)];
+    if (q.drained)
+        return false;
+    if (!q.source->next(out)) {
+        q.drained = true;
+        return false;
+    }
+    return true;
+}
+
+bool
+HostDriver::inject(int queue)
+{
+    trace::IoRecord rec;
+    if (!pullNext(queue, rec))
+        return false;
+    start_(rec, queue, now());
+    return true;
+}
+
+void
+HostDriver::publishMetrics() const
+{
+    namespace m = metrics;
+    m::Collector *c = m::activeCollector();
+    const ArrivalStats &a = policy_.stats();
+    if (!c || !a.openLoop)
+        return;
+    const auto counter = [&](const char *name, const char *help,
+                             std::uint64_t v) {
+        c->add(m::registerMetric(name, m::Kind::Counter, "ops", help), v);
+    };
+    counter("host.arrival.offered",
+            "open-loop records arriving at the host", a.offered);
+    counter("host.arrival.injected", "arrivals started on the device",
+            a.injected);
+    counter("host.arrival.dropped",
+            "arrivals discarded because the host queue was full",
+            a.dropped);
+    counter("host.queue.enqueued",
+            "arrivals parked in the bounded host queue", a.enqueued);
+    c->gaugeMax(m::registerMetric("host.queue.depth_peak", m::Kind::Gauge,
+                                  "reqs",
+                                  "bounded host-queue depth high-water mark"),
+                a.queuePeak);
 }
 
 std::unique_ptr<ArrivalPolicy>

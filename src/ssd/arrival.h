@@ -1,15 +1,17 @@
 /**
  * @file
- * Pluggable injection policies for the host replay loop. Both replay
- * engines — Ssd (one drive) and Fleet (a rack) — implement the small
- * InjectPort surface and delegate *when* requests enter the device to
- * an ArrivalPolicy: the classic closed loop at a fixed queue depth
+ * The host replay engine and its pluggable injection policies. One
+ * concrete HostDriver replays per-queue TraceSources for both a bare
+ * drive (its lane is the drive's own simulator, its start callback
+ * Ssd::submitIo) and a fleet (the fleet's host lane, placement plus
+ * sub-IO submission), and delegates *when* requests enter the device
+ * to an ArrivalPolicy: the classic closed loop at a fixed queue depth
  * (byte-identical to the historical hard-coded loop), or an open loop
  * that injects at the records' arrival ticks with a bounded host queue
  * and drop/overload accounting. Policies run entirely on the host
  * event lane, so open-loop runs stay deterministic at any thread
- * count, and they emit the host.arrival.* / host.queue.* observability
- * surfaces.
+ * count, and the driver emits the host.arrival.* / host.queue.*
+ * observability surfaces.
  */
 
 #ifndef RIF_SSD_ARRIVAL_H
@@ -22,6 +24,7 @@
 
 #include "common/inline_function.h"
 #include "common/units.h"
+#include "ssd/sim.h"
 #include "trace/trace.h"
 
 namespace rif {
@@ -31,6 +34,8 @@ struct WorkloadConfig;
 } // namespace trace
 
 namespace ssd {
+
+class HostDriver;
 
 /** Injection accounting, published as host.arrival.* / host.queue.*. */
 struct ArrivalStats
@@ -44,39 +49,6 @@ struct ArrivalStats
     bool openLoop = false;
 };
 
-/**
- * What a replay engine exposes to its ArrivalPolicy. `queue` is the
- * host submission queue index (multi-tenant Ssd replay; the Fleet has
- * one queue).
- */
-class InjectPort
-{
-  public:
-    virtual ~InjectPort() = default;
-
-    /** Pull the next record of `queue`; false once drained. */
-    virtual bool pullNext(int queue, trace::IoRecord &out) = 0;
-
-    /**
-     * Start `rec` on the device now, with its latency measured from
-     * `issuedAt` (<= now; open-loop latency includes host-queue wait).
-     */
-    virtual void startRecord(const trace::IoRecord &rec, int queue,
-                             Tick issuedAt) = 0;
-
-    /**
-     * The legacy closed-loop step: pull and immediately start one
-     * record, measured from now. False once the queue is drained.
-     */
-    virtual bool inject(int queue) = 0;
-
-    /** Current host-lane simulated time. */
-    virtual Tick now() const = 0;
-
-    /** Schedule `fn` on the host event lane at `when`. */
-    virtual void scheduleAt(Tick when, InlineFunction<void()> fn) = 0;
-};
-
 /** When to inject the next request (the replay loop's strategy). */
 class ArrivalPolicy
 {
@@ -84,10 +56,10 @@ class ArrivalPolicy
     virtual ~ArrivalPolicy() = default;
 
     /** Start queue `queue`'s injection at host time zero. */
-    virtual void prime(InjectPort &port, int queue) = 0;
+    virtual void prime(HostDriver &host, int queue) = 0;
 
     /** One request of `queue` completed; its device slot is free. */
-    virtual void onCompletion(InjectPort &port, int queue) = 0;
+    virtual void onCompletion(HostDriver &host, int queue) = 0;
 
     const ArrivalStats &stats() const { return stats_; }
 
@@ -106,8 +78,8 @@ class ClosedLoopArrival final : public ArrivalPolicy
   public:
     explicit ClosedLoopArrival(int queueDepth);
 
-    void prime(InjectPort &port, int queue) override;
-    void onCompletion(InjectPort &port, int queue) override;
+    void prime(HostDriver &host, int queue) override;
+    void onCompletion(HostDriver &host, int queue) override;
 
   private:
     int queueDepth_;
@@ -128,8 +100,8 @@ class OpenLoopArrival final : public ArrivalPolicy
   public:
     OpenLoopArrival(int queueCap, int deviceDepth);
 
-    void prime(InjectPort &port, int queue) override;
-    void onCompletion(InjectPort &port, int queue) override;
+    void prime(HostDriver &host, int queue) override;
+    void onCompletion(HostDriver &host, int queue) override;
 
   private:
     struct Waiting
@@ -145,13 +117,90 @@ class OpenLoopArrival final : public ArrivalPolicy
         std::deque<Waiting> waiting;
     };
 
-    void scheduleNextArrival(InjectPort &port, int queue);
-    void onArrival(InjectPort &port, int queue);
+    void scheduleNextArrival(HostDriver &host, int queue);
+    void onArrival(HostDriver &host, int queue);
     QueueState &state(int queue);
 
     int queueCap_;
     int deviceDepth_;
     std::vector<QueueState> queues_;
+};
+
+/**
+ * The host side of a replay: one cursor and drained flag per host
+ * submission queue, the ArrivalPolicy pacing them, and the host event
+ * lane the policy schedules on. Requests start through one callback,
+ * start(record, queue, issuedAt); the device reports each retirement
+ * back with complete(queue). `issuedAt` <= now: open-loop latency
+ * includes host-queue wait.
+ */
+class HostDriver
+{
+  public:
+    using StartFn =
+        InlineFunction<void(const trace::IoRecord &, int, Tick)>;
+
+    HostDriver(Simulator &lane,
+               const std::vector<trace::TraceSource *> &sources,
+               ArrivalPolicy &policy, StartFn start);
+
+    // Scheduled events and completion hooks hold its address.
+    HostDriver(const HostDriver &) = delete;
+    HostDriver &operator=(const HostDriver &) = delete;
+
+    /** Start every queue's injection at the lane's current time. */
+    void prime();
+
+    /** One request of `queue` retired; its device slot is free. */
+    void complete(int queue) { policy_.onCompletion(*this, queue); }
+
+    /**
+     * Publish host.arrival.* / host.queue.* into the active metrics
+     * collector. Only open-loop runs publish, so closed-loop metric
+     * snapshots stay byte-identical to the pre-ArrivalPolicy engine.
+     */
+    void publishMetrics() const;
+
+    // ---- The surface the ArrivalPolicy drives -----------------------
+
+    /** Pull the next record of `queue`; false once drained. */
+    bool pullNext(int queue, trace::IoRecord &out);
+
+    /** Start `rec` on the device now, latency measured from
+     *  `issuedAt`. */
+    void
+    startRecord(const trace::IoRecord &rec, int queue, Tick issuedAt)
+    {
+        start_(rec, queue, issuedAt);
+    }
+
+    /**
+     * The legacy closed-loop step: pull and immediately start one
+     * record, measured from now. False once the queue is drained.
+     */
+    bool inject(int queue);
+
+    /** Current host-lane simulated time. */
+    Tick now() const { return lane_.now(); }
+
+    /** Schedule `fn` on the host event lane at `when`. */
+    void
+    scheduleAt(Tick when, InlineFunction<void()> fn)
+    {
+        lane_.scheduleAt(when, std::move(fn));
+    }
+
+  private:
+    struct Queue
+    {
+        trace::TraceSource *source = nullptr;
+        bool drained = false;
+    };
+
+    Simulator &lane_;
+    ArrivalPolicy &policy_;
+    StartFn start_;
+    std::vector<Queue> queues_;
 };
 
 /**

@@ -59,22 +59,11 @@ Ssd::dieAt(const nand::PhysAddr &addr)
                   addr.die];
 }
 
-SsdStats
-Ssd::run(trace::TraceSource &source)
-{
-    return runMultiQueue({&source});
-}
-
-SsdStats
-Ssd::run(trace::TraceSource &source, ArrivalPolicy &policy)
-{
-    return runMultiQueue({&source}, policy);
-}
-
 void
-Ssd::preconditionFor(const std::vector<trace::TraceSource *> &sources)
+Ssd::prepareOpen(const std::vector<trace::TraceSource *> &sources)
 {
     RIF_ASSERT(!sources.empty());
+    stats_.queueReadLatencyUs.resize(sources.size());
     std::uint64_t footprint = 0;
     for (const auto *s : sources)
         footprint = std::max(footprint, s->footprintPages());
@@ -106,71 +95,29 @@ Ssd::preconditionFor(const std::vector<trace::TraceSource *> &sources)
 }
 
 SsdStats
-Ssd::runMultiQueue(const std::vector<trace::TraceSource *> &sources)
-{
-    ClosedLoopArrival closed(config_.queueDepth);
-    return runMultiQueue(sources, closed);
-}
-
-SsdStats
 Ssd::runMultiQueue(const std::vector<trace::TraceSource *> &sources,
                    ArrivalPolicy &policy)
 {
-    preconditionFor(sources);
-
-    queues_.clear();
-    queues_.resize(sources.size());
-    stats_.queueReadLatencyUs.resize(sources.size());
-    for (std::size_t q = 0; q < sources.size(); ++q)
-        queues_[q].source = sources[q];
-
-    arrival_ = &policy;
-    for (std::size_t q = 0; q < sources.size(); ++q)
-        policy.prime(*this, static_cast<int>(q));
+    prepareOpen(sources);
+    // The start callback hands each request a hook that reports its
+    // retirement back to the driver (the policy's refill point).
+    HostDriver host(sim_, sources, policy,
+                    [this, &host](const trace::IoRecord &rec, int queue,
+                                  Tick issuedAt) {
+                        submitIo(rec, queue, issuedAt,
+                                 [&host, queue](Tick) {
+                                     host.complete(queue);
+                                 });
+                    });
+    host.prime();
     if (outstanding_ == 0 && sim_.nextEventBound() == ~Tick(0))
         warn("trace produced no requests");
 
     sim_.run();
 
-    stats_.makespan = sim_.now();
-    for (auto &u : stats_.channels)
-        u.finish(sim_.now());
-    tracing::complete("ssd.run", 0, stats_.makespan, 0, "requests",
-                      static_cast<std::int64_t>(stats_.hostRequests));
-    publishMetrics();
-    arrival_ = nullptr;
+    finishOpen();
+    host.publishMetrics();
     return stats_;
-}
-
-void
-Ssd::prepareOpen(const std::vector<trace::TraceSource *> &sources)
-{
-    preconditionFor(sources);
-    // One pseudo-queue, already drained: the completion hook's refill
-    // becomes a no-op and every IO arrives via submitIo.
-    queues_.clear();
-    queues_.resize(1);
-    queues_[0].drained = true;
-    stats_.queueReadLatencyUs.resize(1);
-    defaultArrival_ =
-        std::make_unique<ClosedLoopArrival>(config_.queueDepth);
-    arrival_ = defaultArrival_.get();
-}
-
-void
-Ssd::submitIo(bool isRead, std::uint64_t lpn, std::uint32_t pages,
-              InlineFunction<void(Tick)> onDone)
-{
-    trace::IoRecord rec;
-    rec.isRead = isRead;
-    rec.lpn = lpn;
-    rec.pages = pages;
-    auto &qs = queues_[0];
-    ++qs.outstanding;
-    if (++outstanding_ > outstandingPeak_)
-        outstandingPeak_ = outstanding_;
-    ++stats_.hostRequests;
-    startRequest(rec, 0, std::move(onDone));
 }
 
 const SsdStats &
@@ -231,26 +178,6 @@ Ssd::publishMetrics() const
             stats_.hostWriteBytes);
     gauge("ssd.host.queue_peak", "reqs", "peak outstanding host requests",
           static_cast<std::uint64_t>(outstandingPeak_));
-
-    // The open-loop injection surface (host.arrival.* / host.queue.*)
-    // is only published when an open-loop policy paced the run, so the
-    // closed-loop metric snapshots stay byte-identical to the
-    // pre-ArrivalPolicy engine.
-    if (arrival_ && arrival_->stats().openLoop) {
-        const ArrivalStats &a = arrival_->stats();
-        counter("host.arrival.offered", "ops",
-                "open-loop records arriving at the host", a.offered);
-        counter("host.arrival.injected", "ops",
-                "arrivals started on the device", a.injected);
-        counter("host.arrival.dropped", "ops",
-                "arrivals discarded because the host queue was full",
-                a.dropped);
-        counter("host.queue.enqueued", "ops",
-                "arrivals parked in the bounded host queue",
-                a.enqueued);
-        gauge("host.queue.depth_peak", "reqs",
-              "bounded host-queue depth high-water mark", a.queuePeak);
-    }
 
     counter("ssd.nand.page_reads", "ops", "page read operations",
             stats_.pageReads);
@@ -332,50 +259,19 @@ Ssd::publishMetrics() const
           "HostRequest pool high-water mark", hostReqPool_.allocated());
 }
 
-bool
-Ssd::pullNext(int queue, trace::IoRecord &out)
-{
-    auto &qs = queues_[static_cast<std::size_t>(queue)];
-    if (qs.drained)
-        return false;
-    if (!qs.source->next(out)) {
-        qs.drained = true;
-        return false;
-    }
-    return true;
-}
-
 void
-Ssd::startRecord(const trace::IoRecord &rec, int queue, Tick issuedAt)
+Ssd::submitIo(const trace::IoRecord &rec, int queue, Tick issuedAt,
+              InlineFunction<void(Tick)> onDone)
 {
-    auto &qs = queues_[static_cast<std::size_t>(queue)];
-    ++qs.outstanding;
     if (++outstanding_ > outstandingPeak_)
         outstandingPeak_ = outstanding_;
     ++stats_.hostRequests;
-    startRequest(rec, queue, nullptr, issuedAt);
-}
-
-bool
-Ssd::inject(int queue)
-{
-    trace::IoRecord rec;
-    if (!pullNext(queue, rec))
-        return false;
-    startRecord(rec, queue, sim_.now());
-    return true;
-}
-
-void
-Ssd::startRequest(const trace::IoRecord &rec, int queue,
-                  InlineFunction<void(Tick)> onDone, Tick issuedAt)
-{
     HostRequest *req = hostReqPool_.acquire();
     req->isRead = rec.isRead;
     req->pagesRemaining = static_cast<int>(rec.pages);
     req->bytes = static_cast<std::uint64_t>(rec.pages) *
                  config_.geometry.pageBytes;
-    req->issued = issuedAt == kIssueNow ? sim_.now() : issuedAt;
+    req->issued = issuedAt;
     req->queue = queue;
     req->onDone = std::move(onDone);
 
@@ -507,13 +403,10 @@ Ssd::finishRequest(HostRequest *req)
     tracing::complete(req->isRead ? "host.read" : "host.write", req->issued,
                       sim_.now() - req->issued, 0, "bytes",
                       static_cast<std::int64_t>(req->bytes));
-    const int queue = req->queue;
     InlineFunction<void(Tick)> done = std::move(req->onDone);
     req->onDone = nullptr; // recycled requests must not retain hooks
     hostReqPool_.release(req);
     --outstanding_;
-    --queues_[static_cast<std::size_t>(queue)].outstanding;
-    arrival_->onCompletion(*this, queue);
     if (done)
         done(sim_.now());
 }

@@ -1,8 +1,11 @@
 /**
  * @file
  * Top-level SSD model: wires channels, dies, ECC engines, the FTL and the
- * host link together, replays a trace closed-loop at a fixed queue depth
- * and produces the statistics the paper's figures are built from.
+ * host link together and produces the statistics the paper's figures
+ * are built from. The drive is a pure device: requests start through
+ * submitIo(); the host side of a replay (sources, ArrivalPolicy, the
+ * host.arrival.* surface) is a HostDriver (ssd/arrival.h) whose lane
+ * is the drive's own simulator.
  */
 
 #ifndef RIF_SSD_SSD_H
@@ -26,7 +29,7 @@ namespace rif {
 namespace ssd {
 
 /** A complete simulated SSD. */
-class Ssd : private InjectPort
+class Ssd
 {
   public:
     explicit Ssd(const SsdConfig &config);
@@ -42,7 +45,10 @@ class Ssd : private InjectPort
      * @return the collected statistics (bandwidth, latencies, channel
      *         usage, retry counters)
      */
-    SsdStats run(trace::TraceSource &source);
+    SsdStats run(trace::TraceSource &source)
+    {
+        return runMultiQueue({&source});
+    }
 
     /**
      * Replay under an explicit injection policy (see ssd/arrival.h):
@@ -51,7 +57,10 @@ class Ssd : private InjectPort
      * ticks with a bounded host queue and drop accounting, running
      * until the source drains and every injected request retires.
      */
-    SsdStats run(trace::TraceSource &source, ArrivalPolicy &policy);
+    SsdStats run(trace::TraceSource &source, ArrivalPolicy &policy)
+    {
+        return runMultiQueue({&source}, policy);
+    }
 
     /**
      * Multi-queue replay: each source drives one host submission queue
@@ -62,36 +71,42 @@ class Ssd : private InjectPort
      * the OR of the tenants' predicates. Per-queue read latencies land
      * in SsdStats::queueReadLatencyUs.
      */
-    SsdStats runMultiQueue(
-        const std::vector<trace::TraceSource *> &sources);
+    SsdStats runMultiQueue(const std::vector<trace::TraceSource *> &sources)
+    {
+        ClosedLoopArrival closed(config_.queueDepth);
+        return runMultiQueue(sources, closed);
+    }
 
-    /** Multi-queue replay under an explicit injection policy (one
-     *  policy paces every queue). */
-    SsdStats runMultiQueue(
-        const std::vector<trace::TraceSource *> &sources,
-        ArrivalPolicy &policy);
+    /**
+     * The one replay body: a HostDriver on this drive's simulator
+     * whose start callback is submitIo, with one policy pacing every
+     * queue. Preconditions, runs until the sources drain and every
+     * request retires, then finishes like finishOpen().
+     */
+    SsdStats runMultiQueue(const std::vector<trace::TraceSource *> &sources,
+                           ArrivalPolicy &policy);
 
-    // ---- Open-loop (fabric) interface -------------------------------
+    // ---- Externally driven (fabric) interface -----------------------
     //
-    // The closed-loop run()/runMultiQueue() replay owns the whole
-    // lifecycle. A Fleet instead drives each drive externally: it
-    // preconditions once, injects IOs at interconnect-arrival times,
+    // A Fleet drives each drive from its own host lane: it
+    // preconditions once, submits IOs at interconnect-arrival times,
     // advances the drive's kernel to successive synchronization
     // horizons, and finalizes when the fabric drains.
 
     /**
-     * Precondition the FTL for `sources` (snapshot-cached exactly like
-     * runMultiQueue) without starting a closed-loop replay. Call once
-     * before the first submitIo().
+     * Precondition the FTL for `sources` (snapshot-cached) and size the
+     * per-queue statistics. Call once before the first submitIo().
      */
     void prepareOpen(const std::vector<trace::TraceSource *> &sources);
 
     /**
-     * Submit one IO (drive-local page addressing) at the current
-     * simulated time. `onDone` fires inside this drive's simulator
-     * with the completion tick when the request fully retires.
+     * Start one host request (drive-local page addressing) on host
+     * submission queue `queue` at the current simulated time, its
+     * latency measured from `issuedAt` (<= now). `onDone` fires inside
+     * this drive's simulator with the completion tick when the request
+     * fully retires, after the request's pool slot is released.
      */
-    void submitIo(bool isRead, std::uint64_t lpn, std::uint32_t pages,
+    void submitIo(const trace::IoRecord &rec, int queue, Tick issuedAt,
                   InlineFunction<void(Tick)> onDone);
 
     /**
@@ -106,7 +121,7 @@ class Ssd : private InjectPort
     Tick nextEventBound() { return sim_.nextEventBound(); }
 
     /** Finalize stats (makespan, channel residencies) and publish
-     *  metrics after an open-loop run. */
+     *  metrics: the one epilogue of every run. */
     const SsdStats &finishOpen();
 
     /**
@@ -152,37 +167,11 @@ class Ssd : private InjectPort
         int pagesRemaining = 0;
         Tick issued = 0;
         int queue = 0;
-        /** Open-loop completion hook (null in closed-loop replay). */
+        /** Completion hook, fired after the request is released. */
         InlineFunction<void(Tick)> onDone;
     };
 
-    struct QueueState
-    {
-        trace::TraceSource *source = nullptr;
-        bool drained = false;
-        int outstanding = 0;
-    };
-
-    /** startRequest sentinel: measure latency from the current tick. */
-    static constexpr Tick kIssueNow = ~Tick(0);
-
-    // ---- InjectPort (the surface the ArrivalPolicy drives) ----------
-    bool pullNext(int queue, trace::IoRecord &out) override;
-    void startRecord(const trace::IoRecord &rec, int queue,
-                     Tick issuedAt) override;
-    bool inject(int queue) override;
-    Tick now() const override { return sim_.now(); }
-    void scheduleAt(Tick when, InlineFunction<void()> fn) override
-    {
-        sim_.scheduleAt(when, std::move(fn));
-    }
-
     DieModel &dieAt(const nand::PhysAddr &addr);
-    /** Precondition the FTL (snapshot-cached) for these sources. */
-    void preconditionFor(const std::vector<trace::TraceSource *> &sources);
-    void startRequest(const trace::IoRecord &rec, int queue,
-                      InlineFunction<void(Tick)> onDone = nullptr,
-                      Tick issuedAt = kIssueNow);
     void dispatchReadPages(HostRequest *req, std::uint64_t lpn,
                            std::uint32_t pages);
     void dispatchWritePages(HostRequest *req, std::uint64_t lpn,
@@ -217,15 +206,6 @@ class Ssd : private InjectPort
     std::vector<std::unique_ptr<DieModel>> dies_; // channel-major
     std::unique_ptr<HostLink> hostLink_;
 
-    std::vector<QueueState> queues_;
-    /**
-     * The active injection policy. run()/runMultiQueue() point it at
-     * the caller's policy (or a default closed loop); prepareOpen()
-     * installs a closed-loop default so the fabric's submitIo path
-     * keeps the historical refill-on-completion behaviour.
-     */
-    ArrivalPolicy *arrival_ = nullptr;
-    std::unique_ptr<ArrivalPolicy> defaultArrival_;
     /** Scratch for gathered read dispatch: dies touched this call. */
     std::vector<DieModel *> gatherDies_;
     /** Gathered-dispatch accounting (ssd.read.gather.* metrics). */

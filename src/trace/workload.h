@@ -5,8 +5,9 @@
  * generator) and how they arrive (closed-loop, the trace's own
  * timestamps, or a generated open-loop process), and openWorkload()
  * assembles the TraceSource chain. Scenario bodies set defaults, layer
- * `--set workload.*` overrides on top, and hand the result to the
- * matching ArrivalPolicy (ssd/arrival.h).
+ * `--set workload.*` overrides on top, and replay the result through
+ * Ssd::run or Fleet::run, whose HostDriver paces it with the matching
+ * ArrivalPolicy (ssd/arrival.h).
  */
 
 #ifndef RIF_TRACE_WORKLOAD_H

@@ -134,8 +134,8 @@ TEST(ClosedLoopArrival, MatchesLegacyFleetReplay)
 
 TEST(ClosedLoopArrival, MatchesLegacyCoupledFleetReplay)
 {
-    // The 1-drive, zero-latency fleet short-circuits into the drive's
-    // own closed loop; the policy overload must take the same path.
+    // The 1-drive, zero-latency fleet replays on the drive's own lane;
+    // run(source) is run(source, ClosedLoopArrival(fleet.qd)) there too.
     const trace::WorkloadSpec spec = smallWorkload();
     const SsdConfig cfg = smallConfig();
     fabric::FleetConfig fc;
@@ -147,7 +147,7 @@ TEST(ClosedLoopArrival, MatchesLegacyCoupledFleetReplay)
     const fabric::FleetStats legacy = legacy_fleet.run(legacy_src);
 
     trace::SyntheticWorkload policy_src(spec, 800, 7);
-    ClosedLoopArrival closed(cfg.queueDepth);
+    ClosedLoopArrival closed(fc.qd);
     fabric::Fleet policy_fleet(cfg, fc);
     const fabric::FleetStats viaPolicy =
         policy_fleet.run(policy_src, closed);
@@ -251,6 +251,67 @@ TEST(OpenLoopArrival, TimestampReplayInjectsAtTheRecordedTicks)
     Ssd closed_drive(cfg);
     const SsdStats closed = closed_drive.run(closed_src);
     EXPECT_LT(closed.makespan, usToTicks(2000.0));
+}
+
+/** Two Poisson-paced tenants on disjoint partitions of one drive, one
+ *  open-loop policy with a 4-entry host queue pacing both. 20 kIOPS
+ *  per tenant overloads the small drive, so every path runs: direct
+ *  injection, host-queue parking and drops. */
+SsdStats
+runMultiQueueOpenLoop(ArrivalStats &out)
+{
+    const SsdConfig cfg = smallConfig();
+    const trace::WorkloadSpec spec = smallWorkload();
+    trace::SyntheticWorkload base0(spec, 600, 21), base1(spec, 600, 22);
+    trace::PoissonArrivals gen0(2.0e4, 0x5eed), gen1(2.0e4, 0xfeed);
+    trace::TimedTrace timed0(base0, gen0), timed1(base1, gen1);
+    trace::OffsetTrace tenant0(timed0, 0);
+    trace::OffsetTrace tenant1(timed1, spec.footprintPages);
+    OpenLoopArrival open(4, cfg.queueDepth);
+    Ssd drive(cfg);
+    const SsdStats st = drive.runMultiQueue({&tenant0, &tenant1}, open);
+    out = open.stats();
+    return st;
+}
+
+TEST(OpenLoopArrival, MultiQueueOnOneDriveConservesAndIsDeterministic)
+{
+    ThreadGuard guard;
+    setGlobalThreadCount(1);
+    ArrivalStats ref_arrivals;
+    const SsdStats ref = runMultiQueueOpenLoop(ref_arrivals);
+
+    EXPECT_EQ(ref_arrivals.offered, 1200u);
+    EXPECT_GT(ref_arrivals.dropped, 0u);
+    EXPECT_GT(ref_arrivals.enqueued, 0u);
+    EXPECT_LE(ref_arrivals.queuePeak, 4u);
+    EXPECT_EQ(ref_arrivals.offered,
+              ref_arrivals.injected + ref_arrivals.dropped);
+    EXPECT_EQ(ref.hostRequests, ref_arrivals.injected);
+    EXPECT_EQ(ref.readLatencyUs.count() + ref.writeLatencyUs.count(),
+              ref_arrivals.injected);
+    ASSERT_EQ(ref.queueReadLatencyUs.size(), 2u);
+    EXPECT_GT(ref.queueReadLatencyUs[0].count(), 0u);
+    EXPECT_GT(ref.queueReadLatencyUs[1].count(), 0u);
+    EXPECT_EQ(ref.queueReadLatencyUs[0].count() +
+                  ref.queueReadLatencyUs[1].count(),
+              ref.readLatencyUs.count());
+
+    setGlobalThreadCount(8);
+    ArrivalStats arrivals;
+    const SsdStats st = runMultiQueueOpenLoop(arrivals);
+    expectIdenticalStats(ref, st);
+    for (std::size_t q = 0; q < 2; ++q) {
+        EXPECT_EQ(st.queueReadLatencyUs[q].count(),
+                  ref.queueReadLatencyUs[q].count());
+        EXPECT_EQ(st.queueReadLatencyUs[q].percentile(99),
+                  ref.queueReadLatencyUs[q].percentile(99));
+    }
+    EXPECT_EQ(arrivals.offered, ref_arrivals.offered);
+    EXPECT_EQ(arrivals.injected, ref_arrivals.injected);
+    EXPECT_EQ(arrivals.enqueued, ref_arrivals.enqueued);
+    EXPECT_EQ(arrivals.dropped, ref_arrivals.dropped);
+    EXPECT_EQ(arrivals.queuePeak, ref_arrivals.queuePeak);
 }
 
 TEST(OpenLoopArrival, FleetSweepIsDeterministicAndAccounted)

@@ -217,6 +217,7 @@ TEST(Fleet, SingleDriveCoupledFleetMatchesBareSsd)
 
     ssd::SsdConfig bare = cfg;
     bare.seed = driveSeed(cfg.seed, 0);
+    bare.queueDepth = fc.qd;
     ssd::Ssd drive(bare);
     trace::SyntheticWorkload bareSrc(spec, 600, 7);
     const ssd::SsdStats ss = drive.run(bareSrc);
@@ -230,6 +231,45 @@ TEST(Fleet, SingleDriveCoupledFleetMatchesBareSsd)
     EXPECT_DOUBLE_EQ(fs.readLatencyUs.percentile(99),
                      ss.readLatencyUs.percentile(99));
     EXPECT_EQ(fs.syncRounds, 0u);
+}
+
+TEST(Fleet, CoupledFleetHonorsFleetQd)
+{
+    // The coupled fleet paces its drive at fleet.qd, not at the
+    // drive's own ssd.queueDepth: a qd-8 fleet is a bare Ssd at queue
+    // depth 8, and differs from the same fleet at qd = ssd.queueDepth.
+    ssd::SsdConfig cfg;
+    const trace::WorkloadSpec spec = smallWorkload();
+
+    FleetConfig fc = makeFleet(1);
+    fc.linkUs = 0.0;
+    fc.qd = 8;
+    ASSERT_NE(fc.qd, cfg.queueDepth);
+    Fleet fleet(cfg, fc);
+    trace::SyntheticWorkload fleetSrc(spec, 600, 7);
+    const FleetStats fs = fleet.run(fleetSrc);
+
+    ssd::SsdConfig bare = cfg;
+    bare.seed = driveSeed(cfg.seed, 0);
+    bare.queueDepth = 8;
+    ssd::Ssd drive(bare);
+    trace::SyntheticWorkload bareSrc(spec, 600, 7);
+    const ssd::SsdStats ss = drive.run(bareSrc);
+
+    EXPECT_EQ(fs.makespan, ss.makespan);
+    EXPECT_EQ(fs.commands, ss.hostRequests);
+    ASSERT_EQ(fs.drives.size(), 1u);
+    EXPECT_EQ(fs.drives[0].pageReads, ss.pageReads);
+    EXPECT_DOUBLE_EQ(fs.readLatencyUs.percentile(50),
+                     ss.readLatencyUs.percentile(50));
+    EXPECT_DOUBLE_EQ(fs.readLatencyUs.percentile(99),
+                     ss.readLatencyUs.percentile(99));
+
+    FleetConfig deep = fc;
+    deep.qd = cfg.queueDepth;
+    Fleet deepFleet(cfg, deep);
+    trace::SyntheticWorkload deepSrc(spec, 600, 7);
+    EXPECT_NE(deepFleet.run(deepSrc).makespan, fs.makespan);
 }
 
 /** Run one small fleet replay and return its stats. */
