@@ -1,7 +1,7 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the fleet round machinery: full
- * fleet replays through the persistent drive-worker runtime
+ * fleet replays through the worker pool's round dispatch
  * (BM_FleetRound), the coalesced single-active-drive fast path
  * (BM_FleetRoundCoalesced), and the cross-page staged RP syndrome
  * datapath against the per-page scalar baseline (BM_RpSyndromeStaged /
@@ -124,14 +124,15 @@ replayFleet(int drives, std::uint64_t requests, std::uint64_t *allocs)
  * Zero-allocation audit of the steady fleet round loop. The same
  * replay runs twice: with a 1-thread budget every round executes
  * inline (the dispatch vehicle is never touched), and with a 4-thread
- * budget multi-drive rounds go through the persistent worker team's
- * epoch barrier. The simulated work is bit-identical by contract, so
- * the allocation-count delta between the two runs is exactly what the
- * round dispatch machinery allocates: team construction (threads plus
- * scratch, one-time) must be all of it. A vehicle that allocated per
- * round — a published pool job, a freshly built std::function — would
- * scale the delta with the replay's thousands of rounds and blow the
- * tolerance.
+ * budget multi-drive rounds go through the worker pool's epoch
+ * barrier. The simulated work is bit-identical by contract, so the
+ * allocation-count delta between the two runs is exactly what the
+ * round dispatch machinery allocates. The fleet builds no threads of
+ * its own and setGlobalThreadCount() builds the pool before the
+ * measured window, so the expected delta is zero. A vehicle that
+ * allocated per round — a heap-stored job, a std::function too large
+ * for its small-buffer storage — would scale the delta with the
+ * replay's thousands of rounds and blow the tolerance.
  */
 bool
 runAllocationAudit()
@@ -164,8 +165,8 @@ runAllocationAudit()
 }
 
 /**
- * Full fleet replay, multi-drive: rounds dispatch onto the persistent
- * worker team. Items processed = host commands, so items/s is simulated
+ * Full fleet replay, multi-drive: rounds dispatch onto the worker
+ * pool. Items processed = host commands, so items/s is simulated
  * host IOPS throughput of the harness.
  */
 void

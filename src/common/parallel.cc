@@ -42,13 +42,21 @@ captureTaskContexts()
 /** setGlobalThreadCount override; 0 means "use RIF_THREADS / hardware". */
 int g_thread_override = 0;
 
+constexpr int kMaxThreads = 256;
+
 int
 defaultThreadCount()
 {
     if (const char *env = std::getenv("RIF_THREADS")) {
-        const int n = std::atoi(env);
-        if (n > 0)
-            return std::min(n, 256);
+        char *end = nullptr;
+        const long n = std::strtol(env, &end, 10);
+        if (end != env && *end == '\0' && n > 0) {
+            if (n <= kMaxThreads)
+                return static_cast<int>(n);
+            warn("RIF_THREADS value '", env, "' exceeds the maximum of ",
+                 kMaxThreads, "; using ", kMaxThreads);
+            return kMaxThreads;
+        }
         warn("ignoring invalid RIF_THREADS value '", env, "'");
     }
     const unsigned hw = std::thread::hardware_concurrency();
@@ -56,82 +64,108 @@ defaultThreadCount()
 }
 
 /**
- * Persistent worker pool. A parallelFor publishes one job (function +
- * atomic index cursor); workers and the caller pull index chunks until
- * the range drains. The pool spawns threadCount - 1 threads: the caller
- * is always worker 0.
+ * The one pool implementation: a persistent team of members woken
+ * through an epoch barrier. A job publication is one release store of
+ * the epoch counter; members acknowledge through one atomic decrement.
+ * The mutex/condvars are touched only when somebody actually sleeps:
+ * members count themselves in `sleepers_` before parking so the caller
+ * can skip the notify entirely in the common spin-hit case, and the
+ * caller parks on `doneCv_` only after its own spin budget runs out.
+ *
+ * Every member (the caller is member 0) pulls index chunks from one
+ * atomic cursor until the job drains; members with an id at or above
+ * the job size have nothing to pull and skip the body. Callers on
+ * different threads that share one team are serialized by
+ * `dispatchMutex_`, which only the dispatch path takes.
  */
-class ThreadPool
+class WorkerTeam
 {
   public:
-    explicit ThreadPool(int threads)
-        : threads_(threads)
+    explicit WorkerTeam(int members) : members_(members)
     {
-        RIF_ASSERT(threads >= 1);
-        for (int w = 1; w < threads_; ++w)
-            workers_.emplace_back([this, w] { workerLoop(w); });
+        RIF_ASSERT(members >= 1);
+        for (int m = 1; m < members_; ++m)
+            threads_.emplace_back([this, m] { memberLoop(m); });
     }
 
-    ~ThreadPool()
+    ~WorkerTeam()
     {
+        stopping_.store(true);
+        epoch_.fetch_add(1);
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            stop_ = true;
         }
-        wake_.notify_all();
-        for (auto &t : workers_)
+        wakeCv_.notify_all();
+        for (auto &t : threads_)
             t.join();
     }
 
-    int threadCount() const { return threads_; }
+    WorkerTeam(const WorkerTeam &) = delete;
+    WorkerTeam &operator=(const WorkerTeam &) = delete;
 
+    int members() const { return members_; }
+
+    /**
+     * Run fn(i, member) for every i in [0, n) across all members. Only
+     * for a team of two or more and a job of two or more indices that
+     * is not nested in another job's body.
+     */
     void
     run(std::size_t n, const std::function<void(std::size_t, int)> &fn)
     {
-        if (n == 0)
-            return;
-        // Nested parallelFor (a body that itself fans out) runs inline:
-        // the pool publishes one job at a time.
-        if (threads_ == 1 || n == 1 || t_inParallel) {
-            for (std::size_t i = 0; i < n; ++i)
-                fn(i, 0);
-            return;
-        }
-
-        {
+        std::lock_guard<std::mutex> serial(dispatchMutex_);
+        job_ = &fn;
+        jobSize_ = n;
+        // Chunked index handout amortizes the atomic for cheap bodies
+        // while keeping tail imbalance small.
+        chunk_ = std::max<std::size_t>(
+            1, n / (static_cast<std::size_t>(members_) * 8));
+        cursor_.store(0, std::memory_order_relaxed);
+        ctx_ = captureTaskContexts();
+        error_ = nullptr;
+        remaining_.store(members_ - 1, std::memory_order_relaxed);
+        epoch_.fetch_add(1);
+        if (sleepers_.load() > 0) {
+            // The lock orders this notify after any member that beat
+            // the bump into its wait; a spurious notify is harmless.
             std::unique_lock<std::mutex> lock(mutex_);
-            job_ = &fn;
-            ctx_ = captureTaskContexts();
-            jobSize_ = n;
-            // Chunked index handout amortizes the atomic for cheap
-            // bodies while keeping tail imbalance small.
-            chunk_ = std::max<std::size_t>(
-                1, n / (static_cast<std::size_t>(threads_) * 8));
-            cursor_.store(0, std::memory_order_relaxed);
-            pending_ = threads_ - 1;
-            error_ = nullptr;
-            ++generation_;
+            wakeCv_.notify_all();
         }
-        wake_.notify_all();
-
-        drain(0);
-
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_.wait(lock, [this] { return pending_ == 0; });
+        runBody(0);
+        for (int i = 0; i < kSpinIters; ++i) {
+            if (remaining_.load(std::memory_order_acquire) == 0)
+                break;
+            if ((i & 15) == 15)
+                std::this_thread::yield();
+        }
+        if (remaining_.load(std::memory_order_acquire) != 0) {
+            std::unique_lock<std::mutex> lock(mutex_);
+            callerParked_ = true;
+            doneCv_.wait(lock, [&] {
+                return remaining_.load(std::memory_order_acquire) == 0;
+            });
+            callerParked_ = false;
+        }
         job_ = nullptr;
         if (error_)
             std::rethrow_exception(error_);
     }
 
   private:
+    /** Spin iterations before parking; yields keep a core-starved host
+     *  (or an oversubscribed CI runner) from stalling the job. */
+    static constexpr int kSpinIters = 1024;
+
     void
-    drain(int worker)
+    runBody(int member)
     {
-        // Worker 0 is the submitting thread and already carries the
+        if (static_cast<std::size_t>(member) >= jobSize_)
+            return;
+        // Member 0 is the submitting thread and already carries the
         // ambient contexts; everyone else adopts the captured ones for
         // the duration of the job.
         void *prev[kMaxContextHooks];
-        const bool foreign = worker != 0;
+        const bool foreign = member != 0;
         if (foreign)
             for (int h = 0; h < ctx_.count; ++h)
                 prev[h] = g_ctx_hooks[h].install(ctx_.vals[h]);
@@ -144,7 +178,7 @@ class ThreadPool
             const std::size_t end = std::min(jobSize_, begin + chunk_);
             try {
                 for (std::size_t i = begin; i < end; ++i)
-                    (*job_)(i, worker);
+                    (*job_)(i, member);
             } catch (...) {
                 std::unique_lock<std::mutex> lock(mutex_);
                 if (!error_)
@@ -160,132 +194,16 @@ class ThreadPool
     }
 
     void
-    workerLoop(int worker)
-    {
-        std::uint64_t seen = 0;
-        while (true) {
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                wake_.wait(lock, [&] {
-                    return stop_ || generation_ != seen;
-                });
-                if (stop_)
-                    return;
-                seen = generation_;
-            }
-            drain(worker);
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                if (--pending_ == 0)
-                    done_.notify_all();
-            }
-        }
-    }
-
-    const int threads_;
-    std::vector<std::thread> workers_;
-
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    std::condition_variable done_;
-    bool stop_ = false;
-    std::uint64_t generation_ = 0;
-    int pending_ = 0;
-    const std::function<void(std::size_t, int)> *job_ = nullptr;
-    CapturedContexts ctx_;
-    std::size_t jobSize_ = 0;
-    std::size_t chunk_ = 1;
-    std::atomic<std::size_t> cursor_{0};
-    std::exception_ptr error_;
-};
-
-std::unique_ptr<ThreadPool> g_pool;
-std::mutex g_pool_mutex;
-
-/** Arena pool installed on this thread, if any (see ThreadArena). */
-thread_local ThreadPool *t_arena = nullptr;
-
-ThreadPool &
-pool()
-{
-    if (t_arena)
-        return *t_arena;
-    std::unique_lock<std::mutex> lock(g_pool_mutex);
-    if (!g_pool)
-        g_pool = std::make_unique<ThreadPool>(
-            g_thread_override > 0 ? g_thread_override
-                                  : defaultThreadCount());
-    return *g_pool;
-}
-
-} // namespace
-
-/**
- * Epoch-barrier team. Round publication is one release store of the
- * epoch counter; members acknowledge through one atomic decrement.
- * The mutex/condvars are touched only when somebody actually sleeps:
- * members count themselves in `sleepers` before parking so the caller
- * can skip the notify entirely in the common spin-hit case, and the
- * caller parks on `doneCv` only after its own spin budget runs out.
- */
-struct WorkerTeam::Impl
-{
-    explicit Impl(int n) : members(n)
-    {
-        for (int m = 1; m < members; ++m)
-            threads.emplace_back([this, m] { memberLoop(m); });
-    }
-
-    ~Impl()
-    {
-        stopping.store(true);
-        epoch.fetch_add(1);
-        {
-            std::unique_lock<std::mutex> lock(mutex);
-        }
-        wakeCv.notify_all();
-        for (auto &t : threads)
-            t.join();
-    }
-
-    /** Spin iterations before parking; yields keep a core-starved host
-     *  (or an oversubscribed CI runner) from stalling the round. */
-    static constexpr int kSpinIters = 1024;
-
-    void
-    runBody(int member)
-    {
-        void *prev[kMaxContextHooks];
-        const bool foreign = member != 0;
-        if (foreign)
-            for (int h = 0; h < ctx.count; ++h)
-                prev[h] = g_ctx_hooks[h].install(ctx.vals[h]);
-        const bool wasInParallel = t_inParallel;
-        t_inParallel = true;
-        try {
-            (*body)(member);
-        } catch (...) {
-            std::unique_lock<std::mutex> lock(mutex);
-            if (!error)
-                error = std::current_exception();
-        }
-        t_inParallel = wasInParallel;
-        if (foreign)
-            for (int h = ctx.count - 1; h >= 0; --h)
-                g_ctx_hooks[h].restore(prev[h]);
-    }
-
-    void
     memberLoop(int member)
     {
         std::uint64_t seen = 0;
         while (true) {
-            // Bounded spin on the epoch; park only when no round shows
-            // up. A yield every iteration keeps progress on hosts with
-            // fewer cores than members.
+            // Bounded spin on the epoch; park only when no job shows
+            // up. A yield every 16 iterations keeps progress on hosts
+            // with fewer cores than members.
             bool woke = false;
             for (int i = 0; i < kSpinIters; ++i) {
-                if (epoch.load(std::memory_order_acquire) != seen) {
+                if (epoch_.load(std::memory_order_acquire) != seen) {
                     woke = true;
                     break;
                 }
@@ -293,120 +211,74 @@ struct WorkerTeam::Impl
                     std::this_thread::yield();
             }
             if (!woke) {
-                std::unique_lock<std::mutex> lock(mutex);
+                std::unique_lock<std::mutex> lock(mutex_);
                 // Sequentially-consistent increment-then-recheck pairs
                 // with the caller's bump-then-read: either this member
                 // sees the new epoch in the wait predicate, or the
-                // caller sees sleepers > 0 and notifies.
-                sleepers.fetch_add(1);
-                parked.fetch_add(1, std::memory_order_relaxed);
-                wakeCv.wait(lock, [&] { return epoch.load() != seen; });
-                sleepers.fetch_sub(1);
+                // caller sees sleepers_ > 0 and notifies.
+                sleepers_.fetch_add(1);
+                wakeCv_.wait(lock, [&] { return epoch_.load() != seen; });
+                sleepers_.fetch_sub(1);
             }
-            seen = epoch.load(std::memory_order_acquire);
-            if (stopping.load(std::memory_order_relaxed))
+            seen = epoch_.load(std::memory_order_acquire);
+            if (stopping_.load(std::memory_order_relaxed))
                 return;
             runBody(member);
-            if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
                 // Last member out: wake the caller if it parked.
-                std::unique_lock<std::mutex> lock(mutex);
-                if (callerParked)
-                    doneCv.notify_one();
+                std::unique_lock<std::mutex> lock(mutex_);
+                if (callerParked_)
+                    doneCv_.notify_one();
             }
         }
     }
 
-    void
-    round(const std::function<void(int)> &fn)
-    {
-        if (members == 1 || t_inParallel) {
-            for (int m = 0; m < members; ++m)
-                fn(m);
-            return;
-        }
-        body = &fn;
-        ctx = captureTaskContexts();
-        error = nullptr;
-        remaining.store(members - 1, std::memory_order_relaxed);
-        epoch.fetch_add(1);
-        ++dispatched;
-        if (sleepers.load() > 0) {
-            // The lock orders this notify after any member that beat
-            // the bump into its wait; a spurious notify is harmless.
-            std::unique_lock<std::mutex> lock(mutex);
-            wakeCv.notify_all();
-        }
-        runBody(0);
-        for (int i = 0; i < kSpinIters; ++i) {
-            if (remaining.load(std::memory_order_acquire) == 0)
-                break;
-            if ((i & 15) == 15)
-                std::this_thread::yield();
-        }
-        if (remaining.load(std::memory_order_acquire) != 0) {
-            std::unique_lock<std::mutex> lock(mutex);
-            callerParked = true;
-            doneCv.wait(lock, [&] {
-                return remaining.load(std::memory_order_acquire) == 0;
-            });
-            callerParked = false;
-        }
-        body = nullptr;
-        if (error)
-            std::rethrow_exception(error);
-    }
+    const int members_;
 
-    const int members;
-    std::vector<std::thread> threads;
+    /** Serializes callers sharing the team; guards the job below. */
+    std::mutex dispatchMutex_;
+    const std::function<void(std::size_t, int)> *job_ = nullptr;
+    std::size_t jobSize_ = 0;
+    std::size_t chunk_ = 1;
+    std::atomic<std::size_t> cursor_{0};
+    CapturedContexts ctx_;
 
-    std::atomic<std::uint64_t> epoch{0};
-    std::atomic<int> remaining{0};
-    std::atomic<std::uint64_t> parked{0};
-    std::uint64_t dispatched = 0;
+    std::atomic<std::uint64_t> epoch_{0};
+    std::atomic<int> remaining_{0};
+    std::atomic<int> sleepers_{0};
+    std::atomic<bool> stopping_{false};
 
-    std::mutex mutex;
-    std::condition_variable wakeCv;
-    std::condition_variable doneCv;
-    std::atomic<int> sleepers{0};
-    bool callerParked = false;
-    std::atomic<bool> stopping{false};
+    /** Guards the parking handshake and the first body exception. */
+    std::mutex mutex_;
+    std::condition_variable wakeCv_;
+    std::condition_variable doneCv_;
+    bool callerParked_ = false;
+    std::exception_ptr error_;
 
-    const std::function<void(int)> *body = nullptr;
-    CapturedContexts ctx;
-    std::exception_ptr error;
+    /** Declared last: members use everything above. */
+    std::vector<std::thread> threads_;
 };
 
-WorkerTeam::WorkerTeam(int members)
-    : impl_(std::make_unique<Impl>(
-          std::max(1, std::min(members, globalThreadCount()))))
+std::unique_ptr<WorkerTeam> g_pool;
+std::mutex g_pool_mutex;
+
+/** Arena team installed on this thread, if any (see ThreadArena). */
+thread_local WorkerTeam *t_arena = nullptr;
+
+WorkerTeam &
+pool()
 {
+    if (t_arena)
+        return *t_arena;
+    std::unique_lock<std::mutex> lock(g_pool_mutex);
+    if (!g_pool)
+        g_pool = std::make_unique<WorkerTeam>(
+            g_thread_override > 0 ? g_thread_override
+                                  : defaultThreadCount());
+    return *g_pool;
 }
 
-WorkerTeam::~WorkerTeam() = default;
-
-int
-WorkerTeam::members() const
-{
-    return impl_->members;
-}
-
-void
-WorkerTeam::round(const std::function<void(int)> &fn)
-{
-    impl_->round(fn);
-}
-
-std::uint64_t
-WorkerTeam::roundsDispatched() const
-{
-    return impl_->dispatched;
-}
-
-std::uint64_t
-WorkerTeam::parks() const
-{
-    return impl_->parked.load(std::memory_order_relaxed);
-}
+} // namespace
 
 void
 registerTaskContext(const TaskContextHooks &hooks)
@@ -421,7 +293,7 @@ registerTaskContext(const TaskContextHooks &hooks)
 int
 globalThreadCount()
 {
-    return pool().threadCount();
+    return pool().members();
 }
 
 int
@@ -437,26 +309,27 @@ setGlobalThreadCount(int n)
 {
     std::unique_lock<std::mutex> lock(g_pool_mutex);
     g_pool.reset();
-    g_thread_override = n > 0 ? std::min(n, 256) : 0;
+    g_thread_override = n > 0 ? std::min(n, kMaxThreads) : 0;
     if (g_thread_override > 0)
-        g_pool = std::make_unique<ThreadPool>(g_thread_override);
+        g_pool = std::make_unique<WorkerTeam>(g_thread_override);
 }
 
 struct ThreadArena::Impl
 {
     explicit Impl(int threads)
-        : pool(threads), prev(t_arena)
+        : team(threads), prev(t_arena)
     {
-        t_arena = &pool;
+        t_arena = &team;
     }
     ~Impl() { t_arena = prev; }
 
-    ThreadPool pool;
-    ThreadPool *prev;
+    WorkerTeam team;
+    WorkerTeam *prev;
 };
 
 ThreadArena::ThreadArena(int threads)
-    : impl_(std::make_unique<Impl>(std::max(1, std::min(threads, 256))))
+    : impl_(std::make_unique<Impl>(
+          std::max(1, std::min(threads, kMaxThreads))))
 {
 }
 
@@ -465,20 +338,28 @@ ThreadArena::~ThreadArena() = default;
 int
 ThreadArena::threadCount() const
 {
-    return impl_->pool.threadCount();
-}
-
-void
-parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
-{
-    pool().run(n, [&fn](std::size_t i, int) { fn(i); });
+    return impl_->team.members();
 }
 
 void
 parallelForWorker(std::size_t n,
                   const std::function<void(std::size_t, int)> &fn)
 {
-    pool().run(n, fn);
+    // A nested call (a body that itself fans out) runs inline: its
+    // team is busy with the enclosing job.
+    WorkerTeam *team = n > 1 && !t_inParallel ? &pool() : nullptr;
+    if (!team || team->members() == 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i, 0);
+        return;
+    }
+    team->run(n, fn);
+}
+
+void
+parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
+{
+    parallelForWorker(n, [&fn](std::size_t i, int) { fn(i); });
 }
 
 std::vector<Rng>

@@ -1,8 +1,9 @@
 /**
  * @file
- * Fixed thread pool and deterministic parallel-for for the Monte-Carlo
- * harnesses. Design rules that keep every sweep bit-identical at any
- * thread count:
+ * The worker runtime: one fixed thread pool and a deterministic
+ * parallel-for, shared by the Monte-Carlo harnesses, the threaded drive
+ * sweeps and the fleet's drive-parallel rounds. Design rules that keep
+ * every sweep bit-identical at any thread count:
  *
  *  - parallelFor(n, fn) runs fn(i) for i in [0, n) in an unspecified
  *    order; callers write results into per-index slots and reduce them
@@ -14,9 +15,21 @@
  *    passed to the parallelForWorker callback; scratch affects speed,
  *    never results.
  *
+ * The pool is a persistent team of members parked on an epoch barrier
+ * between jobs: a parallelFor wakes them with one atomic epoch bump,
+ * every member (the caller is member 0) pulls index chunks from one
+ * atomic cursor, and completion is one atomic countdown. Members spin
+ * briefly for the next job and park on a condition variable only when
+ * none arrives, so back-to-back jobs (the fleet's thousands of
+ * lookahead rounds) dispatch without a syscall. A job runs inline on
+ * the caller when the pool has one member, when it has at most one
+ * index, or when it is issued from inside another job's body.
+ *
  * The pool size defaults to the hardware concurrency and can be
- * overridden with the RIF_THREADS environment variable or
- * setGlobalThreadCount() (used by the determinism tests).
+ * overridden with the RIF_THREADS environment variable (a positive
+ * integer; anything else warns and falls back to the hardware count,
+ * values above 256 warn and clamp) or setGlobalThreadCount() (used by
+ * the determinism tests).
  */
 
 #ifndef RIF_COMMON_PARALLEL_H
@@ -58,10 +71,12 @@ int configuredThreadCount();
 void setGlobalThreadCount(int n);
 
 /**
- * Run fn(i) for every i in [0, n) across the global pool and block until
- * all complete. Bodies must be data-race free with each other; write
- * outputs to per-index slots for determinism. Exceptions from bodies are
- * rethrown (first one wins) after the loop drains.
+ * Run fn(i) for every i in [0, n) across the global pool (or the
+ * calling thread's ThreadArena) and block until all complete. Bodies
+ * must be data-race free with each other; write outputs to per-index
+ * slots for determinism. Exceptions from bodies are rethrown (first one
+ * wins) after the loop drains. Threads that share one pool may call
+ * concurrently: the pool runs their jobs one at a time.
  */
 void parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn);
 
@@ -74,12 +89,14 @@ void parallelForWorker(
     std::size_t n, const std::function<void(std::size_t, int)> &fn);
 
 /**
- * RAII private thread pool for the calling thread. While alive, every
+ * RAII private thread pool for the calling thread: a team of its own,
+ * the same implementation as the global pool. While alive, every
  * parallelFor / parallelForWorker issued from this thread runs on the
- * arena's own workers instead of the global pool, so several threads can
- * each drive their own parallel region concurrently (the global pool
- * serializes jobs). The scenario scheduler gives each of its workers an
- * arena of budget max(1, configuredThreadCount() / jobs).
+ * arena's own members instead of the global pool, so several threads
+ * can each drive their own parallel region concurrently (on the shared
+ * global pool their jobs would run one at a time). The scenario
+ * scheduler gives each of its workers an arena of budget
+ * max(1, configuredThreadCount() / jobs).
  *
  * Arenas change only which threads execute bodies, never the index
  * decomposition, so results stay bit-identical. Not nestable on one
@@ -101,74 +118,12 @@ class ThreadArena
 };
 
 /**
- * A persistent team of pinned workers for round-structured parallel
- * loops (the fleet's conservative drive-parallel rounds). Where
- * parallelFor publishes a fresh job through the pool's mutex and
- * condition variable every call, a WorkerTeam keeps its members alive
- * across rounds and wakes them through a lightweight epoch barrier:
- * the caller bumps an atomic epoch, members spin briefly on it and
- * only park on a condition variable when no round arrives, then
- * signal completion through an atomic countdown. Per-round dispatch
- * cost is therefore a handful of atomic operations instead of a
- * mutex-protected publish + wake + drain handshake, which is the
- * difference that matters when the round body is small and the round
- * count is large (tens of thousands of lookahead rounds at small
- * interconnect latency).
- *
- * Semantics:
- *  - round(fn) runs fn(member) exactly once for every member in
- *    [0, members()); member 0 is the calling thread. It blocks until
- *    all members return. Exceptions propagate to the caller (first
- *    one wins) after the round drains.
- *  - Ambient task contexts (metrics collector, trace recorder) are
- *    captured from the caller each round and installed on the other
- *    members for the round's duration, exactly like parallelFor.
- *  - Bodies run with the nested-parallelism guard set, so a
- *    parallelFor issued from inside a round executes inline.
- *  - The requested size is clamped to [1, globalThreadCount()] at
- *    construction (arena-aware), so a team never oversubscribes the
- *    configured budget; a 1-member team runs every round inline.
- *
- * Teams change only which threads execute bodies, never what the
- * bodies compute — results must stay bit-identical to a serial loop,
- * the same contract parallelFor carries.
- */
-class WorkerTeam
-{
-  public:
-    /** Spawns min(members, globalThreadCount()) - 1 pinned threads. */
-    explicit WorkerTeam(int members);
-    ~WorkerTeam();
-    WorkerTeam(const WorkerTeam &) = delete;
-    WorkerTeam &operator=(const WorkerTeam &) = delete;
-
-    int members() const;
-
-    /** Run fn(member) on every member and block until all complete. */
-    void round(const std::function<void(int)> &fn);
-
-    /** Rounds dispatched to the full team (inline rounds excluded). */
-    std::uint64_t roundsDispatched() const;
-
-    /**
-     * Times a member exhausted its spin budget and parked on the
-     * condition variable. Wall-clock dependent — diagnostics and
-     * benchmarks only, never results or metrics.
-     */
-    std::uint64_t parks() const;
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
-
-/**
  * Thread-local ambient context propagated into parallel regions.
  *
  * Subsystems that stash per-thread state in `thread_local` variables
  * (the active metrics collector, the active trace recorder) register a
  * hook triple once at startup. When a parallelFor publishes a job, the
- * pool calls capture() on the submitting thread; every *other* worker
+ * pool calls capture() on the submitting thread; every *other* member
  * that participates wraps its share of the job in install(captured) /
  * restore(previous). The submitting thread already carries the context,
  * so it is left untouched. Hooks must be cheap (pointer copies) and

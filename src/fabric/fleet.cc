@@ -1,7 +1,6 @@
 #include "fabric/fleet.h"
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 
 #include "common/hash.h"
@@ -181,36 +180,27 @@ Fleet::run(trace::TraceSource &source, ssd::ArrivalPolicy &policy)
     // that provably land past the horizon.
     //
     // Execution is decoupled from that logical structure (DESIGN §5i):
-    // a persistent worker team replaces the per-round pool publish —
-    // members park on an epoch barrier between rounds — and a round
-    // dispatches only the drives whose own bound lies inside the
-    // window. Skipping an idle drive is exact: runUntil past an empty
-    // window pops nothing, refills nothing, and only advances the
-    // drive clock, which no event or bound query can observe (see
-    // Simulator::runUntil). Rounds with at most one active drive
-    // coalesce onto this thread and never touch the barrier.
+    // rounds dispatch onto the worker pool, whose members park on an
+    // epoch barrier between rounds, and a round dispatches only the
+    // drives whose own bound lies inside the window. Skipping an idle
+    // drive is exact: runUntil past an empty window pops nothing,
+    // refills nothing, and only advances the drive clock, which no
+    // event or bound query can observe (see Simulator::runUntil).
+    // Rounds with at most one active drive run inline on this thread
+    // (parallelFor never dispatches a single index).
     const Tick lookahead = cfg_.linkTicks();
-    WorkerTeam team(n);
     boundScratch_.assign(static_cast<std::size_t>(n), 0);
     activeScratch_.clear();
     activeScratch_.reserve(static_cast<std::size_t>(n));
-    // Round body built once, outside the loop: per-round state flows
-    // through these locals so the steady round loop never constructs a
-    // std::function (see the zero-allocation audit in micro_fleet).
-    std::atomic<std::size_t> cursor{0};
-    std::size_t roundActive = 0;
+    // Round body built once, outside the loop: the horizon flows
+    // through this local so the steady round loop never allocates (see
+    // the zero-allocation audit in micro_fleet).
     Tick roundHorizon = 0;
-    const std::function<void(int)> roundBody = [&](int) {
-        while (true) {
-            const std::size_t i =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (i >= roundActive)
-                break;
-            const int d = activeScratch_[i];
-            tracing::TrackScope track(
-                baseTrack + 1 + static_cast<std::uint32_t>(d));
-            drives_[static_cast<std::size_t>(d)]->runUntil(roundHorizon);
-        }
+    const std::function<void(std::size_t)> roundBody = [&](std::size_t i) {
+        const int d = activeScratch_[i];
+        tracing::TrackScope track(
+            baseTrack + 1 + static_cast<std::uint32_t>(d));
+        drives_[static_cast<std::size_t>(d)]->runUntil(roundHorizon);
     };
     while (true) {
         Tick bound = hostSim_.nextEventBound();
@@ -235,21 +225,10 @@ Fleet::run(trace::TraceSource &source, ssd::ArrivalPolicy &policy)
             }
         }
 
-        const std::size_t nActive = activeScratch_.size();
-        if (nActive <= 1) {
+        if (activeScratch_.size() <= 1)
             ++stats_.roundsCoalesced;
-            if (nActive == 1) {
-                const int d = activeScratch_[0];
-                tracing::TrackScope track(
-                    baseTrack + 1 + static_cast<std::uint32_t>(d));
-                drives_[static_cast<std::size_t>(d)]->runUntil(horizon);
-            }
-        } else {
-            cursor.store(0, std::memory_order_relaxed);
-            roundActive = nActive;
-            roundHorizon = horizon;
-            team.round(roundBody);
-        }
+        roundHorizon = horizon;
+        parallelFor(activeScratch_.size(), roundBody);
 
         for (const int d : activeScratch_) {
             auto &buf = doneBufs_[static_cast<std::size_t>(d)];

@@ -14,12 +14,14 @@
  * drives execute concurrently and only synchronize at
  * interconnect-crossing events — bit-identical at any thread count.
  *
- * The execution vehicle is a persistent WorkerTeam: drive lanes live on
- * pinned workers that park on an epoch barrier between rounds instead
- * of a pool job being re-published per round, a round dispatches only
- * the drives with work inside its window (skipping an idle drive is a
- * proven no-op on its kernel), and rounds where at most one drive is
- * active coalesce onto the host thread with no barrier traffic at all.
+ * The execution vehicle is the shared worker pool (common/parallel.h):
+ * each round is one parallelFor over the drives with work inside its
+ * window (skipping an idle drive is a proven no-op on its kernel), on
+ * pool members that park on an epoch barrier between rounds, and rounds
+ * where at most one drive is active run on the host thread with no
+ * barrier traffic at all. A fleet run spawns no threads of its own:
+ * preconditioning and rounds share the global pool, or the calling
+ * thread's ThreadArena inside a `rif --jobs` worker.
  * See DESIGN.md §5i for the protocol and the correctness argument.
  */
 
@@ -58,7 +60,7 @@ struct FleetStats
     /**
      * Rounds whose drive phase coalesced onto the host thread: at most
      * one drive had work at or before the horizon, so the round cost
-     * no team wake-up at all. A pure function of simulated state —
+     * no pool wake-up at all. A pure function of simulated state —
      * identical at any RIF_THREADS / --jobs setting.
      */
     std::uint64_t roundsCoalesced = 0;

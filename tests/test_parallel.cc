@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the parallel harness: pool mechanics (full coverage, worker
- * ids, exception propagation, nesting), the RIF_THREADS override, and the
+ * ids, exception propagation, nesting, park/wake, concurrent callers,
+ * arenas), the RIF_THREADS override, and the
  * bit-identical-at-any-thread-count guarantee of every parallelized
  * Monte-Carlo sweep.
  */
@@ -9,11 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "ldpc/capability.h"
@@ -110,62 +112,42 @@ TEST(ParallelFor, NestedCallsRunInline)
     EXPECT_EQ(total.load(), 256);
 }
 
-TEST(WorkerTeam, RoundRunsEveryMemberExactlyOnce)
+TEST(ParallelFor, BackToBackCallsCoverEveryIndexExactlyOnce)
 {
+    // The fleet's round shape: hundreds of small jobs in a row, each
+    // dispatched to members still spinning from the previous one.
     PoolGuard guard;
     setGlobalThreadCount(4);
-    WorkerTeam team(4);
-    ASSERT_EQ(team.members(), 4);
-    std::vector<std::atomic<int>> hits(4);
+    constexpr std::size_t kN = 8;
+    constexpr int kCalls = 500;
+    std::vector<std::atomic<int>> hits(kN);
     for (auto &h : hits)
         h = 0;
-    constexpr int kRounds = 500;
-    for (int r = 0; r < kRounds; ++r)
-        team.round([&](int m) {
-            hits[static_cast<std::size_t>(m)].fetch_add(
-                1, std::memory_order_relaxed);
+    for (int c = 0; c < kCalls; ++c)
+        parallelFor(kN, [&](std::size_t i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
         });
     for (const auto &h : hits)
-        EXPECT_EQ(h.load(), kRounds);
-    EXPECT_EQ(team.roundsDispatched(), static_cast<std::uint64_t>(kRounds));
+        EXPECT_EQ(h.load(), kCalls);
 }
 
-TEST(WorkerTeam, ClampsToTheThreadBudgetAndRunsInlineAtOne)
+TEST(ParallelFor, SkewedPerIndexWorkStaysCorrect)
 {
-    PoolGuard guard;
-    setGlobalThreadCount(2);
-    WorkerTeam clamped(16);
-    EXPECT_EQ(clamped.members(), 2);
-    setGlobalThreadCount(1);
-    WorkerTeam inline1(8);
-    EXPECT_EQ(inline1.members(), 1);
-    int hits = 0;
-    inline1.round([&](int m) {
-        EXPECT_EQ(m, 0);
-        ++hits;
-    });
-    EXPECT_EQ(hits, 1);
-    EXPECT_EQ(inline1.roundsDispatched(), 0u); // inline, never dispatched
-}
-
-TEST(WorkerTeam, SkewedRoundBodiesStayCorrect)
-{
-    // Wildly unequal per-member work (the fleet's skewed-drive shape):
-    // member 0 heavy, others trivial — plus rounds where most members
-    // do nothing at all. Totals must still come out exact.
+    // Wildly unequal per-index work (the fleet's skewed-drive shape):
+    // index 0 heavy, others trivial, plus calls where most indices do
+    // nothing at all. Totals must still come out exact.
     PoolGuard guard;
     setGlobalThreadCount(4);
-    WorkerTeam team(4);
     std::vector<std::uint64_t> sums(4, 0);
     for (int r = 0; r < 200; ++r)
-        team.round([&](int m) {
+        parallelFor(sums.size(), [&](std::size_t i) {
             std::uint64_t acc = 0;
-            const int iters = m == 0 ? 2000 : (r % 3 == 0 ? 50 : 0);
-            for (int i = 0; i < iters; ++i)
-                acc += static_cast<std::uint64_t>(i) * 2654435761u;
-            // Per-member slot: no synchronization needed, like the
+            const int iters = i == 0 ? 2000 : (r % 3 == 0 ? 50 : 0);
+            for (int k = 0; k < iters; ++k)
+                acc += static_cast<std::uint64_t>(k) * 2654435761u;
+            // Per-index slot: no synchronization needed, like the
             // fleet's per-drive completion buffers.
-            sums[static_cast<std::size_t>(m)] += acc + 1;
+            sums[i] += acc + 1;
         });
     for (const std::uint64_t s : sums)
         EXPECT_GE(s, 200u);
@@ -173,38 +155,90 @@ TEST(WorkerTeam, SkewedRoundBodiesStayCorrect)
     EXPECT_EQ(sums[1], sums[3]);
 }
 
-TEST(WorkerTeam, ExceptionPropagatesAndTeamSurvives)
+TEST(ParallelFor, MembersParkedBetweenCallsAreWoken)
 {
+    // Sleeping far past the members' spin budget parks them on the
+    // condition variable. Each call's four indices then rendezvous, so
+    // the call completes only if all three parked members were woken.
     PoolGuard guard;
     setGlobalThreadCount(4);
-    WorkerTeam team(4);
-    EXPECT_THROW(team.round([&](int m) {
-        if (m == 2)
-            throw std::runtime_error("boom");
-    }),
-                 std::runtime_error);
-    std::atomic<int> count{0};
-    team.round([&](int) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 4);
+    constexpr std::size_t kN = 4;
+    for (int c = 0; c < 5; ++c) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        std::atomic<std::size_t> arrived{0};
+        std::atomic<bool> allMet{true};
+        parallelFor(kN, [&](std::size_t) {
+            arrived.fetch_add(1);
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(20);
+            while (arrived.load() < kN) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                    allMet = false;
+                    return;
+                }
+                std::this_thread::yield();
+            }
+        });
+        EXPECT_TRUE(allMet.load()) << "call " << c;
+    }
 }
 
-#if RIF_METRICS_ENABLED
-TEST(WorkerTeam, PropagatesAmbientMetricsContextToMembers)
+TEST(ParallelFor, ConcurrentCallersOnTheSharedPoolAreSerialized)
 {
-    // Bumps from every member must land in the caller's scope, the
-    // same ambient-context propagation parallelFor performs.
+    // Two threads without arenas share the global pool; each call must
+    // still run its every index exactly once (and must not deadlock —
+    // ctest bounds this executable with a timeout).
     PoolGuard guard;
     setGlobalThreadCount(4);
-    static const metrics::Counter mTeamTest{
-        "test.worker_team.bumps", "ops"};
-    WorkerTeam team(4);
-    metrics::MetricsScope scope;
-    for (int r = 0; r < 3; ++r)
-        team.round([&](int) { mTeamTest.add(1); });
-    const metrics::Snapshot snap = scope.finish();
-    EXPECT_EQ(snap.value("test.worker_team.bumps"), 12u);
+    std::atomic<int> badCalls{0};
+    const auto caller = [&] {
+        for (int c = 0; c < 2000; ++c) {
+            std::atomic<int> count{0};
+            parallelFor(64, [&](std::size_t) {
+                count.fetch_add(1, std::memory_order_relaxed);
+            });
+            if (count.load() != 64)
+                badCalls.fetch_add(1);
+        }
+    };
+    std::thread a(caller);
+    std::thread b(caller);
+    a.join();
+    b.join();
+    EXPECT_EQ(badCalls.load(), 0);
 }
-#endif // RIF_METRICS_ENABLED
+
+TEST(ThreadArena, ExceptionPropagatesAndArenaSurvives)
+{
+    PoolGuard guard;
+    ThreadArena arena(4);
+    EXPECT_THROW(parallelFor(64,
+                             [&](std::size_t i) {
+                                 if (i == 2)
+                                     throw std::runtime_error("boom");
+                             }),
+                 std::runtime_error);
+    std::atomic<int> count{0};
+    parallelFor(64, [&](std::size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 64);
+}
+
+TEST(ThreadArena, RunsInlineAtABudgetOfOne)
+{
+    PoolGuard guard;
+    setGlobalThreadCount(8);
+    ThreadArena arena(1);
+    EXPECT_EQ(arena.threadCount(), 1);
+    EXPECT_EQ(globalThreadCount(), 1);
+    const std::thread::id self = std::this_thread::get_id();
+    int hits = 0;
+    parallelForWorker(100, [&](std::size_t, int worker) {
+        EXPECT_EQ(worker, 0);
+        EXPECT_EQ(std::this_thread::get_id(), self);
+        ++hits;
+    });
+    EXPECT_EQ(hits, 100);
+}
 
 TEST(ParallelConfig, SetGlobalThreadCountOverrides)
 {
@@ -223,7 +257,17 @@ TEST(ParallelConfig, RifThreadsEnvIsHonored)
     EXPECT_EQ(globalThreadCount(), 5);
     setenv("RIF_THREADS", "junk", 1);
     setGlobalThreadCount(0);
-    EXPECT_GE(globalThreadCount(), 1); // falls back to hardware default
+    const int hardware = globalThreadCount(); // hardware default
+    EXPECT_GE(hardware, 1);
+    // Trailing garbage is invalid as a whole, not read as its prefix
+    // (two prefixes, so one of them differs from the hardware count).
+    for (const char *junk : {"2x", "3threads"}) {
+        setenv("RIF_THREADS", junk, 1);
+        EXPECT_EQ(configuredThreadCount(), hardware) << junk;
+    }
+    // Oversized values clamp to the maximum budget.
+    setenv("RIF_THREADS", "300", 1);
+    EXPECT_EQ(configuredThreadCount(), 256);
 }
 
 TEST(ForkStreams, DeterministicAndIndependent)
