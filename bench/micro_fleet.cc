@@ -223,10 +223,9 @@ struct RpFixture
         Rng rng(3);
         words.reserve(kWords);
         for (int i = 0; i < kWords; ++i) {
-            ldpc::HardWord w =
-                code.encode(ldpc::randomData(code.params().k(), rng));
+            BitVec w = code.encode(ldpc::randomData(code.params().k(), rng));
             ldpc::injectErrors(w, 0.004 + 0.002 * (i % 3), rng);
-            words.push_back(rr.toFlashLayout(ldpc::toBitVec(w)));
+            words.push_back(rr.toFlashLayout(w));
         }
     }
 

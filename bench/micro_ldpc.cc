@@ -37,7 +37,7 @@ BM_Encode(benchmark::State &state)
 {
     const QcLdpcCode &code = theCode();
     Rng rng(1);
-    const HardWord data = randomData(code.params().k(), rng);
+    const BitVec data = randomData(code.params().k(), rng);
     for (auto _ : state)
         benchmark::DoNotOptimize(code.encode(data));
     state.SetBytesProcessed(
@@ -52,7 +52,7 @@ BM_ReferenceEncode(benchmark::State &state)
     // The retired per-edge encoder, kept for equivalence testing.
     const QcLdpcCode &code = theCode();
     Rng rng(1);
-    const HardWord data = randomData(code.params().k(), rng);
+    const BitVec data = randomData(code.params().k(), rng);
     for (auto _ : state)
         benchmark::DoNotOptimize(code.referenceEncode(data));
     state.SetBytesProcessed(
@@ -64,14 +64,13 @@ BENCHMARK(BM_ReferenceEncode);
 void
 BM_RandomData(benchmark::State &state)
 {
-    // Word-wise fill: one rng.next() per 64 bits expanded through the
-    // bit-lane table instead of 64 byte stores.
+    // Word-wise fill: one rng.next() stored per packed 64-bit word.
     const QcLdpcCode &code = theCode();
     Rng rng(7);
-    HardWord d(code.params().k());
+    BitVec d(code.params().k());
     for (auto _ : state) {
         randomDataInto(d, rng);
-        benchmark::DoNotOptimize(d.data());
+        benchmark::DoNotOptimize(d.words().data());
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) *
@@ -86,11 +85,11 @@ BM_InjectErrors(benchmark::State &state)
     // test replaces a per-call unordered_set.
     const QcLdpcCode &code = theCode();
     Rng rng(8);
-    HardWord word = code.encode(randomData(code.params().k(), rng));
+    BitVec word = code.encode(randomData(code.params().k(), rng));
     const auto count = static_cast<std::size_t>(state.range(0));
     for (auto _ : state) {
         injectExactErrors(word, count, rng);
-        benchmark::DoNotOptimize(word.data());
+        benchmark::DoNotOptimize(word.words().data());
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
@@ -103,7 +102,7 @@ BM_FullSyndromeWeight(benchmark::State &state)
 {
     const QcLdpcCode &code = theCode();
     Rng rng(2);
-    HardWord word = code.encode(randomData(code.params().k(), rng));
+    BitVec word = code.encode(randomData(code.params().k(), rng));
     injectErrors(word, 0.005, rng);
     for (auto _ : state)
         benchmark::DoNotOptimize(code.syndromeWeight(word));
@@ -115,7 +114,7 @@ BM_ReferenceSyndrome(benchmark::State &state)
 {
     const QcLdpcCode &code = theCode();
     Rng rng(2);
-    HardWord word = code.encode(randomData(code.params().k(), rng));
+    BitVec word = code.encode(randomData(code.params().k(), rng));
     injectErrors(word, 0.005, rng);
     for (auto _ : state)
         benchmark::DoNotOptimize(code.referenceSyndrome(word));
@@ -127,7 +126,7 @@ BM_PrunedSyndromeWeight(benchmark::State &state)
 {
     const QcLdpcCode &code = theCode();
     Rng rng(3);
-    HardWord word = code.encode(randomData(code.params().k(), rng));
+    BitVec word = code.encode(randomData(code.params().k(), rng));
     injectErrors(word, 0.005, rng);
     for (auto _ : state)
         benchmark::DoNotOptimize(code.prunedSyndromeWeight(word));
@@ -141,9 +140,9 @@ BM_OnDieSyndromeWeight(benchmark::State &state)
     const QcLdpcCode &code = theCode();
     const odear::CodewordRearranger rr(code);
     Rng rng(4);
-    HardWord word = code.encode(randomData(code.params().k(), rng));
+    BitVec word = code.encode(randomData(code.params().k(), rng));
     injectErrors(word, 0.005, rng);
-    const BitVec flash = rr.toFlashLayout(toBitVec(word));
+    const BitVec flash = rr.toFlashLayout(word);
     for (auto _ : state)
         benchmark::DoNotOptimize(rr.onDieSyndromeWeight(flash));
 }
@@ -156,7 +155,7 @@ BM_MinSumDecode(benchmark::State &state)
     const MinSumDecoder dec(code, 20);
     const double rber = static_cast<double>(state.range(0)) * 1e-4;
     Rng rng(5);
-    HardWord word = code.encode(randomData(code.params().k(), rng));
+    BitVec word = code.encode(randomData(code.params().k(), rng));
     injectErrors(word, rber, rng);
     for (auto _ : state)
         benchmark::DoNotOptimize(dec.decode(word, rber));
@@ -172,7 +171,7 @@ BM_MinSumDecodeWorkspace(benchmark::State &state)
     const MinSumDecoder dec(code, 20);
     const double rber = static_cast<double>(state.range(0)) * 1e-4;
     Rng rng(5);
-    HardWord word = code.encode(randomData(code.params().k(), rng));
+    BitVec word = code.encode(randomData(code.params().k(), rng));
     injectErrors(word, rber, rng);
     DecodeWorkspace ws;
     for (auto _ : state)
@@ -190,9 +189,9 @@ BM_SyndromeBatch(benchmark::State &state)
     Rng rng(2);
     CodewordBatch batch(code.params().n(), lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
-        HardWord word = code.encode(randomData(code.params().k(), rng));
+        BitVec word = code.encode(randomData(code.params().k(), rng));
         injectErrors(word, 0.005, rng);
-        batch.setLaneFromBytes(l, word.data(), word.size());
+        batch.setLane(l, word);
     }
     CodewordBatch synd;
     std::vector<std::size_t> weights(lanes);
@@ -215,9 +214,9 @@ BM_PrunedSyndromeBatch(benchmark::State &state)
     Rng rng(3);
     CodewordBatch batch(code.params().n(), lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
-        HardWord word = code.encode(randomData(code.params().k(), rng));
+        BitVec word = code.encode(randomData(code.params().k(), rng));
         injectErrors(word, 0.005, rng);
-        batch.setLaneFromBytes(l, word.data(), word.size());
+        batch.setLane(l, word);
     }
     CodewordBatch synd;
     std::vector<std::size_t> weights(lanes);
@@ -245,8 +244,8 @@ BM_DecodeBatch(benchmark::State &state)
     const auto lanes = static_cast<std::size_t>(state.range(0));
     const double rber = static_cast<double>(state.range(1)) * 1e-4;
     Rng rng(5);
-    std::vector<HardWord> words(lanes);
-    std::vector<const HardWord *> ptrs(lanes);
+    std::vector<BitVec> words(lanes);
+    std::vector<const BitVec *> ptrs(lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
         words[l] = code.encode(randomData(code.params().k(), rng));
         injectErrors(words[l], rber, rng);
@@ -293,7 +292,7 @@ BM_MinSumDecodeLoop(benchmark::State &state)
     const auto lanes = static_cast<std::size_t>(state.range(0));
     const double rber = 0.006;
     Rng rng(5);
-    std::vector<HardWord> words(lanes);
+    std::vector<BitVec> words(lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
         words[l] = code.encode(randomData(code.params().k(), rng));
         injectErrors(words[l], rber, rng);
@@ -324,7 +323,7 @@ BM_ParallelDecode(benchmark::State &state)
 
     constexpr std::size_t kBatch = 32;
     Rng master(6);
-    std::vector<HardWord> words(kBatch);
+    std::vector<BitVec> words(kBatch);
     for (auto &w : words) {
         w = code.encode(randomData(code.params().k(), master));
         injectErrors(w, rber, master);

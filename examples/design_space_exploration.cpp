@@ -44,10 +44,9 @@ main()
     // --- 3. Verify the hardware-enabling identity. ------------------
     const odear::CodewordRearranger rearranger(code);
     Rng rng(5);
-    ldpc::HardWord word =
-        code.encode(ldpc::randomData(code.params().k(), rng));
+    BitVec word = code.encode(ldpc::randomData(code.params().k(), rng));
     ldpc::injectErrors(word, 0.007, rng);
-    const BitVec flash = rearranger.toFlashLayout(ldpc::toBitVec(word));
+    const BitVec flash = rearranger.toFlashLayout(word);
     std::cout << "rearranged on-die weight "
               << rearranger.onDieSyndromeWeight(flash)
               << " == pruned syndrome weight "

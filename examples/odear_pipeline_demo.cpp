@@ -37,7 +37,7 @@ main(int argc, char **argv)
 
     // Program a page: four 4-KiB payloads of host data.
     Rng rng(99);
-    std::vector<ldpc::HardWord> payloads;
+    std::vector<BitVec> payloads;
     for (int i = 0; i < 4; ++i)
         payloads.push_back(ldpc::randomData(code.params().k(), rng));
     const ProgrammedPage page =

@@ -72,7 +72,7 @@ main(int argc, char **argv)
         argc > 2 ? parsePolicy(argv[2]) : ssd::PolicyKind::Rif;
     const double pe = argc > 3 ? std::stod(argv[3]) : 1000.0;
 
-    trace::FileTrace source(path);
+    trace::StreamTrace source(path, trace::TraceFormat::Csv);
     std::cout << "trace footprint: " << source.footprintPages()
               << " pages ("
               << source.footprintPages() * 16.0 / (1024.0 * 1024.0)

@@ -1,7 +1,6 @@
 #include "common/bitvec.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.h"
 #include "common/simd.h"
@@ -192,34 +191,6 @@ BitVec::insert(std::size_t start, const BitVec &other)
 }
 
 void
-BitVec::assignFromBytes(const std::uint8_t *bytes, std::size_t n)
-{
-    nbits_ = n;
-    words_.resize((n + 63) / 64);
-    // Eight 0/1 bytes collapse to eight bits with one multiply: byte j's
-    // LSB lands on bit 56 + j of the product, so the top byte is the
-    // packed group. Each destination word is built whole, so no pre-zero
-    // pass is needed.
-    std::size_t i = 0;
-    for (std::size_t w = 0; i + 64 <= n; ++w, i += 64) {
-        std::uint64_t word = 0;
-        for (int g = 0; g < 8; ++g) {
-            std::uint64_t x;
-            std::memcpy(&x, bytes + i + static_cast<std::size_t>(g) * 8, 8);
-            x &= 0x0101010101010101ull;
-            word |= ((x * 0x0102040810204080ull) >> 56) << (g * 8);
-        }
-        words_[w] = word;
-    }
-    if (i < n) {
-        std::uint64_t word = 0;
-        for (std::size_t b = i; b < n; ++b)
-            word |= static_cast<std::uint64_t>(bytes[b] & 1) << (b - i);
-        words_[i >> 6] = word;
-    }
-}
-
-void
 BitVec::assignFromWords(const std::uint64_t *words, std::size_t stride,
                         std::size_t nbits)
 {
@@ -228,24 +199,6 @@ BitVec::assignFromWords(const std::uint64_t *words, std::size_t stride,
     for (std::size_t w = 0; w < words_.size(); ++w)
         words_[w] = words[w * stride];
     trimTail();
-}
-
-void
-BitVec::copyToBytes(std::uint8_t *out) const
-{
-    std::size_t i = 0;
-    // Reverse of assignFromBytes: replicate the 8-bit group across all
-    // byte lanes, mask bit j into lane j, then normalize lanes to 0/1.
-    for (; i + 8 <= nbits_; i += 8) {
-        const std::uint64_t group = (words_[i >> 6] >> (i & 63)) & 0xff;
-        const std::uint64_t sel =
-            (group * 0x0101010101010101ull) & 0x8040201008040201ull;
-        const std::uint64_t lanes =
-            ((sel + 0x7f7f7f7f7f7f7f7full) >> 7) & 0x0101010101010101ull;
-        std::memcpy(out + i, &lanes, 8);
-    }
-    for (; i < nbits_; ++i)
-        out[i] = get(i) ? 1 : 0;
 }
 
 bool

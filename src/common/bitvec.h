@@ -5,7 +5,7 @@
  * the whole vector (used by the codeword-rearrangement scheme, which
  * rotates each QC-LDPC segment by its circulant shift coefficient).
  *
- * All bulk operations (xorRange, rotl, slice, insert, packing) run
+ * All bulk operations (xorRange, rotl, slice, insert, word gathers) run
  * word-parallel: 64 bits per step regardless of alignment, so the
  * circulant-rotation syndrome identity the paper's RP datapath exploits
  * maps onto whole-word XOR + popcount on the host too.
@@ -93,12 +93,6 @@ class BitVec
     void insert(std::size_t start, const BitVec &other);
 
     /**
-     * Pack n bytes (least-significant bit of each byte) into this vector,
-     * resizing to n bits. Eight bytes per step.
-     */
-    void assignFromBytes(const std::uint8_t *bytes, std::size_t n);
-
-    /**
      * Adopt nbits from strided packed words: word i is read from
      * words[i * stride]. The gather path out of a word-interleaved
      * ldpc::CodewordBatch lane (stride = lane count).
@@ -106,8 +100,17 @@ class BitVec
     void assignFromWords(const std::uint64_t *words, std::size_t stride,
                          std::size_t nbits);
 
-    /** Unpack into size() bytes of 0/1, eight bytes per step. */
-    void copyToBytes(std::uint8_t *out) const;
+    /**
+     * Overwrite packed word w, i.e. bits [64w, 64w + 64); bits of the
+     * last word beyond size() are dropped.
+     */
+    void
+    setWord(std::size_t w, std::uint64_t bits)
+    {
+        words_[w] = bits;
+        if (w + 1 == words_.size())
+            trimTail();
+    }
 
     /** Equality over all bits. */
     bool operator==(const BitVec &other) const;

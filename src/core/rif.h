@@ -32,6 +32,7 @@
 #include "odear/rp_module.h"
 #include "odear/rvs_module.h"
 #include "ssd/ssd.h"
+#include "trace/stream.h"
 #include "trace/trace.h"
 
 #endif // RIF_CORE_RIF_H

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -126,32 +125,6 @@ CodewordBatch::setLane(std::size_t lane, const BitVec &v)
     const auto &src = v.words();
     for (std::size_t w = 0; w < src.size(); ++w)
         words_[w * lanes_ + lane] = src[w];
-}
-
-void
-CodewordBatch::setLaneFromBytes(std::size_t lane, const std::uint8_t *bytes,
-                                std::size_t n)
-{
-    RIF_ASSERT(lane < lanes_ && n == nbits_);
-    // Same eight-bytes-to-one-byte multiply pack as
-    // BitVec::assignFromBytes, scattered at lane stride.
-    std::size_t i = 0;
-    for (std::size_t w = 0; i + 64 <= n; ++w, i += 64) {
-        std::uint64_t word = 0;
-        for (int g = 0; g < 8; ++g) {
-            std::uint64_t x;
-            std::memcpy(&x, bytes + i + static_cast<std::size_t>(g) * 8, 8);
-            x &= 0x0101010101010101ull;
-            word |= ((x * 0x0102040810204080ull) >> 56) << (g * 8);
-        }
-        words_[w * lanes_ + lane] = word;
-    }
-    if (i < n) {
-        std::uint64_t word = 0;
-        for (std::size_t b = i; b < n; ++b)
-            word |= static_cast<std::uint64_t>(bytes[b] & 1) << (b - i);
-        words_[(i >> 6) * lanes_ + lane] = word;
-    }
 }
 
 void

@@ -51,10 +51,6 @@ class CodewordBatch
     /** Scatter a packed vector (of bits() bits) into one lane. */
     void setLane(std::size_t lane, const BitVec &v);
 
-    /** Pack bits() 0/1 bytes directly into one lane (no temporary). */
-    void setLaneFromBytes(std::size_t lane, const std::uint8_t *bytes,
-                          std::size_t n);
-
     /** Gather one lane back out into a packed vector. */
     void extractLane(std::size_t lane, BitVec &out) const;
 
@@ -150,7 +146,6 @@ struct BatchDecodeWorkspace
 
     CodewordBatch hard; ///< packed hard decisions, all lanes
     CodewordBatch row;  ///< per-block-row syndrome accumulator
-    BitVec lane;        ///< lane extraction scratch
 
   private:
     double cachedRber_ = -1.0;

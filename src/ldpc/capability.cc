@@ -53,8 +53,8 @@ measureCapability(const QcLdpcCode &code, const MinSumDecoder &decoder,
         BatchDecodeWorkspace ws;
         CodewordBatch batch; ///< corrupted words, one lane per trial
         CodewordBatch synd;  ///< syndrome accumulator
-        std::vector<HardWord> words;
-        std::vector<const HardWord *> ptrs;
+        std::vector<BitVec> words;
+        std::vector<const BitVec *> ptrs;
         std::vector<DecodeResult> results;
         std::vector<std::size_t> weights, pruned;
     };
@@ -80,11 +80,9 @@ measureCapability(const QcLdpcCode &code, const MinSumDecoder &decoder,
             s.batch.reset(code.params().n(), lanes);
             for (std::size_t l = 0; l < lanes; ++l) {
                 Rng &rng = streams[begin + l];
-                HardWord data = randomData(code.params().k(), rng);
-                s.words[l] = code.encode(data);
+                s.words[l] = code.encode(randomData(code.params().k(), rng));
                 injectErrors(s.words[l], rber, rng);
-                s.batch.setLaneFromBytes(l, s.words[l].data(),
-                                         s.words[l].size());
+                s.batch.setLane(l, s.words[l]);
                 s.ptrs[l] = &s.words[l];
             }
             syndromeWeightBatch(code, s.batch, s.synd, s.weights.data());

@@ -1,7 +1,6 @@
 #include "ldpc/channel.h"
 
-#include <array>
-#include <cstring>
+#include <cmath>
 #include <vector>
 
 #include "common/logging.h"
@@ -9,64 +8,24 @@
 namespace rif {
 namespace ldpc {
 
-namespace {
-
-/**
- * kBitLanes[v] holds the 8 bits of v spread one per byte lane (bit j at
- * byte j), so a 64-bit draw expands into HardWord bytes with eight
- * 8-byte stores instead of 64 single-byte ones. Assumes little-endian,
- * like the packed BitVec kernels.
- */
-constexpr std::array<std::uint64_t, 256>
-makeBitLanes()
-{
-    std::array<std::uint64_t, 256> t{};
-    for (int v = 0; v < 256; ++v) {
-        std::uint64_t lanes = 0;
-        for (int j = 0; j < 8; ++j)
-            if (v & (1 << j))
-                lanes |= std::uint64_t{1} << (8 * j);
-        t[static_cast<std::size_t>(v)] = lanes;
-    }
-    return t;
-}
-
-constexpr std::array<std::uint64_t, 256> kBitLanes = makeBitLanes();
-
-} // namespace
-
 void
-randomDataInto(HardWord &d, Rng &rng)
+randomDataInto(BitVec &d, Rng &rng)
 {
-    // One rng.next() per 64 bits, exactly like the original per-bit
-    // loop, so every caller sees the same draw sequence.
-    const std::size_t k = d.size();
-    std::uint8_t *out = d.data();
-    std::size_t i = 0;
-    for (; i + 64 <= k; i += 64) {
-        std::uint64_t bits = rng.next();
-        for (int byte = 0; byte < 8; ++byte, bits >>= 8) {
-            const std::uint64_t lanes = kBitLanes[bits & 0xff];
-            std::memcpy(out + i + 8 * byte, &lanes, 8);
-        }
-    }
-    if (i < k) {
-        std::uint64_t bits = rng.next();
-        for (std::size_t b = 0; i + b < k; ++b)
-            out[i + b] = (bits >> b) & 1;
-    }
+    const std::size_t words = (d.size() + 63) / 64;
+    for (std::size_t w = 0; w < words; ++w)
+        d.setWord(w, rng.next());
 }
 
-HardWord
+BitVec
 randomData(std::size_t k, Rng &rng)
 {
-    HardWord d(k);
+    BitVec d(k);
     randomDataInto(d, rng);
     return d;
 }
 
 std::size_t
-injectErrors(HardWord &word, double rber, Rng &rng)
+injectErrors(BitVec &word, double rber, Rng &rng)
 {
     RIF_ASSERT(rber >= 0.0 && rber <= 1.0);
     if (rber == 0.0)
@@ -85,7 +44,7 @@ injectErrors(HardWord &word, double rber, Rng &rng)
         i += gap;
         if (i >= word.size())
             break;
-        word[i] ^= 1;
+        word.flip(i);
         ++flipped;
         ++i;
     }
@@ -93,7 +52,7 @@ injectErrors(HardWord &word, double rber, Rng &rng)
 }
 
 void
-injectExactErrors(HardWord &word, std::size_t count, Rng &rng)
+injectExactErrors(BitVec &word, std::size_t count, Rng &rng)
 {
     RIF_ASSERT(count <= word.size());
     // Membership test via a reusable per-thread bitmap: the previous
@@ -113,7 +72,7 @@ injectExactErrors(HardWord &word, std::size_t count, Rng &rng)
         if ((m & bit) == 0) {
             m |= bit;
             chosen.push_back(i);
-            word[i] ^= 1;
+            word.flip(i);
         }
     }
     // Clear only the touched bits so the bitmap is ready for reuse

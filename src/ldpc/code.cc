@@ -9,19 +9,6 @@
 namespace rif {
 namespace ldpc {
 
-namespace {
-
-/** Thread-local pack buffer for the HardWord wrapper kernels. */
-BitVec &
-packedScratch(const HardWord &w)
-{
-    static thread_local BitVec packed;
-    packed.assignFromBytes(w.data(), w.size());
-    return packed;
-}
-
-} // namespace
-
 CodeParams
 paperCode()
 {
@@ -205,48 +192,40 @@ QcLdpcCode::encode(const BitVec &data) const
     return word;
 }
 
-HardWord
-QcLdpcCode::encode(const HardWord &data) const
-{
-    RIF_ASSERT(data.size() == params_.k());
-    const BitVec word = encode(packedScratch(data));
-    HardWord out(params_.n());
-    word.copyToBytes(out.data());
-    return out;
-}
-
-HardWord
-QcLdpcCode::referenceEncode(const HardWord &data) const
+BitVec
+QcLdpcCode::referenceEncode(const BitVec &data) const
 {
     RIF_ASSERT(data.size() == params_.k());
     const int r = params_.blockRows;
     const int d = params_.dataBlocks();
     const int t = params_.circulant;
 
-    HardWord word(params_.n(), 0);
-    std::copy(data.begin(), data.end(), word.begin());
+    BitVec word(params_.n());
+    for (std::size_t b = 0; b < data.size(); ++b)
+        word.set(b, data.get(b));
 
     // Partial syndromes of the data part, per block row.
-    std::vector<HardWord> sd(static_cast<std::size_t>(r),
-                             HardWord(static_cast<std::size_t>(t), 0));
+    std::vector<BitVec> sd(static_cast<std::size_t>(r),
+                           BitVec(static_cast<std::size_t>(t)));
     for (int i = 0; i < r; ++i) {
         for (int j = 0; j < d; ++j) {
             const int c = shift(i, j);
             const std::size_t base = static_cast<std::size_t>(j) * t;
             for (int a = 0; a < t; ++a)
-                sd[i][a] ^= data[base + (a + c) % t];
+                if (data.get(base + (a + c) % t))
+                    sd[i].flip(a);
         }
     }
 
     // Back-substitution through the bidiagonal parity part:
     // p0 = sd0, pk = sdk ^ p(k-1).
     const std::size_t k = params_.k();
-    HardWord prev(static_cast<std::size_t>(t), 0);
+    BitVec prev(static_cast<std::size_t>(t));
     for (int i = 0; i < r; ++i) {
         for (int a = 0; a < t; ++a) {
-            const std::uint8_t p = sd[i][a] ^ prev[a];
-            word[k + static_cast<std::size_t>(i) * t + a] = p;
-            prev[a] = p;
+            const bool p = sd[i].get(a) != prev.get(a);
+            word.set(k + static_cast<std::size_t>(i) * t + a, p);
+            prev.set(a, p);
         }
     }
     return word;
@@ -270,27 +249,16 @@ QcLdpcCode::syndrome(const BitVec &word) const
     return s;
 }
 
-HardWord
-QcLdpcCode::syndrome(const HardWord &word) const
+BitVec
+QcLdpcCode::referenceSyndrome(const BitVec &word) const
 {
     RIF_ASSERT(word.size() == params_.n());
-    static thread_local BitVec s;
-    syndromeInto(packedScratch(word), s);
-    HardWord out(params_.m());
-    s.copyToBytes(out.data());
-    return out;
-}
-
-HardWord
-QcLdpcCode::referenceSyndrome(const HardWord &word) const
-{
-    RIF_ASSERT(word.size() == params_.n());
-    HardWord s(params_.m(), 0);
+    BitVec s(params_.m());
     for (std::size_t m = 0; m < params_.m(); ++m) {
-        std::uint8_t acc = 0;
+        bool acc = false;
         for (std::uint32_t e = chkStart_[m]; e < chkStart_[m + 1]; ++e)
-            acc ^= word[edgeVar_[e]];
-        s[m] = acc;
+            acc ^= word.get(edgeVar_[e]);
+        s.set(m, acc);
     }
     return s;
 }
@@ -302,13 +270,6 @@ QcLdpcCode::syndromeWeight(const BitVec &word) const
 }
 
 std::size_t
-QcLdpcCode::syndromeWeight(const HardWord &word) const
-{
-    RIF_ASSERT(word.size() == params_.n());
-    return syndromeWeight(packedScratch(word));
-}
-
-std::size_t
 QcLdpcCode::prunedSyndromeWeight(const BitVec &word) const
 {
     RIF_ASSERT(word.size() == params_.n());
@@ -316,13 +277,6 @@ QcLdpcCode::prunedSyndromeWeight(const BitVec &word) const
     row.reset(static_cast<std::size_t>(params_.circulant));
     xorRowSyndrome(word, 0, row, 0);
     return row.popcount();
-}
-
-std::size_t
-QcLdpcCode::prunedSyndromeWeight(const HardWord &word) const
-{
-    RIF_ASSERT(word.size() == params_.n());
-    return prunedSyndromeWeight(packedScratch(word));
 }
 
 bool
@@ -344,29 +298,6 @@ QcLdpcCode::isCodeword(const BitVec &word) const
 {
     BitVec row;
     return isCodeword(word, row);
-}
-
-bool
-QcLdpcCode::isCodeword(const HardWord &word) const
-{
-    RIF_ASSERT(word.size() == params_.n());
-    return isCodeword(packedScratch(word));
-}
-
-BitVec
-toBitVec(const HardWord &w)
-{
-    BitVec v;
-    v.assignFromBytes(w.data(), w.size());
-    return v;
-}
-
-HardWord
-toHardWord(const BitVec &v)
-{
-    HardWord w(v.size());
-    v.copyToBytes(w.data());
-    return w;
 }
 
 } // namespace ldpc

@@ -7,13 +7,15 @@
  * linear-time; the first c - r block columns are random circulants chosen
  * with a girth-4 avoidance check.
  *
- * All hot kernels (encode, syndrome, syndrome weights, isCodeword) are
- * word-parallel: a circulant Q(C) applied to a t-bit segment is exactly a
- * cyclic rotation by C, so block row i's syndrome is the XOR of rotated
- * data segments plus the identity parity segments — the same identity the
- * paper's on-die rearrangement datapath exploits, here evaluated 64 bits
- * per operation over BitVec. The original per-edge implementations are
- * kept as reference* methods for equivalence testing.
+ * Codewords are packed BitVecs everywhere, the same format the on-die
+ * page buffer and the off-chip decoder consume. All hot kernels (encode,
+ * syndrome, syndrome weights, isCodeword) are word-parallel: a circulant
+ * Q(C) applied to a t-bit segment is exactly a cyclic rotation by C, so
+ * block row i's syndrome is the XOR of rotated data segments plus the
+ * identity parity segments — the same identity the paper's on-die
+ * rearrangement datapath exploits, here evaluated 64 bits per operation.
+ * The original per-edge implementations are kept as reference* methods
+ * for equivalence testing.
  */
 
 #ifndef RIF_LDPC_CODE_H
@@ -26,9 +28,6 @@
 
 namespace rif {
 namespace ldpc {
-
-/** Hard-decision word: one byte per bit for decoder speed. */
-using HardWord = std::vector<std::uint8_t>;
 
 /** Structural parameters of a QC-LDPC code. */
 struct CodeParams
@@ -78,44 +77,29 @@ class QcLdpcCode
 
     /**
      * Encode k data bits into an n-bit codeword (data first, then r
-     * parity blocks computed by back-substitution). Word-parallel.
+     * parity blocks computed by back-substitution).
      */
-    HardWord encode(const HardWord &data) const;
-
-    /** Word-parallel encode over packed bits. */
     BitVec encode(const BitVec &data) const;
 
     /** Full syndrome (m bits) of an n-bit word. */
-    HardWord syndrome(const HardWord &word) const;
-
-    /** Word-parallel full syndrome over packed bits. */
     BitVec syndrome(const BitVec &word) const;
 
-    /** Word-parallel syndrome into a caller-owned buffer (no alloc). */
+    /** Full syndrome into a caller-owned buffer (no alloc). */
     void syndromeInto(const BitVec &word, BitVec &out) const;
 
     /** Hamming weight of the full syndrome. */
-    std::size_t syndromeWeight(const HardWord &word) const;
-
-    /** Word-parallel syndrome weight over packed bits. */
     std::size_t syndromeWeight(const BitVec &word) const;
 
     /**
      * Weight of the first t syndromes only (block row 0) — the pruned
      * computation the ODEAR RP module performs.
      */
-    std::size_t prunedSyndromeWeight(const HardWord &word) const;
-
-    /** Word-parallel pruned weight over packed bits. */
     std::size_t prunedSyndromeWeight(const BitVec &word) const;
 
-    /** True iff the word satisfies every parity check. */
-    bool isCodeword(const HardWord &word) const;
-
     /**
-     * Word-parallel parity check with early exit: block rows are
-     * evaluated one at a time and the first non-zero row syndrome word
-     * aborts the scan.
+     * True iff the word satisfies every parity check. Early exit: block
+     * rows are evaluated one at a time and the first non-zero row
+     * syndrome word aborts the scan.
      */
     bool isCodeword(const BitVec &word) const;
 
@@ -129,8 +113,8 @@ class QcLdpcCode
      * Per-edge reference implementations of the kernels above. Slow;
      * retained for the word-parallel/per-edge equivalence tests.
      */
-    HardWord referenceEncode(const HardWord &data) const;
-    HardWord referenceSyndrome(const HardWord &word) const;
+    BitVec referenceEncode(const BitVec &data) const;
+    BitVec referenceSyndrome(const BitVec &word) const;
 
     /** Variable indices participating in check m, sorted by check. */
     const std::vector<std::uint32_t> &checkAdjacency() const
@@ -164,10 +148,6 @@ class QcLdpcCode
     std::vector<std::uint32_t> edgeVar_;
     std::vector<std::uint32_t> chkStart_;
 };
-
-/** Convert between BitVec and HardWord representations (word-parallel). */
-BitVec toBitVec(const HardWord &w);
-HardWord toHardWord(const BitVec &v);
 
 } // namespace ldpc
 } // namespace rif

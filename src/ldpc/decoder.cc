@@ -30,28 +30,15 @@ noteDecode(const DecodeResult &result)
         mDecodeFailures.inc();
 }
 
-/**
- * Build variable-major edge grouping from the code's check-major lists;
- * edge_chk, if given, receives each edge's owning check.
- */
+/** Build variable-major edge grouping from the code's check-major lists. */
 void
 buildVarAdjacency(const QcLdpcCode &code,
                   std::vector<std::uint32_t> &var_edge,
-                  std::vector<std::uint32_t> &var_start,
-                  std::vector<std::uint32_t> *edge_chk = nullptr)
+                  std::vector<std::uint32_t> &var_start)
 {
     const auto &ev = code.checkAdjacency();
-    const auto &cs = code.checkOffsets();
     const std::size_t n = code.params().n();
-    const std::size_t m = code.params().m();
     const std::size_t edges = ev.size();
-
-    if (edge_chk) {
-        edge_chk->resize(edges);
-        for (std::size_t chk = 0; chk < m; ++chk)
-            for (std::uint32_t e = cs[chk]; e < cs[chk + 1]; ++e)
-                (*edge_chk)[e] = static_cast<std::uint32_t>(chk);
-    }
 
     std::vector<std::uint32_t> degree(n, 0);
     for (std::size_t e = 0; e < edges; ++e)
@@ -76,14 +63,6 @@ threadWorkspace()
     return ws;
 }
 
-/** Word-parallel parity check of ws.hard via ws.packed/ws.row. */
-bool
-hardIsCodeword(const QcLdpcCode &code, DecodeWorkspace &ws)
-{
-    ws.packed.assignFromBytes(ws.hard.data(), ws.hard.size());
-    return code.isCodeword(ws.packed, ws.row);
-}
-
 } // namespace
 
 float
@@ -106,13 +85,13 @@ MinSumDecoder::MinSumDecoder(const QcLdpcCode &code, int max_iterations,
 }
 
 DecodeResult
-MinSumDecoder::decode(const HardWord &received, double channel_rber) const
+MinSumDecoder::decode(const BitVec &received, double channel_rber) const
 {
     return decode(received, channel_rber, threadWorkspace());
 }
 
 DecodeResult
-MinSumDecoder::decode(const HardWord &received, double channel_rber,
+MinSumDecoder::decode(const BitVec &received, double channel_rber,
                       DecodeWorkspace &ws) const
 {
     const auto &params = code_.params();
@@ -128,14 +107,14 @@ MinSumDecoder::decode(const HardWord &received, double channel_rber,
 
     ws.chan.resize(n);
     for (std::size_t v = 0; v < n; ++v)
-        ws.chan[v] = received[v] ? -llr0 : llr0;
+        ws.chan[v] = received.get(v) ? -llr0 : llr0;
 
     ws.v2c.resize(edges);
     ws.c2v.assign(edges, 0.0f);
     for (std::size_t e = 0; e < edges; ++e)
         ws.v2c[e] = ws.chan[ev[e]];
 
-    ws.hard = received;
+    ws.hard.reset(n);
     DecodeResult result;
 
     for (int iter = 1; iter <= maxIterations_; ++iter) {
@@ -168,7 +147,8 @@ MinSumDecoder::decode(const HardWord &received, double channel_rber,
             }
         }
 
-        // Variable-node pass and hard decision.
+        // Variable-node pass; hard decisions are packed a word at a time.
+        std::uint64_t bits = 0;
         for (std::size_t v = 0; v < n; ++v) {
             float total = ws.chan[v];
             for (std::uint32_t i = varStart_[v]; i < varStart_[v + 1]; ++i)
@@ -177,11 +157,15 @@ MinSumDecoder::decode(const HardWord &received, double channel_rber,
                 const std::uint32_t e = varEdge_[i];
                 ws.v2c[e] = total - ws.c2v[e];
             }
-            ws.hard[v] = total < 0.0f ? 1 : 0;
+            bits |= std::uint64_t{total < 0.0f} << (v & 63);
+            if ((v & 63) == 63 || v + 1 == n) {
+                ws.hard.setWord(v >> 6, bits);
+                bits = 0;
+            }
         }
 
         result.iterations = iter;
-        if (hardIsCodeword(code_, ws)) {
+        if (code_.isCodeword(ws.hard, ws.row)) {
             result.success = true;
             result.word = ws.hard;
             noteDecode(result);
@@ -195,7 +179,7 @@ MinSumDecoder::decode(const HardWord &received, double channel_rber,
 }
 
 void
-MinSumDecoder::decodeBatch(const HardWord *const *received,
+MinSumDecoder::decodeBatch(const BitVec *const *received,
                            std::size_t lanes, double channel_rber,
                            BatchDecodeWorkspace &ws,
                            DecodeResult *results) const
@@ -213,7 +197,7 @@ MinSumDecoder::decodeBatch(const HardWord *const *received,
 }
 
 void
-MinSumDecoder::decodeBatchChunk(const HardWord *const *received,
+MinSumDecoder::decodeBatchChunk(const BitVec *const *received,
                                 std::size_t lanes, double channel_rber,
                                 BatchDecodeWorkspace &ws,
                                 DecodeResult *results) const
@@ -240,9 +224,10 @@ MinSumDecoder::decodeBatchChunk(const HardWord *const *received,
     // they are excluded from all result/metric bookkeeping below.
     ws.chanSign.assign(n, 0);
     for (std::size_t l = 0; l < lanes; ++l) {
-        const std::uint8_t *r = received[l]->data();
+        const std::uint64_t *r = received[l]->words().data();
         for (std::size_t v = 0; v < n; ++v)
-            ws.chanSign[v] |= static_cast<std::uint8_t>((r[v] != 0) << l);
+            ws.chanSign[v] |=
+                static_cast<std::uint8_t>(((r[v >> 6] >> (v & 63)) & 1u) << l);
     }
     // Before the first iteration every c2v is +0 (the zeroed check
     // state), so the posterior is the channel LLR and the first check
@@ -314,181 +299,13 @@ MinSumDecoder::decodeBatchChunk(const HardWord *const *received,
                 converged[l] = 1;
                 --remaining;
                 results[l].success = true;
-                ws.hard.extractLane(l, ws.lane);
-                results[l].word.resize(n);
-                ws.lane.copyToBytes(results[l].word.data());
+                ws.hard.extractLane(l, results[l].word);
             }
         }
     }
 
     for (std::size_t l = 0; l < lanes; ++l)
         noteDecode(results[l]);
-}
-
-LayeredMinSumDecoder::LayeredMinSumDecoder(const QcLdpcCode &code,
-                                           int max_iterations, float alpha)
-    : code_(code), maxIterations_(max_iterations), alpha_(alpha)
-{
-    RIF_ASSERT(max_iterations > 0);
-}
-
-DecodeResult
-LayeredMinSumDecoder::decode(const HardWord &received,
-                             double channel_rber) const
-{
-    return decode(received, channel_rber, threadWorkspace());
-}
-
-DecodeResult
-LayeredMinSumDecoder::decode(const HardWord &received, double channel_rber,
-                             DecodeWorkspace &ws) const
-{
-    const auto &params = code_.params();
-    RIF_ASSERT(received.size() == params.n());
-
-    const std::size_t n = params.n();
-    const auto t = static_cast<std::size_t>(params.circulant);
-    const int layers = params.blockRows;
-    const auto &ev = code_.checkAdjacency();
-    const auto &cs = code_.checkOffsets();
-
-    const float llr0 = ws.llrMagnitude(channel_rber);
-
-    ws.posterior.resize(n);
-    for (std::size_t v = 0; v < n; ++v)
-        ws.posterior[v] = received[v] ? -llr0 : llr0;
-
-    ws.c2v.assign(ev.size(), 0.0f);
-    ws.hard = received;
-    DecodeResult result;
-
-    for (int iter = 1; iter <= maxIterations_; ++iter) {
-        for (int layer = 0; layer < layers; ++layer) {
-            const std::size_t m0 = static_cast<std::size_t>(layer) * t;
-            for (std::size_t m = m0; m < m0 + t; ++m) {
-                const std::uint32_t lo = cs[m];
-                const std::uint32_t hi = cs[m + 1];
-                // Peel the old check message to get fresh v2c inputs.
-                float min1 = 1e30f, min2 = 1e30f;
-                std::uint32_t min_e = lo;
-                int sign = 1;
-                for (std::uint32_t e = lo; e < hi; ++e) {
-                    const float v2c = ws.posterior[ev[e]] - ws.c2v[e];
-                    const float mag = std::fabs(v2c);
-                    if (v2c < 0.0f)
-                        sign = -sign;
-                    if (mag < min1) {
-                        min2 = min1;
-                        min1 = mag;
-                        min_e = e;
-                    } else if (mag < min2) {
-                        min2 = mag;
-                    }
-                }
-                for (std::uint32_t e = lo; e < hi; ++e) {
-                    const float v2c = ws.posterior[ev[e]] - ws.c2v[e];
-                    const float mag = (e == min_e) ? min2 : min1;
-                    float s = static_cast<float>(sign);
-                    if (v2c < 0.0f)
-                        s = -s;
-                    const float updated = alpha_ * s * mag;
-                    ws.posterior[ev[e]] += updated - ws.c2v[e];
-                    ws.c2v[e] = updated;
-                }
-            }
-        }
-
-        for (std::size_t v = 0; v < n; ++v)
-            ws.hard[v] = ws.posterior[v] < 0.0f ? 1 : 0;
-        result.iterations = iter;
-        if (hardIsCodeword(code_, ws)) {
-            result.success = true;
-            result.word = ws.hard;
-            noteDecode(result);
-            return result;
-        }
-    }
-
-    result.success = false;
-    noteDecode(result);
-    return result;
-}
-
-BitFlipDecoder::BitFlipDecoder(const QcLdpcCode &code, int max_iterations)
-    : code_(code), maxIterations_(max_iterations)
-{
-    RIF_ASSERT(max_iterations > 0);
-    buildVarAdjacency(code_, varEdge_, varStart_, &edgeChk_);
-}
-
-DecodeResult
-BitFlipDecoder::decode(const HardWord &received) const
-{
-    return decode(received, threadWorkspace());
-}
-
-DecodeResult
-BitFlipDecoder::decode(const HardWord &received, DecodeWorkspace &ws) const
-{
-    const auto &params = code_.params();
-    RIF_ASSERT(received.size() == params.n());
-    const std::size_t n = params.n();
-
-    ws.hard = received;
-    HardWord &word = ws.hard;
-    DecodeResult result;
-
-    for (int iter = 1; iter <= maxIterations_; ++iter) {
-        // Word-parallel syndrome, unpacked once for per-check lookups.
-        ws.packed.assignFromBytes(word.data(), word.size());
-        code_.syndromeInto(ws.packed, ws.row);
-        ws.synd.resize(params.m());
-        ws.row.copyToBytes(ws.synd.data());
-        const HardWord &synd = ws.synd;
-        result.iterations = iter;
-
-        if (ws.row.isZero()) {
-            result.success = true;
-            result.word = word;
-            noteDecode(result);
-            return result;
-        }
-
-        bool flipped = false;
-        std::size_t worst_var = 0;
-        int worst_unsat = 0;
-        for (std::size_t v = 0; v < n; ++v) {
-            const std::uint32_t lo = varStart_[v];
-            const std::uint32_t hi = varStart_[v + 1];
-            int unsat = 0;
-            for (std::uint32_t i = lo; i < hi; ++i)
-                unsat += synd[edgeChk_[varEdge_[i]]];
-            if (unsat > worst_unsat) {
-                worst_unsat = unsat;
-                worst_var = v;
-            }
-            // Gallager-B majority rule.
-            if (2 * unsat > static_cast<int>(hi - lo)) {
-                word[v] ^= 1;
-                flipped = true;
-            }
-        }
-        if (!flipped) {
-            // No strict majority anywhere (a trapping set): flip the
-            // single most-violated bit to keep descending.
-            if (worst_unsat == 0)
-                break;
-            word[worst_var] ^= 1;
-        }
-    }
-
-    ws.packed.assignFromBytes(word.data(), word.size());
-    if (code_.isCodeword(ws.packed, ws.row)) {
-        result.success = true;
-        result.word = word;
-    }
-    noteDecode(result);
-    return result;
 }
 
 } // namespace ldpc

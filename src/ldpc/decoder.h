@@ -1,17 +1,18 @@
 /**
  * @file
- * LDPC decoders over a binary symmetric channel: a normalized min-sum
- * decoder (the workhorse used to measure the code's correction capability,
- * Fig. 3) and a Gallager-B bit-flip decoder (a fast, weaker reference).
- * Both report iteration counts so the simulator's variable tECC model can
- * be derived from measured decoding behaviour.
+ * The normalized min-sum LDPC decoder over a binary symmetric channel:
+ * the workhorse used to measure the code's correction capability
+ * (Fig. 3). It reports iteration counts so the simulator's variable tECC
+ * model can be derived from measured decoding behaviour. Received and
+ * corrected words are packed BitVecs.
  *
- * Every decoder accepts an optional caller-owned DecodeWorkspace so the
- * hot Monte-Carlo loops perform zero heap allocation in steady state; the
- * workspace also caches the channel-LLR magnitude per distinct RBER. The
- * convenience overloads without a workspace use one thread_local scratch
- * per thread, so they are both allocation-free in steady state and safe
- * under the parallel harness.
+ * decodeBatch (the production path) decodes 8 words in lockstep; the
+ * single-word decode() is its bit-exact oracle. decode() accepts an
+ * optional caller-owned DecodeWorkspace so hot loops perform zero heap
+ * allocation in steady state; the workspace also caches the channel-LLR
+ * magnitude per distinct RBER. The overload without a workspace uses one
+ * thread_local scratch per thread, so it is both allocation-free in
+ * steady state and safe under the parallel harness.
  */
 
 #ifndef RIF_LDPC_DECODER_H
@@ -33,7 +34,7 @@ struct DecodeResult
     bool success = false;  ///< all parity checks satisfied on exit
     int iterations = 0;    ///< iterations actually executed
     /** Corrected word (valid only when success). */
-    HardWord word;
+    BitVec word;
 };
 
 /**
@@ -47,14 +48,11 @@ struct DecodeWorkspace
     /** Channel-LLR magnitude for `channel_rber`, cached per value. */
     float llrMagnitude(double channel_rber);
 
-    std::vector<float> chan;      ///< per-variable channel LLR
-    std::vector<float> v2c;       ///< variable-to-check messages
-    std::vector<float> c2v;       ///< check-to-variable messages
-    std::vector<float> posterior; ///< layered-schedule posteriors
-    HardWord hard;                ///< current hard decision
-    HardWord synd;                ///< unpacked syndrome (bit-flip)
-    BitVec packed;                ///< packed hard decision
-    BitVec row;                   ///< per-block-row syndrome accumulator
+    std::vector<float> chan; ///< per-variable channel LLR
+    std::vector<float> v2c;  ///< variable-to-check messages
+    std::vector<float> c2v;  ///< check-to-variable messages
+    BitVec hard;             ///< packed hard decision
+    BitVec row;              ///< per-block-row syndrome accumulator
 
   private:
     double cachedRber_ = -1.0;
@@ -83,11 +81,11 @@ class MinSumDecoder
      * @param channel_rber assumed raw bit error rate (sets the channel
      *        LLR magnitude); any reasonable value works for min-sum
      */
-    DecodeResult decode(const HardWord &received,
+    DecodeResult decode(const BitVec &received,
                         double channel_rber = 0.0085) const;
 
     /** Decode with caller-owned scratch (zero steady-state allocation). */
-    DecodeResult decode(const HardWord &received, double channel_rber,
+    DecodeResult decode(const BitVec &received, double channel_rber,
                         DecodeWorkspace &ws) const;
 
     /**
@@ -107,7 +105,7 @@ class MinSumDecoder
      * is accepted (short chunks are padded with an implicit all-zero
      * word that never surfaces in results or metrics).
      */
-    void decodeBatch(const HardWord *const *received, std::size_t lanes,
+    void decodeBatch(const BitVec *const *received, std::size_t lanes,
                      double channel_rber, BatchDecodeWorkspace &ws,
                      DecodeResult *results) const;
 
@@ -115,7 +113,7 @@ class MinSumDecoder
 
   private:
     /** One fixed-width chunk of decodeBatch (lanes <= kBatchLanes). */
-    void decodeBatchChunk(const HardWord *const *received,
+    void decodeBatchChunk(const BitVec *const *received,
                           std::size_t lanes, double channel_rber,
                           BatchDecodeWorkspace &ws,
                           DecodeResult *results) const;
@@ -126,60 +124,6 @@ class MinSumDecoder
     /** Edges grouped by variable: indices into the check-major arrays. */
     std::vector<std::uint32_t> varEdge_;
     std::vector<std::uint32_t> varStart_;
-};
-
-/**
- * Layered (turbo-decoding message passing) min-sum decoder: checks are
- * processed block row by block row, with variable posteriors updated
- * between layers. In QC-LDPC each variable touches one check per block
- * row, so a layer is conflict-free — the schedule real decoder ASICs
- * use — and convergence takes roughly half the iterations of flooding,
- * which is why commercial tECC figures are as low as 1 us.
- */
-class LayeredMinSumDecoder
-{
-  public:
-    explicit LayeredMinSumDecoder(const QcLdpcCode &code,
-                                  int max_iterations = 20,
-                                  float alpha = 0.8f);
-
-    /** Decode a received hard-decision word (see MinSumDecoder). */
-    DecodeResult decode(const HardWord &received,
-                        double channel_rber = 0.0085) const;
-
-    /** Decode with caller-owned scratch (zero steady-state allocation). */
-    DecodeResult decode(const HardWord &received, double channel_rber,
-                        DecodeWorkspace &ws) const;
-
-    int maxIterations() const { return maxIterations_; }
-
-  private:
-    const QcLdpcCode &code_;
-    int maxIterations_;
-    float alpha_;
-};
-
-/**
- * Gallager-B hard-decision bit-flip decoder: flips any bit whose
- * unsatisfied-check count exceeds half its degree. Cheap but with a much
- * lower threshold than min-sum; used in tests and as an ablation point.
- */
-class BitFlipDecoder
-{
-  public:
-    explicit BitFlipDecoder(const QcLdpcCode &code, int max_iterations = 50);
-
-    DecodeResult decode(const HardWord &received) const;
-
-    /** Decode with caller-owned scratch (zero steady-state allocation). */
-    DecodeResult decode(const HardWord &received, DecodeWorkspace &ws) const;
-
-  private:
-    const QcLdpcCode &code_;
-    int maxIterations_;
-    std::vector<std::uint32_t> varEdge_;
-    std::vector<std::uint32_t> varStart_;
-    std::vector<std::uint32_t> edgeChk_;
 };
 
 } // namespace ldpc

@@ -117,77 +117,5 @@ RberModel::sampleBlockFactor(Rng &rng) const
     return rng.lognormal(0.0, params_.blockSigma);
 }
 
-BlockRberTable::BlockRberTable(const RberModel &model, double block_factor,
-                               std::vector<double> pe_points,
-                               std::vector<double> ret_points)
-    : blockFactor_(block_factor),
-      readCoeff_(model.params().readCoeff),
-      pePoints_(std::move(pe_points)),
-      retPoints_(std::move(ret_points))
-{
-    RIF_ASSERT(pePoints_.size() >= 2 && retPoints_.size() >= 2);
-    for (int t = 0; t < kMaxPageTypes; ++t) {
-        values_[t].resize(pePoints_.size() * retPoints_.size());
-        for (std::size_t pi = 0; pi < pePoints_.size(); ++pi) {
-            for (std::size_t ri = 0; ri < retPoints_.size(); ++ri) {
-                values_[t][pi * retPoints_.size() + ri] =
-                    model.rber(pePoints_[pi], retPoints_[ri], 0,
-                               static_cast<PageType>(t), blockFactor_);
-            }
-        }
-    }
-}
-
-double
-BlockRberTable::gridAt(std::size_t pi, std::size_t ri, PageType type) const
-{
-    return values_[static_cast<int>(type)][pi * retPoints_.size() + ri];
-}
-
-double
-BlockRberTable::lookup(double pe, double ret_days, PageType type,
-                       std::uint64_t reads) const
-{
-    auto locate = [](const std::vector<double> &knots, double x,
-                     std::size_t &idx, double &frac) {
-        if (x <= knots.front()) {
-            idx = 0;
-            frac = 0.0;
-            return;
-        }
-        if (x >= knots.back()) {
-            idx = knots.size() - 2;
-            frac = 1.0;
-            return;
-        }
-        for (std::size_t i = 1; i < knots.size(); ++i) {
-            if (x <= knots[i]) {
-                idx = i - 1;
-                frac = (x - knots[i - 1]) / (knots[i] - knots[i - 1]);
-                return;
-            }
-        }
-        idx = knots.size() - 2;
-        frac = 1.0;
-    };
-
-    std::size_t pi, ri;
-    double pf, rf;
-    locate(pePoints_, pe, pi, pf);
-    locate(retPoints_, ret_days, ri, rf);
-
-    const double v00 = gridAt(pi, ri, type);
-    const double v01 = gridAt(pi, ri + 1, type);
-    const double v10 = gridAt(pi + 1, ri, type);
-    const double v11 = gridAt(pi + 1, ri + 1, type);
-    const double v0 = v00 + rf * (v01 - v00);
-    const double v1 = v10 + rf * (v11 - v10);
-    const double base = v0 + pf * (v1 - v0);
-
-    const double disturb = readCoeff_ * static_cast<double>(reads) *
-                           (1.0 + pe / 1000.0) * blockFactor_;
-    return base + disturb;
-}
-
 } // namespace nand
 } // namespace rif

@@ -11,7 +11,6 @@
 #define RIF_NAND_RBER_MODEL_H
 
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.h"
 #include "nand/cell.h"
@@ -103,42 +102,6 @@ class RberModel
 
   private:
     RberParams params_;
-};
-
-/**
- * Per-block characterization table: RBER precomputed on a (pe, retention)
- * grid for one block, mirroring how the paper's extended MQSim consumes
- * lookup tables built from real-device characterization. The simulator
- * interpolates bilinearly.
- */
-class BlockRberTable
-{
-  public:
-    /**
-     * @param model the generating model
-     * @param block_factor this block's process-variation factor
-     * @param pe_points grid of P/E-cycle knots (ascending)
-     * @param ret_points grid of retention-day knots (ascending)
-     */
-    BlockRberTable(const RberModel &model, double block_factor,
-                   std::vector<double> pe_points,
-                   std::vector<double> ret_points);
-
-    /** Interpolated RBER for this block. */
-    double lookup(double pe, double ret_days, PageType type,
-                  std::uint64_t reads = 0) const;
-
-    double blockFactor() const { return blockFactor_; }
-
-  private:
-    double gridAt(std::size_t pi, std::size_t ri, PageType type) const;
-
-    double blockFactor_;
-    double readCoeff_;
-    std::vector<double> pePoints_;
-    std::vector<double> retPoints_;
-    /** values_[type][pi * retPoints + ri] */
-    std::vector<double> values_[kMaxPageTypes];
 };
 
 } // namespace nand

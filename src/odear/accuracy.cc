@@ -64,8 +64,8 @@ measureRpAccuracy(const ldpc::QcLdpcCode &code, const RpModule &rp,
     struct Scratch
     {
         ldpc::BatchDecodeWorkspace ws;
-        std::vector<ldpc::HardWord> words;
-        std::vector<const ldpc::HardWord *> ptrs;
+        std::vector<BitVec> words;
+        std::vector<const BitVec *> ptrs;
         std::vector<ldpc::DecodeResult> results;
     };
     std::vector<Scratch> scratch(globalThreadCount());
@@ -92,13 +92,10 @@ measureRpAccuracy(const ldpc::QcLdpcCode &code, const RpModule &rp,
             stager.reset();
             for (std::size_t l = 0; l < lanes; ++l) {
                 Rng &rng = streams[begin + l];
-                ldpc::HardWord data =
-                    ldpc::randomData(code.params().k(), rng);
-                s.words[l] = code.encode(data);
+                s.words[l] =
+                    code.encode(ldpc::randomData(code.params().k(), rng));
                 ldpc::injectErrors(s.words[l], rber, rng);
-                const BitVec flash =
-                    rearranger.toFlashLayout(ldpc::toBitVec(s.words[l]));
-                stager.stage(flash);
+                stager.stage(rearranger.toFlashLayout(s.words[l]));
                 s.ptrs[l] = &s.words[l];
             }
             stager.flush();

@@ -1,5 +1,7 @@
 #include "odear/engine.h"
 
+#include <utility>
+
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "ldpc/channel.h"
@@ -33,7 +35,7 @@ FunctionalPipeline::FunctionalPipeline(const ldpc::QcLdpcCode &code,
 }
 
 ProgrammedPage
-FunctionalPipeline::program(const std::vector<ldpc::HardWord> &payloads,
+FunctionalPipeline::program(const std::vector<BitVec> &payloads,
                             std::uint64_t page_seed,
                             nand::PageType type) const
 {
@@ -45,12 +47,10 @@ FunctionalPipeline::program(const std::vector<ldpc::HardWord> &payloads,
     for (std::size_t i = 0; i < payloads.size(); ++i) {
         RIF_ASSERT(payloads[i].size() == code_.params().k());
         // Scramble (per-codeword keystream), encode, rearrange.
-        BitVec data = ldpc::toBitVec(payloads[i]);
+        BitVec data = payloads[i];
         nand::Randomizer(page_seed + i).apply(data);
-        const ldpc::HardWord codeword =
-            code_.encode(ldpc::toHardWord(data));
         page.flashCodewords.push_back(
-            rearranger_.toFlashLayout(ldpc::toBitVec(codeword)));
+            rearranger_.toFlashLayout(code_.encode(data)));
     }
     return page;
 }
@@ -62,9 +62,8 @@ FunctionalPipeline::senseWithErrors(const ProgrammedPage &page,
     std::vector<BitVec> sensed;
     sensed.reserve(page.flashCodewords.size());
     for (const BitVec &stored : page.flashCodewords) {
-        ldpc::HardWord bits = ldpc::toHardWord(stored);
-        ldpc::injectErrors(bits, rber, rng);
-        sensed.push_back(ldpc::toBitVec(bits));
+        sensed.push_back(stored);
+        ldpc::injectErrors(sensed.back(), rber, rng);
     }
     return sensed;
 }
@@ -107,17 +106,14 @@ FunctionalPipeline::read(const ProgrammedPage &page, double pe,
         const BitVec restored = rearranger_.toControllerLayout(sensed[i]);
         const double assumed =
             out.retriedOnDie ? out.reReadRber : out.firstSenseRber;
-        const ldpc::DecodeResult res =
-            decoder_.decode(ldpc::toHardWord(restored), assumed);
+        const ldpc::DecodeResult res = decoder_.decode(restored, assumed);
         if (!res.success) {
             out.decodeSucceeded = false;
             break;
         }
-        BitVec data(code_.params().k());
-        for (std::size_t b = 0; b < data.size(); ++b)
-            data.set(b, res.word[b]);
+        BitVec data = res.word.slice(0, code_.params().k());
         nand::Randomizer(page.scrambleSeed + i).apply(data);
-        out.payloads.push_back(ldpc::toHardWord(data));
+        out.payloads.push_back(std::move(data));
     }
     if (!out.decodeSucceeded) {
         mPipelineDecodeFailures.inc();

@@ -43,7 +43,7 @@ struct FunctionalReadResult
     double firstSenseRber = 0.0;         ///< error rate injected
     double reReadRber = 0.0;             ///< after RVS selection (if any)
     /** Recovered payloads (valid when decodeSucceeded). */
-    std::vector<ldpc::HardWord> payloads;
+    std::vector<BitVec> payloads;
 };
 
 /**
@@ -71,7 +71,7 @@ class FunctionalPipeline
      * @param page_seed per-page scramble seed
      * @param type page type (determines the read thresholds)
      */
-    ProgrammedPage program(const std::vector<ldpc::HardWord> &payloads,
+    ProgrammedPage program(const std::vector<BitVec> &payloads,
                            std::uint64_t page_seed,
                            nand::PageType type) const;
 

@@ -96,7 +96,7 @@ RpModule::calibrateThreshold(const ldpc::QcLdpcCode &code,
     {
         ldpc::CodewordBatch batch;
         ldpc::CodewordBatch synd;
-        ldpc::HardWord data;
+        BitVec data;
         std::vector<std::size_t> w;
     };
     std::vector<Scratch> scratch(
@@ -104,7 +104,7 @@ RpModule::calibrateThreshold(const ldpc::QcLdpcCode &code,
     for (Scratch &s : scratch) {
         // In-place data fill draws the same bits as randomData but
         // without a fresh allocation per trial.
-        s.data = ldpc::HardWord(code.params().k());
+        s.data = BitVec(code.params().k());
         s.w.resize(kBatch);
     }
     parallelForWorker(chunks, [&](std::size_t c, int worker) {
@@ -115,13 +115,12 @@ RpModule::calibrateThreshold(const ldpc::QcLdpcCode &code,
         for (std::size_t l = 0; l < lanes; ++l) {
             Rng &rng = streams[begin + l];
             ldpc::randomDataInto(s.data, rng);
-            ldpc::HardWord word = code.encode(s.data);
+            BitVec word = code.encode(s.data);
             ldpc::injectErrors(word, capability_rber, rng);
             if (config.usePruning)
-                s.batch.setLane(
-                    l, rearranger.toFlashLayout(ldpc::toBitVec(word)));
+                s.batch.setLane(l, rearranger.toFlashLayout(word));
             else
-                s.batch.setLaneFromBytes(l, word.data(), word.size());
+                s.batch.setLane(l, word);
         }
         if (config.usePruning)
             rearranger.onDieSyndromeWeightBatch(s.batch, s.synd,

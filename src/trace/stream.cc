@@ -4,6 +4,7 @@
 #include <array>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <string_view>
 
 #include "common/logging.h"
@@ -69,10 +70,28 @@ parseDoubleField(std::string_view field, const std::string &path,
     const auto res =
         std::from_chars(field.data(), field.data() + field.size(), out);
     if (res.ec != std::errc{} || res.ptr != field.data() + field.size() ||
-        out < 0.0)
+        !std::isfinite(out) || out < 0.0)
         fatal(lineRef(path, line_no), ": malformed ", what, " '",
               std::string(field), "'");
     return out;
+}
+
+/** Fatal `path:line:` report of a timestamp past the 64-bit tick clock. */
+[[noreturn]] void
+timestampOverflow(const std::string &path, std::uint64_t line_no)
+{
+    fatal(lineRef(path, line_no),
+          ": timestamp overflows the 64-bit nanosecond clock");
+}
+
+/** An integer timestamp of `ns_per_unit` ns units, in ticks. */
+Tick
+scaledTimestamp(std::uint64_t count, std::uint64_t ns_per_unit,
+                const std::string &path, std::uint64_t line_no)
+{
+    if (count > ~std::uint64_t(0) / ns_per_unit)
+        timestampOverflow(path, line_no);
+    return count * ns_per_unit;
 }
 
 bool
@@ -145,9 +164,14 @@ parseTraceLine(std::string_view line, TraceFormat format,
             fatal(lineRef(path, line_no), ": request spans ", pages,
                   " pages (exceeds the 32-bit request limit)");
         out.pages = static_cast<std::uint32_t>(pages);
-        if (n == 4)
-            absTime = usToTicks(
-                parseDoubleField(f[3], path, line_no, "arrival_us"));
+        if (n == 4) {
+            const double us =
+                parseDoubleField(f[3], path, line_no, "arrival_us");
+            // usToTicks is defined only below 2^64 ns (exact in double).
+            if (us * static_cast<double>(kNsPerUs) + 0.5 >= 0x1p64)
+                timestampOverflow(path, line_no);
+            absTime = usToTicks(us);
+        }
         break;
     }
     case TraceFormat::Msr: {
@@ -157,8 +181,9 @@ parseTraceLine(std::string_view line, TraceFormat format,
                   ")");
         // Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime;
         // filetime ticks are 100 ns.
-        absTime =
-            parseU64Field(f[0], path, line_no, "timestamp") * 100;
+        absTime = scaledTimestamp(
+            parseU64Field(f[0], path, line_no, "timestamp"), 100, path,
+            line_no);
         out.isRead = parseOpField(f[3], path, line_no);
         const std::uint64_t offset =
             parseU64Field(f[4], path, line_no, "byte offset");
@@ -179,8 +204,9 @@ parseTraceLine(std::string_view line, TraceFormat format,
         const std::uint64_t length =
             parseU64Field(f[3], path, line_no, "byte length");
         bytesToPages(offset, length, path, line_no, out);
-        absTime =
-            parseU64Field(f[4], path, line_no, "timestamp") * 1000;
+        absTime = scaledTimestamp(
+            parseU64Field(f[4], path, line_no, "timestamp"), 1000, path,
+            line_no);
         break;
     }
     }

@@ -4,7 +4,6 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "trace/stream.h"
 
 namespace rif {
 namespace trace {
@@ -170,37 +169,6 @@ SyntheticWorkload::preconditionDigest(Hasher &h) const
     h.add(spec_.footprintPages);
     h.add(hotPages_);
     return true;
-}
-
-FileTrace::FileTrace(const std::string &path)
-    : impl_(std::make_unique<StreamTrace>(path, TraceFormat::Csv))
-{
-}
-
-FileTrace::~FileTrace() = default;
-
-bool
-FileTrace::next(IoRecord &out)
-{
-    return impl_->next(out);
-}
-
-std::uint64_t
-FileTrace::footprintPages() const
-{
-    return impl_->footprintPages();
-}
-
-std::uint64_t
-FileTrace::coldRegionStart() const
-{
-    return impl_->coldRegionStart();
-}
-
-bool
-FileTrace::preconditionDigest(Hasher &h) const
-{
-    return impl_->preconditionDigest(h);
 }
 
 VectorTrace::VectorTrace(std::vector<IoRecord> records,

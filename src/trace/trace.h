@@ -1,16 +1,16 @@
 /**
  * @file
  * I/O trace abstractions: the record format consumed by the SSD
- * simulator's closed-loop replayer, a CSV trace parser, and synthetic
- * workload generators reproducing the key characteristics (Table II) of
- * the AliCloud and Systor traces the paper evaluates with.
+ * simulator's closed-loop replayer, and synthetic workload generators
+ * reproducing the key characteristics (Table II) of the AliCloud and
+ * Systor traces the paper evaluates with. Trace files are read by
+ * StreamTrace (trace/stream.h).
  */
 
 #ifndef RIF_TRACE_TRACE_H
 #define RIF_TRACE_TRACE_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -153,38 +153,6 @@ class SyntheticWorkload : public TraceSource
     /** Sequential-stream cursor within the cold region. */
     std::uint64_t seqCursor_ = 0;
     bool seqActive_ = false;
-};
-
-class StreamTrace;
-
-/**
- * CSV trace file source. Each line: R|W,<lpn>,<pages>[,<arrival_us>].
- * Lines starting with '#' are comments. Footprint is the max touched
- * page + 1. Implemented over the streaming reader (trace/stream.h):
- * one pre-scan pass computes footprint, cold boundary and a content
- * digest — so CSV traces hit the FTL snapshot cache — and replay holds
- * a single line in memory, never the whole file.
- */
-class FileTrace : public TraceSource
-{
-  public:
-    explicit FileTrace(const std::string &path);
-    ~FileTrace() override;
-
-    bool next(IoRecord &out) override;
-    std::uint64_t footprintPages() const override;
-
-    /**
-     * Pages above every write in the file are never updated by the
-     * trace, hence cold (long retention age under the FTL).
-     */
-    std::uint64_t coldRegionStart() const override;
-
-    /** Cacheable: the pre-scan digests the parsed records. */
-    bool preconditionDigest(Hasher &h) const override;
-
-  private:
-    std::unique_ptr<StreamTrace> impl_;
 };
 
 /** In-memory trace source (tests and timeline studies). */

@@ -227,20 +227,17 @@ TEST(CodewordBatch, LaneRoundTrip)
     const std::size_t nbits = 777; // non-word-aligned tail
     const std::size_t lanes = 5;
     CodewordBatch batch(nbits, lanes);
-    std::vector<HardWord> words(lanes);
+    std::vector<BitVec> words(lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
         words[l] = randomData(nbits, rng);
-        if (l % 2 == 0)
-            batch.setLane(l, toBitVec(words[l]));
-        else
-            batch.setLaneFromBytes(l, words[l].data(), words[l].size());
+        batch.setLane(l, words[l]);
     }
     BitVec out;
     for (std::size_t l = 0; l < lanes; ++l) {
         batch.extractLane(l, out);
-        EXPECT_EQ(out, toBitVec(words[l])) << "lane " << l;
+        EXPECT_EQ(out, words[l]) << "lane " << l;
         for (std::size_t b = 0; b < nbits; b += 97)
-            EXPECT_EQ(batch.get(l, b), words[l][b] != 0);
+            EXPECT_EQ(batch.get(l, b), words[l].get(b));
     }
 }
 
@@ -252,8 +249,8 @@ TEST(CodewordBatch, XorRangeMatchesBitVecPerLane)
     CodewordBatch dst(nbits, lanes), src(nbits, lanes);
     std::vector<BitVec> dref(lanes), sref(lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
-        dref[l] = toBitVec(randomData(nbits, rng));
-        sref[l] = toBitVec(randomData(nbits, rng));
+        dref[l] = randomData(nbits, rng);
+        sref[l] = randomData(nbits, rng);
         dst.setLane(l, dref[l]);
         src.setLane(l, sref[l]);
     }
@@ -285,11 +282,11 @@ TEST_P(BatchSyndromeEquivalence, WeightsMatchSingleKernels)
     Rng rng(100 + GetParam());
     const std::size_t lanes = 6;
     CodewordBatch batch(code.params().n(), lanes);
-    std::vector<HardWord> words(lanes);
+    std::vector<BitVec> words(lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
         words[l] = code.encode(randomData(code.params().k(), rng));
         injectErrors(words[l], 0.003 * static_cast<double>(l), rng);
-        batch.setLaneFromBytes(l, words[l].data(), words[l].size());
+        batch.setLane(l, words[l]);
     }
 
     CodewordBatch scratch;
@@ -308,7 +305,7 @@ TEST_P(BatchSyndromeEquivalence, WeightsMatchSingleKernels)
     BitVec lane;
     for (std::size_t l = 0; l < lanes; ++l) {
         synd.extractLane(l, lane);
-        EXPECT_EQ(toHardWord(lane), code.syndrome(words[l])) << "lane " << l;
+        EXPECT_EQ(lane, code.syndrome(words[l])) << "lane " << l;
     }
 }
 
@@ -324,11 +321,11 @@ INSTANTIATE_TEST_SUITE_P(CirculantSizes, BatchSyndromeEquivalence,
  */
 std::vector<DecodeResult>
 expectBatchMatchesPerLane(const MinSumDecoder &dec,
-                          const std::vector<HardWord> &words, double rber,
+                          const std::vector<BitVec> &words, double rber,
                           BatchDecodeWorkspace &bws)
 {
     const std::size_t lanes = words.size();
-    std::vector<const HardWord *> ptrs(lanes);
+    std::vector<const BitVec *> ptrs(lanes);
     for (std::size_t l = 0; l < lanes; ++l)
         ptrs[l] = &words[l];
 
@@ -357,11 +354,11 @@ expectBatchMatchesPerLane(const MinSumDecoder &dec,
 
 /** `lanes` codewords of `code`, each with errors at rber(l). */
 template <class RberFn>
-std::vector<HardWord>
+std::vector<BitVec>
 noisyCodewords(const QcLdpcCode &code, std::size_t lanes, Rng &rng,
                RberFn rber)
 {
-    std::vector<HardWord> words(lanes);
+    std::vector<BitVec> words(lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
         words[l] = code.encode(randomData(code.params().k(), rng));
         injectErrors(words[l], rber(l), rng);
@@ -457,16 +454,16 @@ TEST(BatchDecode, TiedMinimaMatchPerLaneDecode)
     const std::uint32_t a = ev[0];
     const std::uint32_t b = ev[1];
     Rng rng(600);
-    std::vector<HardWord> words(MinSumDecoder::kBatchLanes);
+    std::vector<BitVec> words(MinSumDecoder::kBatchLanes);
     for (std::size_t l = 0; l < words.size(); ++l) {
         words[l] = code.encode(randomData(code.params().k(), rng));
         if (l == 0)
             continue; // clean: every |v2c| of every check ties
         if (l >= 4)
             injectErrors(words[l], 0.002 * static_cast<double>(l), rng);
-        words[l][a] ^= 1;
+        words[l].flip(a);
         if (l % 2 == 1)
-            words[l][b] ^= 1;
+            words[l].flip(b);
     }
     BatchDecodeWorkspace bws;
     const auto got = expectBatchMatchesPerLane(dec, words, 0.004, bws);
@@ -485,12 +482,12 @@ TEST(BatchDecode, DegreeVaryingChecksMatchPerLaneDecode)
     const QcLdpcCode code(p);
     const MinSumDecoder dec(code, 15);
     Rng rng(700);
-    std::vector<HardWord> words(MinSumDecoder::kBatchLanes);
+    std::vector<BitVec> words(MinSumDecoder::kBatchLanes);
     const std::size_t k = p.k();
     for (std::size_t l = 0; l < words.size(); ++l) {
         words[l] = code.encode(randomData(k, rng));
         for (std::size_t e = 0; e < 4 * (l + 1); ++e)
-            words[l][k + rng.below(p.n() - k)] ^= 1;
+            words[l].flip(k + rng.below(p.n() - k));
     }
     BatchDecodeWorkspace bws;
     const auto got = expectBatchMatchesPerLane(dec, words, 0.01, bws);

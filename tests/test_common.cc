@@ -456,24 +456,15 @@ TEST(BitVec, SliceInsertNonAlignedLengths)
     EXPECT_EQ(w.popcount(), s.popcount());
 }
 
-TEST(BitVec, ByteRoundTripOddLengths)
+TEST(BitVec, SetWordDropsTailBits)
 {
-    Rng rng(89);
-    for (std::size_t n : {std::size_t(1), std::size_t(7), std::size_t(8),
-                          std::size_t(9), std::size_t(63), std::size_t(64),
-                          std::size_t(65), std::size_t(200)}) {
-        std::vector<std::uint8_t> bytes(n);
-        for (auto &b : bytes)
-            b = rng.chance(0.5) ? 1 : 0;
-        BitVec v;
-        v.assignFromBytes(bytes.data(), n);
-        ASSERT_EQ(v.size(), n);
-        for (std::size_t i = 0; i < n; ++i)
-            ASSERT_EQ(v.get(i), bytes[i] != 0) << "n=" << n << " i=" << i;
-        std::vector<std::uint8_t> back(n, 0xcc);
-        v.copyToBytes(back.data());
-        ASSERT_EQ(back, bytes) << "n=" << n;
-    }
+    BitVec v(70);
+    v.setWord(0, ~std::uint64_t(0));
+    v.setWord(1, ~std::uint64_t(0));
+    // Only bits 64..69 of the last word are inside the vector.
+    EXPECT_EQ(v.popcount(), 70u);
+    EXPECT_EQ(v.words()[1], 0x3fu);
+    EXPECT_TRUE(v.get(69));
 }
 
 TEST(BitVec, ResetResizesAndZeroes)

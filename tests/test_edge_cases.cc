@@ -67,7 +67,7 @@ TEST(EdgeLdpc, MinimumViableCirculant)
     p.circulant = 48;
     const ldpc::QcLdpcCode code(p);
     Rng rng(2);
-    const ldpc::HardWord w =
+    const BitVec w =
         code.encode(ldpc::randomData(code.params().k(), rng));
     EXPECT_TRUE(code.isCodeword(w));
 }
@@ -78,7 +78,9 @@ TEST(EdgeLdpc, DecoderHandlesAllOnesWord)
     p.circulant = 64;
     const ldpc::QcLdpcCode code(p);
     const ldpc::MinSumDecoder dec(code, 5);
-    const ldpc::HardWord ones(code.params().n(), 1);
+    BitVec ones(code.params().n());
+    for (std::size_t i = 0; i < ones.size(); ++i)
+        ones.set(i, true);
     const auto res = dec.decode(ones, 0.01);
     // Must terminate cleanly whatever the verdict.
     EXPECT_LE(res.iterations, 5);
@@ -121,7 +123,7 @@ TEST(EdgeOdear, PipelineWithNonZeroChunkIndex)
     cfg.chunkIndex = 2;
     const odear::FunctionalPipeline pipeline(code, vth, cfg);
     Rng rng(3);
-    std::vector<ldpc::HardWord> payloads;
+    std::vector<BitVec> payloads;
     for (int i = 0; i < 3; ++i)
         payloads.push_back(ldpc::randomData(code.params().k(), rng));
     const auto page =
@@ -138,7 +140,8 @@ TEST(EdgeTrace, MalformedTraceLineIsFatal)
         std::ofstream out(path);
         out << "R,5\n"; // missing page count
     }
-    EXPECT_DEATH(trace::FileTrace ft(path), "malformed");
+    EXPECT_DEATH(trace::StreamTrace st(path, trace::TraceFormat::Csv),
+                 "malformed");
     std::remove(path);
 }
 
@@ -149,7 +152,8 @@ TEST(EdgeTrace, ZeroLengthRequestIsFatal)
         std::ofstream out(path);
         out << "R,5,0\n";
     }
-    EXPECT_DEATH(trace::FileTrace ft(path), "zero-length");
+    EXPECT_DEATH(trace::StreamTrace st(path, trace::TraceFormat::Csv),
+                 "zero-length");
     std::remove(path);
 }
 

@@ -41,10 +41,10 @@ struct PipelineFixture : public ::testing::Test
         return cfg;
     }
 
-    std::vector<ldpc::HardWord>
+    std::vector<BitVec>
     randomPayloads(int n, Rng &rng) const
     {
-        std::vector<ldpc::HardWord> out;
+        std::vector<BitVec> out;
         for (int i = 0; i < n; ++i)
             out.push_back(ldpc::randomData(code.params().k(), rng));
         return out;

@@ -218,31 +218,6 @@ TEST(RberModel, PageTypeOrdering)
     EXPECT_GT(csb, lsb);
 }
 
-TEST(BlockRberTable, MatchesModelOnAndOffGrid)
-{
-    const RberModel m;
-    const BlockRberTable table(m, 1.1, {0.0, 500.0, 1000.0, 2000.0},
-                               {0.0, 5.0, 10.0, 20.0, 30.0});
-    // On-grid: exact.
-    EXPECT_NEAR(table.lookup(500.0, 10.0, PageType::Msb),
-                m.rber(500.0, 10.0, 0, PageType::Msb, 1.1), 1e-12);
-    // Off-grid: within the bilinear-interpolation error of a smooth
-    // function.
-    EXPECT_NEAR(table.lookup(750.0, 7.5, PageType::Msb),
-                m.rber(750.0, 7.5, 0, PageType::Msb, 1.1), 4e-4);
-    // Clamped outside the grid.
-    EXPECT_NEAR(table.lookup(5000.0, 100.0, PageType::Msb),
-                table.lookup(2000.0, 30.0, PageType::Msb), 1e-12);
-}
-
-TEST(BlockRberTable, ReadDisturbAddsOnTop)
-{
-    const RberModel m;
-    const BlockRberTable table(m, 1.0, {0.0, 1000.0}, {0.0, 30.0});
-    EXPECT_GT(table.lookup(500.0, 10.0, PageType::Lsb, 500000),
-              table.lookup(500.0, 10.0, PageType::Lsb, 0));
-}
-
 TEST(CrossModel, VthAndParametricAgreeOnRetryOnset)
 {
     // The two RBER substrates are independent constructions; both must

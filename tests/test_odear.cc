@@ -41,14 +41,13 @@ TEST_P(RearrangeSizes, LayoutRoundTrips)
 {
     const ldpc::QcLdpcCode code(smallParams(GetParam()));
     Rng rng(1);
-    const ldpc::HardWord word =
+    const BitVec word =
         code.encode(ldpc::randomData(code.params().k(), rng));
     const CodewordRearranger rr(code);
-    const BitVec cw = ldpc::toBitVec(word);
-    const BitVec flash = rr.toFlashLayout(cw);
-    EXPECT_EQ(rr.toControllerLayout(flash), cw);
+    const BitVec flash = rr.toFlashLayout(word);
+    EXPECT_EQ(rr.toControllerLayout(flash), word);
     // Rearrangement permutes within segments: popcount preserved.
-    EXPECT_EQ(flash.popcount(), cw.popcount());
+    EXPECT_EQ(flash.popcount(), word.popcount());
 }
 
 TEST_P(RearrangeSizes, OnDieWeightEqualsPrunedSyndromeWeight)
@@ -59,10 +58,10 @@ TEST_P(RearrangeSizes, OnDieWeightEqualsPrunedSyndromeWeight)
     const CodewordRearranger rr(code);
     Rng rng(2);
     for (double rber : {0.0, 0.002, 0.01, 0.05}) {
-        ldpc::HardWord word =
+        BitVec word =
             code.encode(ldpc::randomData(code.params().k(), rng));
         ldpc::injectErrors(word, rber, rng);
-        const BitVec flash = rr.toFlashLayout(ldpc::toBitVec(word));
+        const BitVec flash = rr.toFlashLayout(word);
         EXPECT_EQ(rr.onDieSyndromeWeight(flash),
                   code.prunedSyndromeWeight(word))
             << "rber=" << rber;
@@ -77,9 +76,9 @@ TEST(Rearrange, CleanCodewordHasZeroOnDieWeight)
     const ldpc::QcLdpcCode code(smallParams());
     const CodewordRearranger rr(code);
     Rng rng(3);
-    const ldpc::HardWord word =
+    const BitVec word =
         code.encode(ldpc::randomData(code.params().k(), rng));
-    EXPECT_EQ(rr.onDieSyndromeWeight(rr.toFlashLayout(ldpc::toBitVec(word))),
+    EXPECT_EQ(rr.onDieSyndromeWeight(rr.toFlashLayout(word)),
               0u);
 }
 
@@ -92,13 +91,13 @@ TEST(RpModule, PredictsCleanAndHeavilyCorruptedCorrectly)
     const CodewordRearranger rr(code);
     Rng rng(4);
 
-    const ldpc::HardWord clean =
+    const BitVec clean =
         code.encode(ldpc::randomData(code.params().k(), rng));
-    EXPECT_FALSE(rp.predictRetry(rr.toFlashLayout(ldpc::toBitVec(clean))));
+    EXPECT_FALSE(rp.predictRetry(rr.toFlashLayout(clean)));
 
-    ldpc::HardWord bad = clean;
+    BitVec bad = clean;
     ldpc::injectErrors(bad, 0.05, rng);
-    EXPECT_TRUE(rp.predictRetry(rr.toFlashLayout(ldpc::toBitVec(bad))));
+    EXPECT_TRUE(rp.predictRetry(rr.toFlashLayout(bad)));
 }
 
 TEST(RpModule, CalibratedThresholdScalesWithRber)
@@ -123,10 +122,10 @@ TEST(RpModule, WithoutPruningUsesFullSyndrome)
     const RpModule rp_full(code, full);
     const CodewordRearranger rr(code);
     Rng rng(6);
-    ldpc::HardWord word =
+    BitVec word =
         code.encode(ldpc::randomData(code.params().k(), rng));
     ldpc::injectErrors(word, 0.01, rng);
-    const BitVec flash = rr.toFlashLayout(ldpc::toBitVec(word));
+    const BitVec flash = rr.toFlashLayout(word);
     EXPECT_EQ(rp_full.computedWeight(flash), code.syndromeWeight(word));
     EXPECT_EQ(rp_pruned.computedWeight(flash),
               code.prunedSyndromeWeight(word));
@@ -149,10 +148,10 @@ checkStagerEquivalence(bool use_pruning, std::size_t count)
     std::vector<BitVec> flashes;
     flashes.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-        ldpc::HardWord word =
+        BitVec word =
             code.encode(ldpc::randomData(code.params().k(), rng));
         ldpc::injectErrors(word, 0.002 + 0.004 * (i % 3), rng);
-        flashes.push_back(rr.toFlashLayout(ldpc::toBitVec(word)));
+        flashes.push_back(rr.toFlashLayout(word));
         EXPECT_EQ(stager.stage(flashes.back()), i);
     }
     stager.flush();
@@ -196,10 +195,10 @@ TEST(RpSyndromeStager, ResetRecyclesWithoutStaleResults)
         EXPECT_EQ(stager.staged(), 0u);
         std::vector<BitVec> flashes;
         for (std::size_t i = 0; i < 5; ++i) {
-            ldpc::HardWord word =
+            BitVec word =
                 code.encode(ldpc::randomData(code.params().k(), rng));
             ldpc::injectErrors(word, 0.01, rng);
-            flashes.push_back(rr.toFlashLayout(ldpc::toBitVec(word)));
+            flashes.push_back(rr.toFlashLayout(word));
             stager.stage(flashes.back());
         }
         stager.flush();
@@ -351,10 +350,10 @@ TEST(RpDatapath, MatchesRearrangerSyndromeWeight)
     const RpDatapath dp(code, 30, 128, 100.0);
     Rng rng(40);
     for (double rber : {0.0, 0.003, 0.02}) {
-        ldpc::HardWord word =
+        BitVec word =
             code.encode(ldpc::randomData(code.params().k(), rng));
         ldpc::injectErrors(word, rber, rng);
-        const BitVec flash = rr.toFlashLayout(ldpc::toBitVec(word));
+        const BitVec flash = rr.toFlashLayout(word);
         const DatapathResult res = dp.run(flash);
         EXPECT_EQ(res.syndromeWeight, rr.onDieSyndromeWeight(flash))
             << "rber=" << rber;
@@ -371,9 +370,9 @@ TEST(RpDatapath, LatencyMatchesPaperTPred)
     EXPECT_EQ(dp.fetchCycles(), 33u * 8u);
     const CodewordRearranger rr(code);
     Rng rng(41);
-    const ldpc::HardWord word =
+    const BitVec word =
         code.encode(ldpc::randomData(code.params().k(), rng));
-    const BitVec flash = rr.toFlashLayout(ldpc::toBitVec(word));
+    const BitVec flash = rr.toFlashLayout(word);
     const DatapathResult res = dp.run(flash);
     EXPECT_EQ(res.cycles, dp.fetchCycles() + 3);
     EXPECT_NEAR(ticksToUs(res.latency), 2.5, 0.3);
@@ -386,10 +385,10 @@ TEST(RpDatapath, FasterClockLowersLatencyNotWeight)
     const RpDatapath slow(code, 30, 128, 100.0);
     const RpDatapath fast(code, 30, 128, 400.0);
     Rng rng(42);
-    ldpc::HardWord word =
+    BitVec word =
         code.encode(ldpc::randomData(code.params().k(), rng));
     ldpc::injectErrors(word, 0.01, rng);
-    const BitVec flash = rr.toFlashLayout(ldpc::toBitVec(word));
+    const BitVec flash = rr.toFlashLayout(word);
     const auto a = slow.run(flash);
     const auto b = fast.run(flash);
     EXPECT_EQ(a.syndromeWeight, b.syndromeWeight);

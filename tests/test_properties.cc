@@ -26,13 +26,12 @@ TEST(LdpcProperties, CodeIsLinear)
     p.circulant = 64;
     const ldpc::QcLdpcCode code(p);
     Rng rng(1);
-    const ldpc::HardWord a =
+    const BitVec a =
         code.encode(ldpc::randomData(code.params().k(), rng));
-    const ldpc::HardWord b =
+    const BitVec b =
         code.encode(ldpc::randomData(code.params().k(), rng));
-    ldpc::HardWord sum(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        sum[i] = a[i] ^ b[i];
+    BitVec sum = a;
+    sum.xorWith(b);
     EXPECT_TRUE(code.isCodeword(sum));
 }
 
@@ -42,7 +41,7 @@ TEST(LdpcProperties, EncodingIsDeterministic)
     p.circulant = 64;
     const ldpc::QcLdpcCode code_a(p), code_b(p);
     Rng rng(2);
-    const ldpc::HardWord data = ldpc::randomData(code_a.params().k(), rng);
+    const BitVec data = ldpc::randomData(code_a.params().k(), rng);
     EXPECT_EQ(code_a.encode(data), code_b.encode(data));
     // Different seeds give different codes.
     ldpc::CodeParams q = p;
@@ -58,13 +57,12 @@ TEST(LdpcProperties, SyndromeIsLinearInErrors)
     p.circulant = 64;
     const ldpc::QcLdpcCode code(p);
     Rng rng(3);
-    const ldpc::HardWord clean =
+    const BitVec clean =
         code.encode(ldpc::randomData(code.params().k(), rng));
-    ldpc::HardWord error(clean.size(), 0);
+    BitVec error(clean.size());
     ldpc::injectExactErrors(error, 25, rng);
-    ldpc::HardWord noisy = clean;
-    for (std::size_t i = 0; i < clean.size(); ++i)
-        noisy[i] ^= error[i];
+    BitVec noisy = clean;
+    noisy.xorWith(error);
     EXPECT_EQ(code.syndrome(noisy), code.syndrome(error));
 }
 
