@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulation substrate: event
- * queue throughput (calendar queue vs the PR-1 binary-heap reference),
- * read-script planning (pooled in-place vs allocating), and end-to-end
- * simulated requests per second of the full SSD model.
+ * queue throughput (heap kernel vs the PR-1 binary-heap reference), die
+ * batch formation under a GC-shaped backlog, read-script planning
+ * (pooled in-place vs allocating), and end-to-end simulated requests
+ * per second of the full SSD model.
  */
 
 #include <benchmark/benchmark.h>
@@ -104,6 +105,68 @@ BM_ReferenceEventQueue(benchmark::State &state)
 BENCHMARK(BM_ReferenceEventQueue)
     ->Arg(static_cast<int>(Mix::Uniform))
     ->Arg(static_cast<int>(Mix::SsdMix));
+
+/**
+ * Die batch formation behind a GC-shaped backlog: `range(0)` relocation
+ * programs queued on plane 0 plus a few reads on each other plane, all
+ * enqueued at one tick and drained. The first batches are multi-plane;
+ * then the die forms one single-plane write batch per queued program,
+ * so the cost per op shows whether batch formation scales with the
+ * backlog or with the plane count.
+ */
+void
+BM_DieBatch(benchmark::State &state)
+{
+    const int backlog = static_cast<int>(state.range(0));
+    constexpr int kReadsPerPlane = 4;
+    SsdConfig cfg;
+    cfg.geometry.channels = 1;
+    cfg.geometry.diesPerChannel = 1;
+    const int planes = cfg.geometry.planesPerDie;
+    Simulator sim;
+    ChannelUsage usage;
+    EccEngine ecc(sim, cfg);
+    ChannelModel channel(sim, cfg, ecc, usage);
+    ecc.setChannel(&channel);
+    DieModel die(sim, cfg, channel, ecc);
+
+    const int reads = (planes - 1) * kReadsPerPlane;
+    std::vector<PageOp> ops(static_cast<std::size_t>(backlog + reads));
+    for (int i = 0; i < backlog; ++i) {
+        PageOp &op = ops[static_cast<std::size_t>(i)];
+        op.type = PageOp::Type::Write;
+        op.addr.plane = 0;
+        op.dieTicks = cfg.timing.tProg;
+    }
+    for (int i = 0; i < reads; ++i) {
+        PageOp &op = ops[static_cast<std::size_t>(backlog + i)];
+        op.type = PageOp::Type::Read;
+        op.addr.plane = 1 + i % (planes - 1);
+        op.script.phases = {ReadPhase::die(cfg.timing.tR),
+                            ReadPhase::xfer(ChannelState::CorXfer)};
+    }
+    // Enqueue order: the reads interleave with the first programs.
+    std::vector<PageOp *> order;
+    for (int i = 0; i < backlog; ++i) {
+        order.push_back(&ops[static_cast<std::size_t>(i)]);
+        if (i < reads)
+            order.push_back(&ops[static_cast<std::size_t>(backlog + i)]);
+    }
+    std::int64_t done = 0;
+    for (auto _ : state) {
+        for (PageOp *op : order) {
+            op->phase = 0;
+            op->onComplete = [&done](PageOp *) { ++done; };
+            die.enqueueQuiet(op);
+        }
+        die.kick();
+        sim.run();
+    }
+    benchmark::DoNotOptimize(done);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(ops.size()));
+}
+BENCHMARK(BM_DieBatch)->Arg(256)->Arg(2048);
 
 void
 BM_PlanRead(benchmark::State &state)

@@ -4,7 +4,7 @@
  * replacement for std::function. Closures whose captures fit the inline
  * buffer (48 bytes by default) are stored in place — scheduling an event
  * performs no heap allocation — and trivially copyable closures move by
- * plain memcpy, which keeps calendar-queue bucket operations cheap.
+ * plain memcpy, which keeps the event kernel's action slab cheap.
  * Oversized or non-nothrow-movable callables fall back to a single heap
  * allocation, preserving std::function generality.
  */

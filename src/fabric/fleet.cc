@@ -184,7 +184,7 @@ Fleet::run(trace::TraceSource &source, ssd::ArrivalPolicy &policy)
     // epoch barrier between rounds, and a round dispatches only the
     // drives whose own bound lies inside the window. Skipping an idle
     // drive is exact: runUntil past an empty window pops nothing,
-    // refills nothing, and only advances the drive clock, which no
+    // moves no bound window, and only advances the drive clock, which no
     // event or bound query can observe (see Simulator::runUntil).
     // Rounds with at most one active drive run inline on this thread
     // (parallelFor never dispatches a single index).

@@ -23,19 +23,48 @@ PageOp::pendingDieTicks() const
 
 DieModel::DieModel(Simulator &sim, const SsdConfig &config,
                    ChannelModel &channel, EccEngine &ecc)
-    : sim_(sim), config_(config), channel_(channel), ecc_(ecc)
+    : sim_(sim),
+      config_(config),
+      channel_(channel),
+      ecc_(ecc),
+      planes_(config.geometry.planesPerDie),
+      lanes_(kOpTypes * static_cast<std::size_t>(config.geometry.planesPerDie))
 {
+}
+
+void
+DieModel::Lane::pop()
+{
+    if (++head == buf.size()) {
+        buf.clear();
+        head = 0;
+    } else if (head >= 32 && 2 * head >= buf.size()) {
+        buf.erase(buf.begin(),
+                  buf.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+    }
 }
 
 void
 DieModel::enqueue(PageOp *op)
 {
-    queue_.push_back(op);
+    enqueueQuiet(op);
     // Defer batch formation by one zero-delay event so that all ops
     // arriving at the same tick (e.g. the pages of one host request)
     // coalesce into a single multi-plane batch instead of the first op
     // issuing alone.
     kick();
+}
+
+void
+DieModel::enqueueQuiet(PageOp *op)
+{
+    RIF_ASSERT(op->addr.plane >= 0 && op->addr.plane < planes_,
+               "plane out of range");
+    lane(op->type, op->addr.plane).buf.push_back(Entry{nextSeq_++, op});
+    ++queued_;
+    if (op->type == PageOp::Type::Read)
+        ++queuedReads_;
 }
 
 void
@@ -47,49 +76,51 @@ DieModel::kick()
 void
 DieModel::tryStart()
 {
-    if (busy_ || queue_.empty())
+    if (busy_ || queued_ == 0)
         return;
 
-    // Build a multi-plane batch: operations of the front op's type on
-    // distinct planes, scanned in FIFO order. With read priority the
-    // batch type is Read whenever any read is queued.
-    PageOp::Type batch_type = queue_.front()->type;
-    if (config_.readPriority && batch_type != PageOp::Type::Read) {
-        for (const PageOp *op : queue_) {
-            if (op->type == PageOp::Type::Read) {
-                batch_type = PageOp::Type::Read;
-                break;
-            }
+    // The batch type is the oldest queued op's type; with read
+    // priority it is Read whenever any read is queued.
+    PageOp::Type batch_type = PageOp::Type::Read;
+    Lane *oldest = nullptr;
+    if (!config_.readPriority || queuedReads_ == 0) {
+        for (Lane &l : lanes_) {
+            if (!l.empty() &&
+                (oldest == nullptr || l.front().seq < oldest->front().seq))
+                oldest = &l;
         }
+        batch_type = oldest->front().op->type;
     }
-    const int max_planes = config_.geometry.planesPerDie;
-    std::vector<PageOp *> &batch = batch_;
-    batch.clear();
-    std::uint32_t plane_mask = 0;
 
+    // A batch is the first op of the batch type on each plane, in FIFO
+    // order; an erase goes alone.
+    std::vector<Entry> &batch = batch_;
+    batch.clear();
     if (batch_type == PageOp::Type::Erase) {
-        batch.push_back(queue_.front());
-        queue_.pop_front();
+        batch.push_back(oldest->front());
+        oldest->pop();
     } else {
-        for (auto it = queue_.begin();
-             it != queue_.end() &&
-             static_cast<int>(batch.size()) < max_planes;) {
-            PageOp *op = *it;
-            const std::uint32_t bit = 1u << op->addr.plane;
-            if (op->type == batch_type && !(plane_mask & bit)) {
-                plane_mask |= bit;
-                batch.push_back(op);
-                it = queue_.erase(it);
-            } else {
-                ++it;
-            }
+        for (int plane = 0; plane < planes_; ++plane) {
+            Lane &l = lane(batch_type, plane);
+            if (l.empty())
+                continue;
+            batch.push_back(l.front());
+            l.pop();
         }
+        std::sort(batch.begin(), batch.end(),
+                  [](const Entry &a, const Entry &b) {
+                      return a.seq < b.seq;
+                  });
     }
     RIF_ASSERT(!batch.empty());
+    queued_ -= batch.size();
+    if (batch_type == PageOp::Type::Read)
+        queuedReads_ -= batch.size();
 
     busy_ = true;
     Tick busy_for = 0;
-    for (PageOp *op : batch) {
+    for (const Entry &e : batch) {
+        PageOp *op = e.op;
         const Tick t = op->pendingDieTicks();
         busy_for = std::max(busy_for, t);
         sim_.schedule(t, [this, op] { releaseOp(op); });

@@ -10,6 +10,7 @@
 #ifndef RIF_SSD_DEVICES_H
 #define RIF_SSD_DEVICES_H
 
+#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -73,6 +74,10 @@ struct PageOp
  * distinct planes are merged into multi-plane batches; each operation
  * releases at its own die occupancy while the die frees at the batch
  * maximum (planes operate in parallel; §III-B3).
+ *
+ * Queued ops wait in one FIFO lane per (type, plane), tagged with their
+ * enqueue order, so forming a batch costs O(planes) however long the
+ * backlog grows (GC relocation bursts queue thousands of ops on a die).
  */
 class DieModel
 {
@@ -89,15 +94,45 @@ class DieModel
      * op and kick() once per touched die — identical batching with one
      * zero-delay event instead of one per op.
      */
-    void enqueueQuiet(PageOp *op) { queue_.push_back(op); }
+    void enqueueQuiet(PageOp *op);
 
     /** Schedule the deferred batch-formation poke (see enqueue). */
     void kick();
 
-    bool idle() const { return !busy_; }
-    std::size_t queued() const { return queue_.size(); }
-
   private:
+    /** A queued op and its enqueue order. */
+    struct Entry
+    {
+        std::uint64_t seq;
+        PageOp *op;
+    };
+
+    /**
+     * The queued ops of one (type, plane) pair in FIFO order. Popped
+     * entries are reclaimed in bulk once they are half the buffer, so
+     * a lane that never drains costs O(1) amortized per op.
+     */
+    struct Lane
+    {
+        std::vector<Entry> buf;
+        std::size_t head = 0;
+
+        bool empty() const { return head == buf.size(); }
+        const Entry &front() const { return buf[head]; }
+        void pop();
+    };
+
+    /** PageOp::Type has three values: Read, Write, Erase. */
+    static constexpr std::size_t kOpTypes = 3;
+
+    Lane &
+    lane(PageOp::Type type, int plane)
+    {
+        return lanes_[static_cast<std::size_t>(type) *
+                          static_cast<std::size_t>(planes_) +
+                      static_cast<std::size_t>(plane)];
+    }
+
     void tryStart();
     void releaseOp(PageOp *op);
 
@@ -105,9 +140,14 @@ class DieModel
     const SsdConfig &config_;
     ChannelModel &channel_;
     EccEngine &ecc_;
-    std::deque<PageOp *> queue_;
+    const int planes_;
+    /** Lane of (type, plane) at index type * planes_ + plane. */
+    std::vector<Lane> lanes_;
+    std::uint64_t nextSeq_ = 0;
+    std::size_t queued_ = 0;
+    std::size_t queuedReads_ = 0;
     /** Scratch for batch formation, reused across tryStart calls. */
-    std::vector<PageOp *> batch_;
+    std::vector<Entry> batch_;
     bool busy_ = false;
 };
 
@@ -130,8 +170,6 @@ class ChannelModel
 
     /** Writes continue to a die after their inbound transfer. */
     void setDieLookup(DieLookup f);
-
-    bool idle() const { return !busy_; }
 
   private:
     void tryStart();

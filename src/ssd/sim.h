@@ -8,16 +8,17 @@
  *
  *  - Simulator: the production kernel. Actions are small-buffer
  *    optimized callables (no heap allocation for captures up to 48
- *    bytes) and the pending-event set is a two-level calendar queue
- *    (timing wheel) tuned for the model's short-horizon scheduling:
- *    a per-tick level covering ~16 us (DMA, decode and zero-delay
- *    events land here at O(1)) cascading from a coarse level covering
- *    ~16.8 ms (sense, program, erase), with a binary-heap overflow for
- *    anything farther out. Same-tick FIFO order is preserved exactly:
- *    per-tick buckets are appended in schedule order and cascades
- *    replay events in (when, seq) order before any later schedule can
- *    append. One drive runs on one kernel on one thread; parallelism
- *    lives a level up, where a fleet runs whole drives concurrently.
+ *    bytes) kept in a free-listed slab, and the pending-event set is a
+ *    4-ary min-heap of 24-byte (when, seq, slot) keys, so each event
+ *    costs O(log pending) key moves and never touches an empty tick.
+ *    Same-tick FIFO order is exact: seq is the schedule order. One
+ *    drive runs on one kernel on one thread; parallelism lives a level
+ *    up, where a fleet runs whole drives concurrently.
+ *
+ *    nextEventBound() reports the earliest pending tick through a
+ *    fixed quantization (a 2^14-tick window inside a 2^24-tick span,
+ *    see below). The fleet sizes its synchronization rounds from these
+ *    values, so they are part of the kernel's observable behaviour.
  *
  *  - ReferenceSimulator: the PR-1 std::function + binary-heap kernel,
  *    kept as the oracle for equivalence tests and the BM_Reference*
@@ -38,13 +39,11 @@
 namespace rif {
 namespace ssd {
 
-/** Event-driven simulator kernel (calendar-queue implementation). */
+/** Event-driven simulator kernel (4-ary heap implementation). */
 class Simulator
 {
   public:
     using Action = InlineFunction<void()>;
-
-    Simulator();
 
     /** Current simulated time. */
     Tick now() const { return now_; }
@@ -69,21 +68,27 @@ class Simulator
      * each drive to a conservative synchronization horizon.
      *
      * Quiescence contract: when nextEventBound() > limit the call is a
-     * pure clock advance — no event pops, no window refill, no change
-     * to any future nextEventBound() value (the loop breaks on the
-     * bound *before* reorganizing windows). The fleet's idle-lane skip
-     * relies on exactly this: not invoking runUntil on a drive whose
-     * bound lies past the horizon leaves the drive in a state
+     * pure clock advance — no event runs, the window does not move and
+     * no future nextEventBound() value changes (the loop breaks on the
+     * bound *before* repositioning). The fleet's idle-lane skip relies
+     * on exactly this: not invoking runUntil on a drive whose bound
+     * lies past the horizon leaves the drive in a state
      * indistinguishable from having invoked it, because the clock is
      * only ever observed while an event executes.
      */
     Tick runUntil(Tick limit);
 
     /**
-     * Earliest pending tick, or a lower bound no later than it (window
-     * bases count; the fabric horizon only needs a conservative bound
-     * and runUntil repositions windows as it goes). ~Tick(0) when the
-     * queue is empty.
+     * Earliest pending tick, or a lower bound no later than it;
+     * ~Tick(0) when the queue is empty. With m the earliest pending
+     * tick, the value is m when m lies inside the current 2^14-tick
+     * window (the bound is then exact), m floored to a multiple of
+     * 2^14 when m lies beyond the window but inside the current
+     * 2^24-tick span, and m beyond the span. Both start at tick 0;
+     * run() and runUntil() move them onto m whenever they are about to
+     * act on an inexact bound. The value is cached until an event
+     * executes or the window moves; a schedule below the cached value
+     * replaces it with its own tick.
      */
     Tick nextEventBound();
 
@@ -93,89 +98,54 @@ class Simulator
     /** High-water mark of pending events (queue occupancy). */
     std::uint64_t peakQueueSize() const { return peakSize_; }
 
-    bool empty() const { return size_ == 0; }
+    bool empty() const { return heap_.empty(); }
 
   private:
-    struct Event
+    /** Heap entry; the action lives in actions_[slot]. */
+    struct Key
     {
         Tick when;
         std::uint64_t seq;
-        Action action;
+        std::uint32_t slot;
     };
-    /** Min-heap order for the overflow level: earliest (when, seq). */
-    struct Later
+
+    /** (when, seq) order, branch-free: heap sifts compare
+     *  unpredictably, so setcc beats a mispredicted jump. */
+    static bool
+    before(const Key &a, const Key &b)
     {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
+        return (a.when < b.when) | ((a.when == b.when) & (a.seq < b.seq));
+    }
 
-    // Level 0: one slot per tick, 16384 ticks (~16 us of horizon).
-    static constexpr std::size_t kL0Bits = 14;
-    static constexpr std::size_t kL0Slots = std::size_t(1) << kL0Bits;
-    // Level 1: one slot per L0 span, 1024 slots (~16.8 ms of horizon).
-    static constexpr std::size_t kL1Bits = 10;
-    static constexpr std::size_t kL1Slots = std::size_t(1) << kL1Bits;
-    static constexpr Tick kL1SlotTicks = Tick(kL0Slots);
-    static constexpr Tick kL1Span = Tick(kL0Slots) * Tick(kL1Slots);
+    static constexpr std::size_t kArity = 4;
+    static constexpr Tick kWindowTicks = Tick(1) << 14;
+    static constexpr Tick kSpanTicks = Tick(1) << 24;
 
-    static constexpr std::size_t kNoSlot = ~std::size_t(0);
-
-    static std::size_t findSetBit(const std::vector<std::uint64_t> &bits,
-                                  std::size_t from, std::size_t limit);
-
-    void pushL0(Event ev);
-    void pushL1(Event ev);
-    /**
-     * Reposition the L0 window on the next pending work: cascade the
-     * next occupied L1 slot, migrating from the overflow heap first
-     * when the L1 window itself is exhausted. Requires l0Count_ == 0.
-     */
-    void refill();
-    /**
-     * Earliest pending tick. `exact` is true when the value is a real
-     * event tick inside the L0 window (drainSlot can execute it);
-     * false when it is a lower bound and refill() must reposition the
-     * window first. Cached: pushes keep the hint up to date,
-     * drainSlot/refill invalidate it, so a fleet's nextEventBound()
-     * followed by runUntil() scans the bitmaps once.
-     */
-    Tick earliest(bool &exact);
-    /** Execute the events of one L0 slot in FIFO order. */
-    void drainSlot(std::size_t slot, std::uint64_t &budget);
+    /** Cached nextEventBound() of a non-empty queue; sets `exact`. */
+    Tick bound(bool &exact);
+    /** Move the window and the span onto tick `m`. */
+    void reposition(Tick m);
+    /** Pop and execute the earliest event. */
+    void executeTop();
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
-    std::uint64_t size_ = 0;
     std::uint64_t peakSize_ = 0;
 
-    /** First tick of the L0 window (multiple of kL0Slots). */
-    Tick l0Base_ = 0;
-    /** First tick of the L1 window (multiple of kL1Span). */
-    Tick l1Base_ = 0;
-    /** Next L0 slot index to examine. */
-    std::size_t l0Cursor_ = 0;
-    /** Next L1 slot index to cascade. */
-    std::size_t l1Cursor_ = 0;
-    std::uint64_t l0Count_ = 0;
-    std::uint64_t l1Count_ = 0;
+    std::vector<Key> heap_;
+    /** Action slab indexed by Key::slot; free slots are listed. */
+    std::vector<Action> actions_;
+    std::vector<std::uint32_t> freeSlots_;
 
-    std::vector<std::vector<Event>> l0_;
-    std::vector<std::vector<Event>> l1_;
-    std::vector<std::uint64_t> l0Bits_;
-    std::vector<std::uint64_t> l1Bits_;
-    /** Events beyond the L1 window, as a (when, seq) min-heap. */
-    std::vector<Event> overflow_;
-
-    /** Cached earliest() result (see above). */
-    Tick hintTick_ = 0;
-    bool hintExact_ = false;
-    bool hintValid_ = false;
+    /** First tick of the bound window (multiple of kWindowTicks). */
+    Tick windowBase_ = 0;
+    /** First tick of the bound span (multiple of kSpanTicks). */
+    Tick spanBase_ = 0;
+    /** Cached bound() result (see nextEventBound). */
+    Tick cacheTick_ = 0;
+    bool cacheExact_ = false;
+    bool cacheValid_ = false;
 };
 
 /**

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "ssd/devices.h"
 
 namespace rif {
@@ -131,6 +135,212 @@ TEST(DieModel, WritesOccupyProgramTime)
     rig.sim.run();
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(done[0], rig.cfg.timing.tProg);
+}
+
+/**
+ * The batching rule as the die first implemented it, kept as the
+ * oracle for DieModel's per-plane lanes: one queue in arrival order; a
+ * batch takes the first op of the batch type on each distinct plane,
+ * scanning the queue front to back, and an erase goes alone. The plane
+ * set is a vector rather than a 32-bit mask, so any plane count works.
+ */
+class FifoScanDie
+{
+  public:
+    FifoScanDie(Simulator &sim, const SsdConfig &config,
+                ChannelModel &channel, EccEngine &)
+        : sim_(sim), config_(config), channel_(channel)
+    {
+    }
+
+    void enqueueQuiet(PageOp *op) { queue_.push_back(op); }
+    void kick() { sim_.schedule(0, [this] { tryStart(); }); }
+
+  private:
+    void
+    tryStart()
+    {
+        if (busy_ || queue_.empty())
+            return;
+        PageOp::Type batch_type = queue_.front()->type;
+        if (config_.readPriority) {
+            for (const PageOp *op : queue_) {
+                if (op->type == PageOp::Type::Read)
+                    batch_type = PageOp::Type::Read;
+            }
+        }
+        std::vector<PageOp *> batch;
+        if (batch_type == PageOp::Type::Erase) {
+            batch.push_back(queue_.front());
+            queue_.pop_front();
+        } else {
+            std::vector<bool> taken(
+                static_cast<std::size_t>(config_.geometry.planesPerDie));
+            for (auto it = queue_.begin(); it != queue_.end();) {
+                PageOp *op = *it;
+                const auto plane = static_cast<std::size_t>(op->addr.plane);
+                if (op->type == batch_type && !taken[plane]) {
+                    taken[plane] = true;
+                    batch.push_back(op);
+                    it = queue_.erase(it);
+                } else {
+                    ++it;
+                }
+            }
+        }
+        busy_ = true;
+        Tick busy_for = 0;
+        for (PageOp *op : batch) {
+            const Tick t = op->pendingDieTicks();
+            busy_for = std::max(busy_for, t);
+            sim_.schedule(t, [this, op] { release(op); });
+        }
+        sim_.schedule(busy_for, [this] {
+            busy_ = false;
+            tryStart();
+        });
+    }
+
+    void
+    release(PageOp *op)
+    {
+        if (op->type == PageOp::Type::Read) {
+            while (op->currentPhase().kind == ReadPhase::Kind::DieVisit)
+                op->phase++;
+            channel_.enqueue(op);
+        } else {
+            auto done = std::move(op->onComplete);
+            done(op);
+        }
+    }
+
+    Simulator &sim_;
+    const SsdConfig &config_;
+    ChannelModel &channel_;
+    std::deque<PageOp *> queue_;
+    bool busy_ = false;
+};
+
+/** One op of a randomized die script. */
+struct DieScriptOp
+{
+    Tick at;
+    PageOp::Type type;
+    int plane;
+    std::vector<Tick> dieVisits; ///< reads: sense runs; else one entry
+    bool kick;                   ///< false: enqueueQuiet without a poke
+};
+
+std::vector<DieScriptOp>
+randomDieScript(std::uint64_t seed, int planes)
+{
+    Rng rng(seed);
+    std::vector<DieScriptOp> script;
+    Tick at = 0;
+    for (int i = 0; i < 800; ++i) {
+        // Bursts of same-tick arrivals separated by gaps shorter than
+        // a program, so backlogs build up on busy planes.
+        if (rng.below(3) == 0)
+            at += usToTicks(1.0) * rng.below(120);
+        DieScriptOp op;
+        op.at = at;
+        const std::uint64_t kind = rng.below(20);
+        op.type = kind < 10   ? PageOp::Type::Read
+                  : kind < 18 ? PageOp::Type::Write
+                              : PageOp::Type::Erase;
+        // Skew toward plane 0, the shape of a GC relocation burst.
+        op.plane = rng.below(3) == 0
+                       ? 0
+                       : static_cast<int>(
+                             rng.below(static_cast<std::uint64_t>(planes)));
+        if (op.type == PageOp::Type::Read) {
+            const std::uint64_t visits = 1 + rng.below(2);
+            for (std::uint64_t v = 0; v < visits; ++v)
+                op.dieVisits.push_back(usToTicks(1.0) *
+                                       (1 + rng.below(100)));
+        } else if (op.type == PageOp::Type::Write) {
+            op.dieVisits.push_back(usToTicks(1.0) * (100 + rng.below(600)));
+        } else {
+            op.dieVisits.push_back(usToTicks(1.0) *
+                                   (1000 + rng.below(3000)));
+        }
+        op.kick = rng.below(4) != 0;
+        script.push_back(std::move(op));
+    }
+    script.back().kick = true;
+    return script;
+}
+
+/**
+ * Replay a die script on one die (with a zero-time channel behind it,
+ * so a read completes at the tick the die releases it) and log each
+ * op's (index, completion tick) in completion order.
+ */
+template <typename Die>
+std::vector<std::pair<int, Tick>>
+replayDieScript(const SsdConfig &cfg, const std::vector<DieScriptOp> &script)
+{
+    Simulator sim;
+    ChannelUsage usage;
+    EccEngine ecc(sim, cfg);
+    ChannelModel channel(sim, cfg, ecc, usage);
+    ecc.setChannel(&channel);
+    Die die(sim, cfg, channel, ecc);
+    std::vector<std::unique_ptr<PageOp>> ops;
+    std::vector<std::pair<int, Tick>> log;
+    for (std::size_t i = 0; i < script.size(); ++i) {
+        const DieScriptOp &s = script[i];
+        auto op = std::make_unique<PageOp>();
+        op->type = s.type;
+        op->addr.plane = s.plane;
+        if (s.type == PageOp::Type::Read) {
+            for (Tick t : s.dieVisits)
+                op->script.phases.push_back(ReadPhase::die(t));
+            op->script.phases.push_back(
+                ReadPhase::xfer(ChannelState::CorXfer));
+        } else {
+            op->dieTicks = s.dieVisits.front();
+        }
+        const int id = static_cast<int>(i);
+        op->onComplete = [&log, &sim, id](PageOp *) {
+            log.emplace_back(id, sim.now());
+        };
+        PageOp *raw = op.get();
+        ops.push_back(std::move(op));
+        const bool kick = s.kick;
+        sim.scheduleAt(s.at, [&die, raw, kick] {
+            die.enqueueQuiet(raw);
+            if (kick)
+                die.kick();
+        });
+    }
+    sim.run();
+    return log;
+}
+
+TEST(DieModel, BatchingMatchesFifoScanOracle)
+{
+    for (int planes : {1, 2, 4, 40}) {
+        for (bool read_priority : {false, true}) {
+            for (std::uint64_t seed : {5u, 77u, 4242u}) {
+                SsdConfig cfg;
+                cfg.geometry.channels = 1;
+                cfg.geometry.diesPerChannel = 1;
+                cfg.geometry.planesPerDie = planes;
+                cfg.readPriority = read_priority;
+                cfg.timing.tDmaPage = 0;
+                const auto script = randomDieScript(seed, planes);
+                const auto lanes = replayDieScript<DieModel>(cfg, script);
+                const auto oracle =
+                    replayDieScript<FifoScanDie>(cfg, script);
+                ASSERT_EQ(lanes.size(), script.size());
+                EXPECT_EQ(lanes, oracle)
+                    << "planes=" << planes
+                    << " readPriority=" << read_priority
+                    << " seed=" << seed;
+            }
+        }
+    }
 }
 
 TEST(Channel, TransfersSerializeAtPageGranularity)

@@ -109,7 +109,7 @@ TEST(InlineFunction, ReassignmentReplacesCallable)
 TEST(InlineFunction, TriviallyCopyableCaptureSurvivesManyMoves)
 {
     // The hot path: pointer/int captures move by raw memcpy. Chain
-    // several moves (as calendar-queue bucket reallocation does) and
+    // several moves (as event-slab reallocation does) and
     // confirm the closure still sees its captures.
     int target = 0;
     InlineFunction<void(int)> a = [&target](int v) { target = v; };

@@ -1,11 +1,15 @@
 /**
  * @file
  * Tests of the discrete-event kernel: time ordering, FIFO tie-breaking,
- * reentrancy (events scheduling events) and the watchdog run bound.
+ * reentrancy (events scheduling events), the watchdog run bound and the
+ * exact nextEventBound() values the fleet's rounds depend on.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -117,11 +121,12 @@ TEST(Simulator, SameTickFifoSpansScheduleBoundaries)
 
 TEST(Simulator, SameTickFifoAcrossCascade)
 {
-    // A tick beyond the L0 window: its events sit in L1 until the
-    // cascade replays them, which must preserve schedule order.
+    // A tick beyond the bound window (2^14 ticks) but inside the span
+    // (2^24): run() repositions the window before executing it, which
+    // must preserve schedule order.
     Simulator sim;
     std::vector<int> order;
-    const Tick far = 100000; // > kL0Slots, < kL1Span
+    const Tick far = 100000;
     for (int i = 0; i < 8; ++i)
         sim.schedule(far, [&order, i] { order.push_back(i); });
     sim.run();
@@ -131,8 +136,8 @@ TEST(Simulator, SameTickFifoAcrossCascade)
 
 TEST(Simulator, FarFutureEventsUseOverflow)
 {
-    // Beyond the L1 span (~16.8M ticks) events live in the overflow
-    // heap; they must still interleave correctly with near events.
+    // Beyond the bound span (~16.8M ticks) events must still
+    // interleave correctly with near events.
     Simulator sim;
     std::vector<std::pair<Tick, int>> log;
     auto mark = [&](int id) {
@@ -169,9 +174,9 @@ TEST(Simulator, RunBoundResumesMidSlot)
 
 TEST(Simulator, ReusableAfterDraining)
 {
-    // Regression: scheduling at the current tick after run() drained
-    // the queue lands behind the L0 scan cursor; the kernel must pull
-    // the cursor back instead of missing the slot.
+    // Scheduling at the current tick after run() drained the queue
+    // must execute on the next run() (a calendar kernel once missed
+    // such events behind its scan cursor).
     Simulator sim;
     int fired = 0;
     sim.schedule(123, [&] { ++fired; });
@@ -200,8 +205,8 @@ TEST(ReferenceSimulator, SchedulingInThePastDies)
     EXPECT_DEATH(sim.scheduleAt(5, [] {}), "past");
 }
 
-/** Delay population spanning every calendar-queue regime: same-tick,
- *  in-window L0, L1 cascade and overflow. */
+/** Delay population spanning every bound regime: same-tick, inside
+ *  the 2^14-tick window, inside the 2^24-tick span and beyond it. */
 constexpr Tick kDelays[] = {
     0,     0,      1,      3,       17,       900,
     10000, 16384,  123456, 500000,  4000000,  20000000,
@@ -209,9 +214,8 @@ constexpr Tick kDelays[] = {
 
 /**
  * Drive a kernel through a randomized script mixing every delay
- * regime the calendar queue distinguishes (same-tick, in-window L0,
- * L1 cascade, overflow) with events that schedule more events, and
- * log the execution order.
+ * regime of kDelays with events that schedule more events, and log
+ * the execution order.
  */
 template <typename Kernel>
 std::vector<std::pair<Tick, int>>
@@ -242,13 +246,259 @@ runRandomScript(std::uint64_t seed)
     return log;
 }
 
+/**
+ * nextEventBound() is part of the kernel's observable behaviour: the
+ * fleet sizes its synchronization rounds from it, so the round counts
+ * in the goldens depend on its exact values, not only on it being a
+ * lower bound. The contract: a virtual 2^14-tick window and a 2^24-tick
+ * span, both based at 0 until the kernel repositions them. The earliest
+ * pending tick m is reported as m inside the window (exact), floored to
+ * a multiple of 2^14 inside the span, and as m beyond the span.
+ */
+TEST(Simulator, NextEventBoundQuantization)
+{
+    constexpr Tick kWindow = Tick(1) << 14;
+    constexpr Tick kSpan = Tick(1) << 24;
+    {
+        Simulator sim;
+        EXPECT_EQ(sim.nextEventBound(), ~Tick(0));
+        sim.scheduleAt(kWindow - 1, [] {});
+        EXPECT_EQ(sim.nextEventBound(), kWindow - 1); // inside window
+    }
+    {
+        Simulator sim;
+        sim.scheduleAt(100000, [] {});
+        EXPECT_EQ(sim.nextEventBound(), 6 * kWindow); // floored
+    }
+    {
+        Simulator sim;
+        sim.scheduleAt(kSpan + 12345, [] {});
+        EXPECT_EQ(sim.nextEventBound(), kSpan + 12345); // beyond span
+        // A push below the cached bound replaces it with its own tick,
+        // unfloored, although it lies outside the window.
+        sim.scheduleAt(100000, [] {});
+        EXPECT_EQ(sim.nextEventBound(), 100000u);
+        // A push above the cached bound leaves it alone.
+        sim.scheduleAt(200000, [] {});
+        EXPECT_EQ(sim.nextEventBound(), 100000u);
+    }
+    {
+        Simulator sim;
+        int fired = 0;
+        sim.scheduleAt(100000, [&] { ++fired; });
+        EXPECT_EQ(sim.nextEventBound(), 6 * kWindow);
+        // A horizon below the bound is a pure clock advance.
+        EXPECT_EQ(sim.runUntil(90000), 90000u);
+        EXPECT_EQ(sim.nextEventBound(), 6 * kWindow);
+        // A horizon at or past the inexact bound repositions the window
+        // onto the event even if the event itself lies beyond it; the
+        // bound becomes exact.
+        EXPECT_EQ(sim.runUntil(99000), 99000u);
+        EXPECT_EQ(fired, 0);
+        EXPECT_EQ(sim.nextEventBound(), 100000u);
+        sim.runUntil(100000);
+        EXPECT_EQ(fired, 1);
+        // The window now starts at 6 * 2^14: the next window up floors.
+        sim.scheduleAt(7 * kWindow + 5, [] {});
+        EXPECT_EQ(sim.nextEventBound(), 7 * kWindow);
+        sim.scheduleAt(7 * kWindow - 1, [] {});
+        EXPECT_EQ(sim.nextEventBound(), 7 * kWindow - 1);
+    }
+    {
+        // run() repositions the window and the span as it goes; both
+        // stay where the last event left them.
+        Simulator sim;
+        sim.scheduleAt(3 * kSpan + 7, [] {});
+        sim.run();
+        sim.scheduleAt(3 * kSpan + 100, [] {});
+        EXPECT_EQ(sim.nextEventBound(), 3 * kSpan + 100);
+        sim.run();
+        sim.scheduleAt(3 * kSpan + 5 * kWindow + 1, [] {});
+        EXPECT_EQ(sim.nextEventBound(), 3 * kSpan + 5 * kWindow);
+        sim.run();
+        sim.scheduleAt(4 * kSpan + 1, [] {});
+        EXPECT_EQ(sim.nextEventBound(), 4 * kSpan + 1);
+    }
+}
+
+/**
+ * A test-local model of the bound contract (see
+ * NextEventBoundQuantization) on top of a plain ordered set: the
+ * production kernel must reproduce its bounds, clocks and execution
+ * order under a random mix of pushes, bound queries, runUntil horizons
+ * and watchdog-limited runs.
+ */
+class BoundModel
+{
+  public:
+    static constexpr Tick kWindow = Tick(1) << 14;
+    static constexpr Tick kSpan = Tick(1) << 24;
+
+    Tick now() const { return now_; }
+
+    void
+    push(Tick when, int id)
+    {
+        pending_.emplace(std::make_pair(when, seq_++), id);
+        if (cacheValid_ && when < cache_) {
+            cache_ = when;
+            cacheExact_ = inWindow(when);
+        }
+    }
+
+    Tick
+    bound()
+    {
+        if (pending_.empty())
+            return ~Tick(0);
+        if (!cacheValid_) {
+            const Tick m = pending_.begin()->first.first;
+            cacheExact_ = inWindow(m);
+            if (cacheExact_ || m - span_ >= kSpan)
+                cache_ = m;
+            else
+                cache_ = m / kWindow * kWindow;
+            cacheValid_ = true;
+        }
+        return cache_;
+    }
+
+    template <typename Exec>
+    void
+    runUntil(Tick limit, Exec exec)
+    {
+        while (!pending_.empty()) {
+            const Tick e = bound();
+            if (e > limit)
+                break;
+            if (!cacheExact_)
+                reposition();
+            else
+                step(exec);
+        }
+        if (now_ < limit)
+            now_ = limit;
+    }
+
+    template <typename Exec>
+    void
+    run(std::uint64_t budget, Exec exec)
+    {
+        for (; budget > 0 && !pending_.empty(); --budget) {
+            if (!inWindow(pending_.begin()->first.first))
+                reposition();
+            step(exec);
+        }
+    }
+
+  private:
+    bool inWindow(Tick t) const { return t - window_ < kWindow; }
+
+    void
+    reposition()
+    {
+        const Tick m = pending_.begin()->first.first;
+        window_ = m / kWindow * kWindow;
+        span_ = m / kSpan * kSpan;
+        cacheValid_ = false;
+    }
+
+    template <typename Exec>
+    void
+    step(Exec exec)
+    {
+        const auto it = pending_.begin();
+        now_ = it->first.first;
+        const int id = it->second;
+        pending_.erase(it);
+        cacheValid_ = false;
+        exec(id);
+    }
+
+    std::map<std::pair<Tick, std::uint64_t>, int> pending_;
+    std::uint64_t seq_ = 0;
+    Tick now_ = 0;
+    Tick window_ = 0;
+    Tick span_ = 0;
+    Tick cache_ = 0;
+    bool cacheExact_ = false;
+    bool cacheValid_ = false;
+};
+
+TEST(Simulator, NextEventBoundMatchesContractModel)
+{
+    constexpr Tick kSteps[] = {
+        0,      1,      700,      16383,    16384,    16385,
+        40000,  100000, 1500000,  16777215, 16777216, 20000000,
+        90000000,
+    };
+    constexpr std::size_t kNumSteps = sizeof(kSteps) / sizeof(kSteps[0]);
+    for (std::uint64_t seed : {3u, 11u, 2024u, 99991u}) {
+        Simulator sim;
+        BoundModel model;
+        std::vector<int> simLog, modelLog;
+        int next_id = 0;
+        // Every fourth top-level event spawns one child at a delay
+        // derived from its id, identically on both sides.
+        const auto childDelay = [&](int id) {
+            return kSteps[static_cast<std::size_t>(id) % kNumSteps];
+        };
+        std::function<void(int)> simEvent = [&](int id) {
+            simLog.push_back(id);
+            if (id < 1000000 && id % 4 == 0) {
+                const int cid = id + 1000000;
+                sim.schedule(childDelay(id),
+                             [&simEvent, cid] { simEvent(cid); });
+            }
+        };
+        std::function<void(int)> modelEvent = [&](int id) {
+            modelLog.push_back(id);
+            if (id < 1000000 && id % 4 == 0)
+                model.push(model.now() + childDelay(id), id + 1000000);
+        };
+        Rng rng(seed);
+        for (int op = 0; op < 3000; ++op) {
+            const std::uint64_t kind = rng.below(10);
+            if (kind < 5) {
+                const Tick when = sim.now() + kSteps[rng.below(kNumSteps)];
+                const int id = next_id++;
+                sim.scheduleAt(when, [&simEvent, id] { simEvent(id); });
+                model.push(when, id);
+            } else if (kind < 9) {
+                // Fleet-style horizon: bound + lookahead, or a plain
+                // step from the current clock.
+                const Tick b = sim.nextEventBound();
+                ASSERT_EQ(b, model.bound()) << "seed=" << seed
+                                            << " op=" << op;
+                Tick limit = sim.now() + kSteps[rng.below(kNumSteps)];
+                if (b != ~Tick(0) && rng.below(2) == 0)
+                    limit = std::max(b, sim.now()) + 10000 - 1;
+                sim.runUntil(limit);
+                model.runUntil(limit, modelEvent);
+            } else {
+                const std::uint64_t budget = rng.below(6);
+                sim.run(budget);
+                model.run(budget, modelEvent);
+            }
+            ASSERT_EQ(sim.now(), model.now())
+                << "seed=" << seed << " op=" << op;
+            ASSERT_EQ(sim.nextEventBound(), model.bound())
+                << "seed=" << seed << " op=" << op;
+        }
+        sim.run();
+        model.run(~std::uint64_t(0), modelEvent);
+        EXPECT_EQ(simLog, modelLog) << "seed=" << seed;
+        EXPECT_EQ(sim.now(), model.now()) << "seed=" << seed;
+    }
+}
+
 TEST(Simulator, MatchesReferenceKernelOnRandomScripts)
 {
     for (std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
-        const auto calendar = runRandomScript<Simulator>(seed);
-        const auto heap = runRandomScript<ReferenceSimulator>(seed);
-        ASSERT_EQ(calendar.size(), heap.size()) << "seed=" << seed;
-        EXPECT_EQ(calendar, heap) << "seed=" << seed;
+        const auto production = runRandomScript<Simulator>(seed);
+        const auto reference = runRandomScript<ReferenceSimulator>(seed);
+        ASSERT_EQ(production.size(), reference.size()) << "seed=" << seed;
+        EXPECT_EQ(production, reference) << "seed=" << seed;
     }
 }
 
