@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
@@ -76,13 +75,6 @@ Table::print(std::ostream &os) const
     }
     for (const auto &r : rows_)
         emit(r);
-    // Machine-readable mirror for plotting pipelines: RIF_CSV=1 makes
-    // every printed table also emit CSV.
-    if (std::getenv("RIF_CSV") != nullptr) {
-        os << "-- csv --\n";
-        printCsv(os);
-        os << "-- end csv --\n";
-    }
     os.flush();
 }
 

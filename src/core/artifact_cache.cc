@@ -70,23 +70,6 @@ addCodeParams(Hasher &h, const ldpc::CodeParams &p)
 }
 
 void
-addRberParams(Hasher &h, const nand::RberParams &r)
-{
-    h.add(r.peBase);
-    h.add(r.peCoeff);
-    h.add(r.peExp);
-    h.add(r.retCoeff);
-    h.add(r.retPeScale);
-    h.add(r.retExp);
-    h.add(r.readCoeff);
-    h.add(r.blockSigma);
-    for (double f : r.typeFactor)
-        h.add(f);
-    h.add(r.capability);
-    h.add(r.optimalVrefFactor);
-}
-
-void
 encodeU64(const std::uint64_t &v, std::vector<std::uint8_t> &out)
 {
     putU64(out, v);
@@ -465,7 +448,7 @@ cachedRetentionThresholds(const nand::RberModel &model,
                           double pe)
 {
     Hasher h = artifactHasher("retention-thresholds");
-    addRberParams(h, model.params());
+    nand::hashRberParams(h, model.params());
     h.add(config.chips);
     h.add(config.blocksPerChip);
     h.add(config.chipSigma);

@@ -47,7 +47,7 @@ FleetConfig::validate() const
         fatal("fleet.linkUs must be >= 0");
     if (drives > 1 && linkTicks() < 1)
         fatal("fleet.linkUs must be > 0 when fleet.drives > 1 "
-              "(the link latency is the drive-parallel lookahead window)");
+              "(the link latency is the lookahead window)");
     if (agedDrives < 0 || agedDrives > drives)
         fatal("fleet.agedDrives must be in [0, fleet.drives] (got ",
               agedDrives, ")");

@@ -51,8 +51,8 @@ struct FleetConfig
 
     /**
      * One-way link propagation latency, host <-> each drive. Also the
-     * lookahead window of the conservative drive-parallel scheduler:
-     * larger values mean fewer synchronization barriers. Must be > 0
+     * lookahead window of the conservative round scheduler: larger
+     * values mean fewer synchronization rounds. Must be > 0
      * unless drives == 1: that degenerate coupled mode, used by the
      * bare-Ssd equivalence tests, runs the host driver on the single
      * drive's own lane, still paced at `qd`.

@@ -89,7 +89,6 @@ Fleet::Fleet(const ssd::SsdConfig &base, const FleetConfig &config)
         driveCfgs_.push_back(std::move(cfg));
     }
     driveLoad_.assign(static_cast<std::size_t>(n), 0);
-    doneBufs_.resize(static_cast<std::size_t>(n));
 }
 
 Fleet::~Fleet() = default;
@@ -152,7 +151,7 @@ Fleet::run(trace::TraceSource &source, ssd::ArrivalPolicy &policy)
 
     // Precondition every drive's FTL up front. Independent work (the
     // snapshot cache is single-flight and each drive's key differs by
-    // its forked seed), so it rides the same worker pool as the rounds.
+    // its forked seed), so it runs on the shared worker pool.
     parallelForWorker(
         static_cast<std::size_t>(n), [&](std::size_t d, int) {
             tracing::TrackScope track(
@@ -171,37 +170,21 @@ Fleet::run(trace::TraceSource &source, ssd::ArrivalPolicy &policy)
     host_ = &host;
     host.prime();
 
-    // Conservative drive-parallel rounds. Any message crossing the
+    // Conservative lookahead rounds. Any message crossing the
     // interconnect from time t arrives no earlier than t + L, so with
     // b = the earliest pending tick anywhere, every event in
     // [b, b + L - 1] is already determined: drives advance to the
-    // horizon concurrently, then completions cross (phase two) and the
-    // host catches up (phase three), scheduling next-round submissions
-    // that provably land past the horizon.
+    // horizon (their completions cross the egress link as they
+    // retire), then the host catches up, scheduling next-round
+    // submissions that provably land past the horizon.
     //
-    // Execution is decoupled from that logical structure (DESIGN §5i):
-    // rounds dispatch onto the worker pool, whose members park on an
-    // epoch barrier between rounds, and a round dispatches only the
+    // A round runs, in ascending drive index on this thread, only the
     // drives whose own bound lies inside the window. Skipping an idle
     // drive is exact: runUntil past an empty window pops nothing,
-    // moves no bound window, and only advances the drive clock, which no
-    // event or bound query can observe (see Simulator::runUntil).
-    // Rounds with at most one active drive run inline on this thread
-    // (parallelFor never dispatches a single index).
+    // moves no bound window, and only advances the drive clock, which
+    // no event or bound query can observe (see Simulator::runUntil).
     const Tick lookahead = cfg_.linkTicks();
     boundScratch_.assign(static_cast<std::size_t>(n), 0);
-    activeScratch_.clear();
-    activeScratch_.reserve(static_cast<std::size_t>(n));
-    // Round body built once, outside the loop: the horizon flows
-    // through this local so the steady round loop never allocates (see
-    // the zero-allocation audit in micro_fleet).
-    Tick roundHorizon = 0;
-    const std::function<void(std::size_t)> roundBody = [&](std::size_t i) {
-        const int d = activeScratch_[i];
-        tracing::TrackScope track(
-            baseTrack + 1 + static_cast<std::uint32_t>(d));
-        drives_[static_cast<std::size_t>(d)]->runUntil(roundHorizon);
-    };
     while (true) {
         Tick bound = hostSim_.nextEventBound();
         for (int d = 0; d < n; ++d) {
@@ -214,28 +197,21 @@ Fleet::run(trace::TraceSource &source, ssd::ArrivalPolicy &policy)
         const Tick horizon = bound + lookahead - 1;
         ++stats_.syncRounds;
 
-        activeScratch_.clear();
+        int active = 0;
         for (int d = 0; d < n; ++d) {
             const Tick db = boundScratch_[static_cast<std::size_t>(d)];
-            if (db <= horizon) {
-                activeScratch_.push_back(d);
-                stats_.barrierWaitTicks += db - bound;
-            } else {
+            if (db > horizon) {
                 stats_.barrierWaitTicks += lookahead;
+                continue;
             }
+            ++active;
+            stats_.barrierWaitTicks += db - bound;
+            tracing::TrackScope track(
+                baseTrack + 1 + static_cast<std::uint32_t>(d));
+            drives_[static_cast<std::size_t>(d)]->runUntil(horizon);
         }
-
-        if (activeScratch_.size() <= 1)
+        if (active <= 1)
             ++stats_.roundsCoalesced;
-        roundHorizon = horizon;
-        parallelFor(activeScratch_.size(), roundBody);
-
-        for (const int d : activeScratch_) {
-            auto &buf = doneBufs_[static_cast<std::size_t>(d)];
-            for (const DoneRec &rec : buf)
-                deliverCompletion(rec);
-            buf.clear();
-        }
 
         hostSim_.runUntil(horizon);
     }
@@ -333,38 +309,38 @@ Fleet::submitSub(Command *cmd, const SubIo &sub)
     const std::uint64_t lpn = sub.lpn;
     const std::uint32_t pages = sub.pages;
     // Runs inside drive d's kernel at the command's arrival; the inner
-    // hook runs there too at retirement and only touches this drive's
-    // completion buffer, so drive phases stay data-race free.
+    // hook runs there too at retirement and sends the completion back
+    // across the link. Drives run one at a time in index order and the
+    // host lane only after them, so host events keep a deterministic
+    // (drive-major, then retirement) schedule order.
     drv->simulator().scheduleAt(arrival, [this, drv, cmd, lpn, pages, d] {
         const trace::IoRecord rec{cmd->isRead, lpn, pages, 0};
         drv->submitIo(rec, 0, drv->simulator().now(),
                       [this, cmd, pages, d](Tick at) {
-                          doneBufs_[static_cast<std::size_t>(d)].push_back(
-                              DoneRec{at, cmd, d,
-                                      static_cast<std::uint64_t>(pages) *
-                                          baseCfg_.geometry.pageBytes});
+                          deliverCompletion(cmd, d, at, pages);
                       });
     });
 }
 
 void
-Fleet::deliverCompletion(const DoneRec &rec)
+Fleet::deliverCompletion(Command *cmd, int drive, Tick at,
+                         std::uint32_t pages)
 {
     // Completion message: CQE plus, for reads, the data returning to
     // the host.
-    const Tick arrival =
-        net_.egress(rec.drive)
-            .deliver(rec.at,
-                     kMsgBytes + (rec.cmd->isRead ? rec.bytes : 0));
-    hostSim_.scheduleAt(arrival, [this, rec] {
-        --driveLoad_[static_cast<std::size_t>(rec.drive)];
-        if (--rec.cmd->subsLeft == 0) {
+    const std::uint64_t dataBytes =
+        static_cast<std::uint64_t>(pages) * baseCfg_.geometry.pageBytes;
+    const Tick arrival = net_.egress(drive).deliver(
+        at, kMsgBytes + (cmd->isRead ? dataBytes : 0));
+    hostSim_.scheduleAt(arrival, [this, cmd, drive] {
+        --driveLoad_[static_cast<std::size_t>(drive)];
+        if (--cmd->subsLeft == 0) {
             const Tick now = hostSim_.now();
-            const double us = ticksToUs(now - rec.cmd->issued);
-            (rec.cmd->isRead ? stats_.readLatencyUs : stats_.writeLatencyUs)
+            const double us = ticksToUs(now - cmd->issued);
+            (cmd->isRead ? stats_.readLatencyUs : stats_.writeLatencyUs)
                 .add(us);
             lastDone_ = std::max(lastDone_, now);
-            cmdPool_.release(rec.cmd);
+            cmdPool_.release(cmd);
             --outstanding_;
             host_->complete(0);
         }
@@ -406,11 +382,11 @@ Fleet::publishFleetMetrics() const
             "replicated-read chunks steered off the primary replica",
             stats_.replicaReadsBalanced);
     counter("fabric.sync_rounds", "rounds",
-            "conservative drive-parallel synchronization rounds",
+            "conservative lookahead synchronization rounds",
             stats_.syncRounds);
     counter("fabric.round.coalesced", "rounds",
-            "rounds coalesced onto the host thread (at most one drive "
-            "had work inside the window)",
+            "rounds in which at most one drive had work inside the "
+            "window",
             stats_.roundsCoalesced);
     counter("fabric.round.barrier_wait_ticks", "ticks",
             "simulated ticks drive lanes sat idle inside round windows",

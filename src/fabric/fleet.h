@@ -7,21 +7,19 @@
  * driver runs on the fleet's host lane and starts each command through
  * placement plus per-drive sub-IO submission. Placement (striping or
  * replication) maps each host command to per-drive sub-IOs; replicated
- * reads pick the least-loaded replica. The performance core is
- * conservative drive-parallel simulation: each drive advances on its
- * own event lane to a shared horizon bounded by the link latency (no
- * message can cross the interconnect in less than one link delay), so
- * drives execute concurrently and only synchronize at
- * interconnect-crossing events — bit-identical at any thread count.
+ * reads pick the least-loaded replica. The simulation is conservative
+ * lookahead: each drive advances on its own event lane to a shared
+ * horizon bounded by the link latency (no message can cross the
+ * interconnect in less than one link delay), so drives only
+ * synchronize at interconnect-crossing events.
  *
- * The execution vehicle is the shared worker pool (common/parallel.h):
- * each round is one parallelFor over the drives with work inside its
- * window (skipping an idle drive is a proven no-op on its kernel), on
- * pool members that park on an epoch barrier between rounds, and rounds
- * where at most one drive is active run on the host thread with no
- * barrier traffic at all. A fleet run spawns no threads of its own:
- * preconditioning and rounds share the global pool, or the calling
- * thread's ThreadArena inside a `rif --jobs` worker.
+ * Each round runs, on the calling thread and in ascending drive index,
+ * only the drives with work inside its window (skipping an idle drive
+ * is a proven no-op on its kernel); a round is far too short to pay
+ * for a pool wake-up. Only preconditioning, once per replay, runs
+ * drives in parallel, on the shared worker pool (common/parallel.h) or
+ * the calling thread's ThreadArena inside a `rif --jobs` worker.
+ * Results are bit-identical at any thread count.
  * See DESIGN.md §5i for the protocol and the correctness argument.
  */
 
@@ -55,13 +53,12 @@ struct FleetStats
     std::uint64_t subIos = 0;       ///< per-drive fragments issued
     /** Replicated-read chunks steered away from the primary replica. */
     std::uint64_t replicaReadsBalanced = 0;
-    /** Conservative synchronization rounds (drive-parallel barriers). */
+    /** Conservative lookahead synchronization rounds. */
     std::uint64_t syncRounds = 0;
     /**
-     * Rounds whose drive phase coalesced onto the host thread: at most
-     * one drive had work at or before the horizon, so the round cost
-     * no pool wake-up at all. A pure function of simulated state —
-     * identical at any RIF_THREADS / --jobs setting.
+     * Rounds in which at most one drive had work at or before the
+     * horizon. A pure function of simulated state — identical at any
+     * RIF_THREADS / --jobs setting.
      */
     std::uint64_t roundsCoalesced = 0;
     /**
@@ -118,8 +115,7 @@ class Fleet
      * Replay under an explicit injection policy (see ssd/arrival.h).
      * OpenLoopArrival offers load at the records' arrival ticks with a
      * bounded host queue and drop accounting. Arrival events run on
-     * the host lane, so the conservative drive-parallel rounds (and
-     * their bit-identical guarantee at any thread count) are
+     * the host lane, so the conservative lookahead rounds are
      * unchanged: a submission at host tick t reaches a drive no
      * earlier than t + linkTicks, past every round horizon.
      *
@@ -145,15 +141,6 @@ class Fleet
         int subsLeft = 0;
     };
 
-    /** One drive-side completion, buffered until the next barrier. */
-    struct DoneRec
-    {
-        Tick at = 0;
-        Command *cmd = nullptr;
-        int drive = 0;
-        std::uint64_t bytes = 0;
-    };
-
     /** Coupled mode: the policy paces drive 0's own replay. */
     FleetStats runCoupled(trace::TraceSource &source,
                           ssd::ArrivalPolicy &policy);
@@ -161,8 +148,10 @@ class Fleet
      *  submit its sub-IOs, latency measured from `issuedAt`. */
     void startCommand(const trace::IoRecord &rec, Tick issuedAt);
     void submitSub(Command *cmd, const SubIo &sub);
-    /** Egress-deliver one buffered completion into the host kernel. */
-    void deliverCompletion(const DoneRec &rec);
+    /** Send one sub-IO completion of `pages` pages, retired by `drive`
+     *  at `at`, across its egress link into the host kernel. */
+    void deliverCompletion(Command *cmd, int drive, Tick at,
+                           std::uint32_t pages);
     void publishFleetMetrics() const;
 
     ssd::SsdConfig baseCfg_;
@@ -180,15 +169,12 @@ class Fleet
 
     /** Outstanding sub-IOs per drive (replica steering signal). */
     std::vector<int> driveLoad_;
-    /** Per-drive completion buffers, drained at each barrier. */
-    std::vector<std::vector<DoneRec>> doneBufs_;
 
     ObjectPool<Command> cmdPool_;
     std::vector<SubIo> splitScratch_;
     /** Per-round scratch (allocated once, reused every round): each
-     *  drive's event bound and the indices with work in the window. */
+     *  drive's event bound. */
     std::vector<Tick> boundScratch_;
-    std::vector<int> activeScratch_;
 
     int outstanding_ = 0;
     int outstandingPeak_ = 0;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace rif {
@@ -44,6 +45,23 @@ cellRberParams(CellType cell)
       }
     }
     panic("unknown cell type");
+}
+
+void
+hashRberParams(Hasher &h, const RberParams &r)
+{
+    h.add(r.peBase);
+    h.add(r.peCoeff);
+    h.add(r.peExp);
+    h.add(r.retCoeff);
+    h.add(r.retPeScale);
+    h.add(r.retExp);
+    h.add(r.readCoeff);
+    h.add(r.blockSigma);
+    for (double f : r.typeFactor)
+        h.add(f);
+    h.add(r.capability);
+    h.add(r.optimalVrefFactor);
 }
 
 RberModel::RberModel(const RberParams &params)

@@ -17,6 +17,9 @@
 #include "nand/geometry.h"
 
 namespace rif {
+
+class Hasher;
+
 namespace nand {
 
 /** Parameters of the parametric RBER model. */
@@ -62,6 +65,12 @@ struct RberParams
  * Slc is margin-dominated and effectively never crosses.
  */
 RberParams cellRberParams(CellType cell);
+
+/**
+ * Feed every RberParams field into `h`, in declaration order: the one
+ * definition behind the artifact-cache and FTL-snapshot keys.
+ */
+void hashRberParams(Hasher &h, const RberParams &r);
 
 /** Median-block RBER model. */
 class RberModel

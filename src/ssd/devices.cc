@@ -33,19 +33,6 @@ DieModel::DieModel(Simulator &sim, const SsdConfig &config,
 }
 
 void
-DieModel::Lane::pop()
-{
-    if (++head == buf.size()) {
-        buf.clear();
-        head = 0;
-    } else if (head >= 32 && 2 * head >= buf.size()) {
-        buf.erase(buf.begin(),
-                  buf.begin() + static_cast<std::ptrdiff_t>(head));
-        head = 0;
-    }
-}
-
-void
 DieModel::enqueue(PageOp *op)
 {
     enqueueQuiet(op);
@@ -61,7 +48,7 @@ DieModel::enqueueQuiet(PageOp *op)
 {
     RIF_ASSERT(op->addr.plane >= 0 && op->addr.plane < planes_,
                "plane out of range");
-    lane(op->type, op->addr.plane).buf.push_back(Entry{nextSeq_++, op});
+    lane(op->type, op->addr.plane).push(Entry{nextSeq_++, op});
     ++queued_;
     if (op->type == PageOp::Type::Read)
         ++queuedReads_;
@@ -174,7 +161,7 @@ ChannelModel::setDieLookup(DieLookup f)
 void
 ChannelModel::enqueue(PageOp *op)
 {
-    queue_.push_back(op);
+    queue_.push(op);
     tryStart();
 }
 
@@ -208,7 +195,7 @@ ChannelModel::tryStart()
         usage_.transition(ChannelState::EccWait, sim_.now());
         return;
     }
-    queue_.pop_front();
+    queue_.pop();
 
     ChannelState state = ChannelState::WriteXfer;
     if (is_read)
@@ -262,7 +249,7 @@ EccEngine::reserve()
 void
 EccEngine::accept(PageOp *op)
 {
-    queue_.push_back(op);
+    queue_.push(op);
     tryDecode();
 }
 
@@ -272,7 +259,7 @@ EccEngine::tryDecode()
     if (busy_ || queue_.empty())
         return;
     PageOp *op = queue_.front();
-    queue_.pop_front();
+    queue_.pop();
     busy_ = true;
 
     const ReadPhase &ph = op->currentPhase();
@@ -316,7 +303,7 @@ HostLink::transfer(std::uint64_t bytes, InlineFunction<void()> done)
     job.duration = static_cast<Tick>(
         static_cast<double>(bytes) / bytesPerTick_ + 0.5);
     job.done = std::move(done);
-    queue_.push_back(std::move(job));
+    queue_.push(std::move(job));
     tryStart();
 }
 
@@ -325,15 +312,18 @@ HostLink::tryStart()
 {
     if (busy_ || queue_.empty())
         return;
-    Job job = std::move(queue_.front());
-    queue_.pop_front();
+    // The completion waits in inFlight_ rather than in the event's
+    // closure, which it would push past the inline capacity.
+    const Tick duration = queue_.front().duration;
+    inFlight_ = std::move(queue_.front().done);
+    queue_.pop();
     busy_ = true;
-    sim_.schedule(job.duration,
-                  [this, done = std::move(job.done)]() mutable {
-                      busy_ = false;
-                      done();
-                      tryStart();
-                  });
+    sim_.schedule(duration, [this] {
+        busy_ = false;
+        auto done = std::move(inFlight_);
+        done();
+        tryStart();
+    });
 }
 
 } // namespace ssd

@@ -10,8 +10,9 @@
 #ifndef RIF_SSD_DEVICES_H
 #define RIF_SSD_DEVICES_H
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <utility>
 #include <vector>
 
 #include "common/inline_function.h"
@@ -70,6 +71,50 @@ struct PageOp
 };
 
 /**
+ * A FIFO queue over one reusable buffer. Popped slots are reclaimed in
+ * bulk once they are half the buffer (or all of it), so a queue that
+ * never drains costs O(1) amortized per element, and steady traffic
+ * allocates only when the queue grows past its previous peak — unlike
+ * std::deque, which frees and reallocates a node every few elements of
+ * churn.
+ */
+template <typename T>
+class Fifo
+{
+  public:
+    bool empty() const { return head_ == buf_.size(); }
+    T &front() { return buf_[head_]; }
+
+    void
+    push(T v)
+    {
+        if (buf_.capacity() == 0)
+            buf_.reserve(kInitialCapacity);
+        buf_.push_back(std::move(v));
+    }
+
+    void
+    pop()
+    {
+        if (++head_ == buf_.size()) {
+            buf_.clear();
+            head_ = 0;
+        } else if (head_ >= 32 && 2 * head_ >= buf_.size()) {
+            buf_.erase(buf_.begin(),
+                       buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
+        }
+    }
+
+  private:
+    /** First allocation's size: most queues never outgrow it. */
+    static constexpr std::size_t kInitialCapacity = 16;
+
+    std::vector<T> buf_;
+    std::size_t head_ = 0;
+};
+
+/**
  * A flash die: executes one batch at a time. Reads and writes to
  * distinct planes are merged into multi-plane batches; each operation
  * releases at its own die occupancy while the die frees at the batch
@@ -107,20 +152,8 @@ class DieModel
         PageOp *op;
     };
 
-    /**
-     * The queued ops of one (type, plane) pair in FIFO order. Popped
-     * entries are reclaimed in bulk once they are half the buffer, so
-     * a lane that never drains costs O(1) amortized per op.
-     */
-    struct Lane
-    {
-        std::vector<Entry> buf;
-        std::size_t head = 0;
-
-        bool empty() const { return head == buf.size(); }
-        const Entry &front() const { return buf[head]; }
-        void pop();
-    };
+    /** The queued ops of one (type, plane) pair in FIFO order. */
+    using Lane = Fifo<Entry>;
 
     /** PageOp::Type has three values: Read, Write, Erase. */
     static constexpr std::size_t kOpTypes = 3;
@@ -179,7 +212,7 @@ class ChannelModel
     EccEngine &ecc_;
     ChannelUsage &usage_;
     DieLookup dieLookup_;
-    std::deque<PageOp *> queue_;
+    Fifo<PageOp *> queue_;
     bool busy_ = false;
 };
 
@@ -218,7 +251,7 @@ class EccEngine
     const SsdConfig &config_;
     ChannelModel *channel_ = nullptr;
     DieLookup dieLookup_;
-    std::deque<PageOp *> queue_;
+    Fifo<PageOp *> queue_;
     int held_ = 0;
     bool busy_ = false;
 };
@@ -243,7 +276,9 @@ class HostLink
 
     Simulator &sim_;
     double bytesPerTick_;
-    std::deque<Job> queue_;
+    Fifo<Job> queue_;
+    /** Completion of the transfer on the wire (valid while busy_). */
+    InlineFunction<void()> inFlight_;
     bool busy_ = false;
 };
 

@@ -1,6 +1,7 @@
 #include "ssd/snapshot_cache.h"
 
 #include "common/metrics.h"
+#include "nand/rber_model.h"
 #include "trace/trace.h"
 
 namespace rif {
@@ -93,19 +94,7 @@ preconditionCacheKey(Hasher &h, const SsdConfig &config,
     // constructor, which advance the generator the retention draws then
     // continue from — so they shape the stored snapshot even though the
     // factors themselves are re-derived on restore.
-    const auto &r = config.rber;
-    h.add(r.peBase);
-    h.add(r.peCoeff);
-    h.add(r.peExp);
-    h.add(r.retCoeff);
-    h.add(r.retPeScale);
-    h.add(r.retExp);
-    h.add(r.readCoeff);
-    h.add(r.blockSigma);
-    for (double f : r.typeFactor)
-        h.add(f);
-    h.add(r.capability);
-    h.add(r.optimalVrefFactor);
+    nand::hashRberParams(h, config.rber);
 
     // Cell type and hybrid SLC split change the page-type striping and
     // per-read typing of everything the snapshot captures.

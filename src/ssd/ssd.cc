@@ -303,7 +303,11 @@ Ssd::newReadOp(std::uint64_t lpn, InlineFunction<void(PageOp *)> done)
     PageOp *op = acquireOp(PageOp::Type::Read);
     op->addr = tr.addr;
     // Plan in place: a recycled op's phase vector keeps its capacity,
-    // so steady-state planning allocates nothing.
+    // so steady-state planning allocates nothing. A fresh op starts
+    // with room for a few retry rounds, so a read that retries later
+    // in the replay rarely grows it.
+    if (op->script.phases.capacity() == 0)
+        op->script.phases.reserve(8);
     planReadInto(config_, behavior_, tr.rber, rng_, op->script);
     op->onComplete = std::move(done);
     applyPlanStats(op->script.stats);
@@ -328,25 +332,18 @@ Ssd::applyPlanStats(const ReadPlanStats &ps)
     stats_.missedPredictions += ps.missedPredictions;
 }
 
+template <typename MakeOp>
 void
-Ssd::dispatchReadPages(HostRequest *req, std::uint64_t lpn,
-                       std::uint32_t pages)
+Ssd::dispatchGathered(std::size_t count, MakeOp makeOp)
 {
-    // Gather: enqueue every page quietly, then poke each touched die
+    // Gather: enqueue every op quietly, then poke each touched die
     // exactly once. The pokes run after all same-tick enqueues either
     // way, so batch formation is identical — with one zero-delay event
     // per die instead of one per page.
     auto &kicks = gatherDies_;
     kicks.clear();
-    for (std::uint32_t i = 0; i < pages; ++i) {
-        PageOp *op = newReadOp(lpn + i, [this, req](PageOp *done_op) {
-            freeOp(done_op);
-            if (--req->pagesRemaining == 0) {
-                // All pages decoded; stream the data to the host.
-                hostLink_->transfer(req->bytes,
-                                    [this, req] { finishRequest(req); });
-            }
-        });
+    for (std::size_t i = 0; i < count; ++i) {
+        PageOp *op = makeOp(i);
         DieModel &die = dieAt(op->addr);
         die.enqueueQuiet(op);
         if (std::find(kicks.begin(), kicks.end(), &die) == kicks.end())
@@ -354,8 +351,24 @@ Ssd::dispatchReadPages(HostRequest *req, std::uint64_t lpn,
     }
     for (DieModel *die : kicks)
         die->kick();
-    gatherPages_ += pages;
+    gatherPages_ += count;
     gatherKicks_ += kicks.size();
+}
+
+void
+Ssd::dispatchReadPages(HostRequest *req, std::uint64_t lpn,
+                       std::uint32_t pages)
+{
+    dispatchGathered(pages, [&](std::size_t i) {
+        return newReadOp(lpn + i, [this, req](PageOp *done_op) {
+            freeOp(done_op);
+            if (--req->pagesRemaining == 0) {
+                // All pages decoded; stream the data to the host.
+                hostLink_->transfer(req->bytes,
+                                    [this, req] { finishRequest(req); });
+            }
+        });
+    });
     maybeStartGc(); // reads can trip the read-disturb threshold
 }
 
@@ -482,35 +495,22 @@ Ssd::runGcJob(const GcJob &job)
         return;
     }
 
-    // Same gathered dispatch as host reads: quiet enqueues, one poke
-    // per touched die.
-    auto &kicks = gatherDies_;
-    kicks.clear();
-    for (std::uint64_t lpn : job.lpnsToMove) {
-        PageOp *read_op =
-            newReadOp(lpn, [this, lpn, finish_moves](PageOp *done_op) {
-                freeOp(done_op);
-                ++stats_.gcPageMoves;
-                PageOp *write_op = acquireOp(PageOp::Type::Write);
-                write_op->addr = ftl_->allocateWrite(lpn);
-                write_op->dieTicks = config_.timing.tProg;
-                write_op->onComplete = [this,
-                                        finish_moves](PageOp *w) {
-                    freeOp(w);
-                    ++stats_.pageWrites;
-                    finish_moves();
-                };
-                channels_[write_op->addr.channel]->enqueue(write_op);
-            });
-        DieModel &die = dieAt(read_op->addr);
-        die.enqueueQuiet(read_op);
-        if (std::find(kicks.begin(), kicks.end(), &die) == kicks.end())
-            kicks.push_back(&die);
-    }
-    for (DieModel *die : kicks)
-        die->kick();
-    gatherPages_ += job.lpnsToMove.size();
-    gatherKicks_ += kicks.size();
+    dispatchGathered(job.lpnsToMove.size(), [&](std::size_t i) {
+        const std::uint64_t lpn = job.lpnsToMove[i];
+        return newReadOp(lpn, [this, lpn, finish_moves](PageOp *done_op) {
+            freeOp(done_op);
+            ++stats_.gcPageMoves;
+            PageOp *write_op = acquireOp(PageOp::Type::Write);
+            write_op->addr = ftl_->allocateWrite(lpn);
+            write_op->dieTicks = config_.timing.tProg;
+            write_op->onComplete = [this, finish_moves](PageOp *w) {
+                freeOp(w);
+                ++stats_.pageWrites;
+                finish_moves();
+            };
+            channels_[write_op->addr.channel]->enqueue(write_op);
+        });
+    });
 }
 
 } // namespace ssd

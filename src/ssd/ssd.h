@@ -172,6 +172,13 @@ class Ssd
     };
 
     DieModel &dieAt(const nand::PhysAddr &addr);
+    /**
+     * Gathered read dispatch, shared by host reads and GC relocation:
+     * enqueue the `count` ops makeOp(i) builds, in index order, without
+     * poking their dies, then kick each touched die once.
+     */
+    template <typename MakeOp>
+    void dispatchGathered(std::size_t count, MakeOp makeOp);
     void dispatchReadPages(HostRequest *req, std::uint64_t lpn,
                            std::uint32_t pages);
     void dispatchWritePages(HostRequest *req, std::uint64_t lpn,
@@ -206,7 +213,7 @@ class Ssd
     std::vector<std::unique_ptr<DieModel>> dies_; // channel-major
     std::unique_ptr<HostLink> hostLink_;
 
-    /** Scratch for gathered read dispatch: dies touched this call. */
+    /** Scratch for dispatchGathered: dies touched this call. */
     std::vector<DieModel *> gatherDies_;
     /** Gathered-dispatch accounting (ssd.read.gather.* metrics). */
     std::uint64_t gatherPages_ = 0;

@@ -55,12 +55,6 @@ SsdStats::writeAmplification(std::uint64_t page_bytes) const
 }
 
 double
-SsdStats::readBandwidthMBps() const
-{
-    return bytesPerTickToMBps(hostReadBytes, makespan);
-}
-
-double
 SsdStats::channelFraction(ChannelState s) const
 {
     if (channels.empty())

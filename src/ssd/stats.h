@@ -84,8 +84,6 @@ struct SsdStats
     double ioBandwidthMBps() const;
     /** Write amplification: flash programs per host-written page. */
     double writeAmplification(std::uint64_t page_bytes) const;
-    /** Read-only component of the bandwidth. */
-    double readBandwidthMBps() const;
     /** Usage fraction of a state aggregated over all channels. */
     double channelFraction(ChannelState s) const;
 };

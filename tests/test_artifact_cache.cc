@@ -21,6 +21,7 @@
 #include "nand/characterization.h"
 #include "odear/accuracy.h"
 #include "ssd/snapshot_cache.h"
+#include "trace/trace.h"
 
 #ifndef RIF_GOLDEN_DIR
 #error "RIF_GOLDEN_DIR must point at tests/golden"
@@ -182,6 +183,24 @@ TEST(ArtifactCache, MasterSwitchAlsoTogglesTheFtlSnapshotCache)
     EXPECT_FALSE(ssd::FtlSnapshotCache::instance().enabled());
     ArtifactCache::instance().setEnabled(true);
     EXPECT_TRUE(ssd::FtlSnapshotCache::instance().enabled());
+}
+
+TEST(ArtifactCache, PreconditionKeyIsPinned)
+{
+    // Snapshot keys name the files of an existing --cache-dir: a change
+    // to the hashed fields or their order must show up here, not as a
+    // silently cold (or, worse, mismatched) disk cache.
+    trace::WorkloadSpec spec;
+    spec.name = "pin";
+    spec.readRatio = 0.8;
+    spec.coldReadRatio = 0.7;
+    spec.footprintPages = 8192;
+    trace::SyntheticWorkload src(spec, 1000, 5);
+    const std::vector<trace::TraceSource *> sources{&src};
+    Hasher h;
+    ASSERT_TRUE(ssd::preconditionCacheKey(h, ssd::SsdConfig{},
+                                          src.footprintPages(), sources));
+    EXPECT_EQ(h.finish().hex(), "c879e0ab552c434a5840a93e9ab31432");
 }
 
 // ---------------------------------------------------------------------

@@ -515,21 +515,6 @@ TEST(Table, CsvOutput)
     EXPECT_EQ(os.str(), "x,y\n1,2\n");
 }
 
-TEST(Table, EnvVarEnablesCsvMirror)
-{
-    Table t;
-    t.setHeader({"x"});
-    t.addRow({"1"});
-    setenv("RIF_CSV", "1", 1);
-    std::ostringstream with_csv;
-    t.print(with_csv);
-    unsetenv("RIF_CSV");
-    std::ostringstream without;
-    t.print(without);
-    EXPECT_NE(with_csv.str().find("-- csv --"), std::string::npos);
-    EXPECT_EQ(without.str().find("-- csv --"), std::string::npos);
-}
-
 TEST(Table, NumFormatting)
 {
     EXPECT_EQ(Table::num(3.14159, 2), "3.14");

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <vector>
 
 #include "common/parallel.h"
@@ -341,11 +342,50 @@ TEST(Fleet, ResultsAreThreadCountInvariant)
     }
 }
 
+/** Pool dispatches seen so far: a TaskContextHooks capture() runs
+ *  once per job handed to pool members (never for inline jobs). */
+std::atomic<std::uint64_t> gPoolDispatches{0};
+
+std::uint64_t
+poolDispatches()
+{
+    static const bool registered = [] {
+        registerTaskContext(TaskContextHooks{
+            [] {
+                gPoolDispatches.fetch_add(1, std::memory_order_relaxed);
+                return static_cast<void *>(nullptr);
+            },
+            [](void *) { return static_cast<void *>(nullptr); },
+            [](void *) {}});
+        return true;
+    }();
+    (void)registered;
+    return gPoolDispatches.load(std::memory_order_relaxed);
+}
+
+TEST(Fleet, RoundsIssueNoPoolJobs)
+{
+    // Rounds run on the calling thread: only preconditioning may reach
+    // the pool, so doubling the replay (and its round count) must not
+    // add a single dispatch.
+    poolDispatches();
+    setGlobalThreadCount(4);
+    const std::uint64_t before = poolDispatches();
+    const FleetStats shortRun = runSmallFleet(makeFleet(4), 300);
+    const std::uint64_t mid = poolDispatches();
+    const FleetStats longRun = runSmallFleet(makeFleet(4), 600);
+    const std::uint64_t after = poolDispatches();
+    setGlobalThreadCount(0);
+
+    EXPECT_GT(longRun.syncRounds, shortRun.syncRounds);
+    EXPECT_GT(shortRun.syncRounds, shortRun.roundsCoalesced);
+    EXPECT_EQ(mid - before, after - mid);
+}
+
 TEST(Fleet, SingleDriveRoundsAllCoalesce)
 {
     // One drive behind a real link: every round has at most one active
-    // drive, so the whole run stays on the host thread and the
-    // coalescing counter must account for every round.
+    // drive, so the coalescing counter must account for every round.
     const FleetStats fs = runSmallFleet(makeFleet(1), 300);
     EXPECT_GT(fs.syncRounds, 0u);
     EXPECT_EQ(fs.roundsCoalesced, fs.syncRounds);
@@ -355,10 +395,8 @@ TEST(Fleet, SkewedLoadTortureStaysThreadCountInvariant)
 {
     // Degenerate striping: a stripe wider than the global footprint
     // pins every host command on drive 0 while seven drives idle
-    // forever. This is the worst case for the epoch barrier (member
-    // bodies are maximally unbalanced round after round) and for the
-    // idle-drive skip; results must still be byte-identical at any
-    // worker budget.
+    // forever. This is the worst case for the idle-drive skip; results
+    // must still be byte-identical at any worker budget.
     FleetConfig fc = makeFleet(8);
     fc.stripePages = 16384; // > smallWorkload().footprintPages
 
@@ -377,7 +415,7 @@ TEST(Fleet, SkewedLoadTortureStaysThreadCountInvariant)
                      threaded.readLatencyUs.percentile(99));
 
     // All sub-IO really did land on drive 0 and nothing ever forced a
-    // multi-drive round, so every round coalesced onto the host thread.
+    // multi-drive round, so every round coalesced.
     ASSERT_EQ(threaded.drives.size(), 8u);
     EXPECT_EQ(threaded.drives[0].hostRequests, threaded.subIos);
     for (std::size_t d = 1; d < 8; ++d)
