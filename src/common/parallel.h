@@ -2,7 +2,7 @@
  * @file
  * The worker runtime: one fixed thread pool and a deterministic
  * parallel-for, shared by the Monte-Carlo harnesses, the threaded drive
- * sweeps and the fleet's drive-parallel rounds. Design rules that keep
+ * sweeps and the fleet's parallel preconditioning. Design rules that keep
  * every sweep bit-identical at any thread count:
  *
  *  - parallelFor(n, fn) runs fn(i) for i in [0, n) in an unspecified

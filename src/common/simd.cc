@@ -104,7 +104,10 @@ minsumCheckPass8Scalar(const std::uint32_t *cs, std::size_t m,
     }
 }
 
-/** Pack the hard decisions total < 0 of n variables (see simd.h). */
+/**
+ * Pack the hard decisions total < 0 of n variables (see simd.h), bit by
+ * bit; the AVX2 variable pass packs with movemasks instead.
+ */
 void
 packHardDecisions8(const float *total, std::size_t n,
                    std::uint64_t *hard_words)
@@ -152,15 +155,31 @@ minsumVarPass8Scalar(const std::uint8_t *chan_sign, float llr,
 
 #if RIF_SIMD_X86
 
-/** Bit l of `bits` as the float sign bit of lane l. */
-__attribute__((target("avx2"))) inline __m256
-laneSignMask(unsigned bits)
+/** Row b, lane l: kFloatSignBit if bit l of b is set, else 0. */
+struct LaneSignTable
 {
-    const __m256i shift = _mm256_setr_epi32(31, 30, 29, 28, 27, 26, 25, 24);
-    const __m256i at31 =
-        _mm256_sllv_epi32(_mm256_set1_epi32(static_cast<int>(bits)), shift);
-    return _mm256_castsi256_ps(_mm256_and_si256(
-        at31, _mm256_set1_epi32(static_cast<int>(kFloatSignBit))));
+    alignas(32) std::uint32_t row[256][8];
+};
+
+constexpr LaneSignTable
+makeLaneSignTable()
+{
+    LaneSignTable t{};
+    for (unsigned b = 0; b < 256; ++b)
+        for (unsigned l = 0; l < 8; ++l)
+            t.row[b][l] = (b >> l) & 1u ? kFloatSignBit : 0u;
+    return t;
+}
+
+// Constant-initialized (8 KiB), so no static-initialization order issue.
+constexpr LaneSignTable kLaneSign = makeLaneSignTable();
+
+/** Bit l of `bits` as the float sign bit of lane l: one aligned load. */
+__attribute__((target("avx2"))) inline __m256
+laneSignMask(std::uint8_t bits)
+{
+    return _mm256_castsi256_ps(_mm256_load_si256(
+        reinterpret_cast<const __m256i *>(kLaneSign.row[bits])));
 }
 
 /** One check's MinSumCheck8, held in registers. */
@@ -180,7 +199,7 @@ loadCheck(const MinSumCheck8 &c)
 
 /** All 8 lanes of c2v(e), rebuilt from its check's state. */
 __attribute__((target("avx2"))) inline __m256
-c2vLanes(const CheckRegs &c, std::uint32_t e, unsigned edge_bits)
+c2vLanes(const CheckRegs &c, std::uint32_t e, std::uint8_t edge_bits)
 {
     const __m256 isMin = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
         c.minEdge, _mm256_set1_epi32(static_cast<int>(e))));
@@ -256,7 +275,32 @@ minsumVarPass8Avx2(const std::uint8_t *chan_sign, float llr, std::size_t n,
                                                c2vLanes(c, e, edge_sign[e])));
         }
     }
-    packHardDecisions8(total, n, hard_words);
+    // Hard decisions, 64 variables per word: byte k holds the lane bits
+    // of variable k (total < 0, so -0.0f packs as 0 like the scalar
+    // path); shifting each 64-bit element left by 7 - l brings lane l's
+    // bit to the top of every byte, where movemask_epi8 gathers 32 of
+    // them. Bytes past n stay zero, so the tail bits are zero.
+    const __m256 vzero = _mm256_setzero_ps();
+    for (std::size_t v0 = 0; v0 < n; v0 += 64) {
+        const std::size_t cnt = std::min<std::size_t>(64, n - v0);
+        alignas(32) std::uint8_t neg[64] = {};
+        for (std::size_t k = 0; k < cnt; ++k)
+            neg[k] = static_cast<std::uint8_t>(_mm256_movemask_ps(
+                _mm256_cmp_ps(_mm256_loadu_ps(total + (v0 + k) * 8), vzero,
+                              _CMP_LT_OQ)));
+        const __m256i lo =
+            _mm256_load_si256(reinterpret_cast<const __m256i *>(neg));
+        const __m256i hi =
+            _mm256_load_si256(reinterpret_cast<const __m256i *>(neg + 32));
+        std::uint64_t *dst = hard_words + (v0 >> 6) * 8;
+        for (int l = 0; l < 8; ++l) {
+            const auto bitsLo = static_cast<std::uint32_t>(
+                _mm256_movemask_epi8(_mm256_slli_epi64(lo, 7 - l)));
+            const auto bitsHi = static_cast<std::uint32_t>(
+                _mm256_movemask_epi8(_mm256_slli_epi64(hi, 7 - l)));
+            dst[l] = bitsLo | static_cast<std::uint64_t>(bitsHi) << 32;
+        }
+    }
 }
 
 __attribute__((target("avx2"))) void

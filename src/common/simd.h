@@ -30,6 +30,14 @@
  * sign-bit AND, no FMA contraction). The min-sum passes also match the
  * single-word MinSumDecoder::decode bit for bit; DESIGN.md §5f gives
  * the argument.
+ *
+ * In the AVX2 passes a lane sign mask (bit l of a sign byte as lane l's
+ * float sign bit) is one aligned load from a constant 256-row table, and
+ * the variable pass packs its hard decisions with movemasks: one
+ * movemask_ps of total < 0 per variable gives a byte of lane bits, and a
+ * 64-bit shift plus movemask_epi8 per lane turns 32 such bytes into 32
+ * bits of that lane's word. The test is total < 0, not the sign bit, so
+ * -0.0f packs as 0 exactly as in the scalar bit-by-bit pack.
  */
 
 #ifndef RIF_COMMON_SIMD_H
@@ -129,7 +137,10 @@ void minsumCheckPass8(const std::uint32_t *check_offsets, std::size_t m,
  * and adds c2v(e), rebuilt from checks[chk] and edge_sign[e], to
  * total[edge_var[e]]. Last, the hard decision total < 0 is packed into
  * the word-interleaved hard_words (lane l of word w at
- * hard_words[w * 8 + l], tail bits zero).
+ * hard_words[w * 8 + l], tail bits zero). The test is a float compare,
+ * so a posterior of -0.0f gives 0. The AVX2 kernel packs 64 variables
+ * at a time with movemasks (see the file comment); the scalar one bit
+ * by bit.
  */
 void minsumVarPass8(const std::uint8_t *chan_sign, float llr, std::size_t n,
                     const std::uint32_t *check_offsets, std::size_t m,

@@ -260,8 +260,10 @@ MinSumDecoder::decodeBatchChunk(const BitVec *const *received,
                                ws.checks.data(), ws.edgeSign.data(),
                                alpha_);
 
-        // Variable-node pass, check-major, packing hard decisions word
-        // by word straight into the batch (no per-bit stores).
+        // Variable-node pass, check-major. It also writes the hard
+        // decisions (total < 0) straight into the batch's lane words: the
+        // AVX2 kernel packs 64 variables per word with movemasks, the
+        // scalar one bit by bit.
         simd::minsumVarPass8(ws.chanSign.data(), llr0, n, cs.data(), m,
                              ev.data(), ws.checks.data(),
                              ws.edgeSign.data(), ws.total.data(),

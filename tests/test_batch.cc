@@ -221,6 +221,40 @@ TEST(SimdDispatch, MinSumVarPassAddsInEdgeOrder)
     }
 }
 
+TEST(SimdDispatch, MinSumVarPassPackEdgeCases)
+{
+    // With no checks every posterior is +-llr. llr = 0 gives +-0.0f,
+    // whose hard decision (total < 0) is 0 even with the sign bit set;
+    // llr = 1 gives back the channel bits. Words are pre-filled with
+    // ones, so every bit past n must be cleared by the pack.
+    constexpr std::size_t L = 8;
+    const std::uint32_t no_checks[1] = {0};
+    for (const std::size_t n : {std::size_t{100}, std::size_t{129}}) {
+        Rng rng(n);
+        std::vector<std::uint8_t> chan_sign(n);
+        for (std::uint8_t &b : chan_sign)
+            b = static_cast<std::uint8_t>(rng.next());
+        const std::size_t words = (n + 63) / 64;
+        for (const float llr : {0.0f, 1.0f}) {
+            std::vector<float> total(n * L);
+            std::vector<std::uint64_t> hard(words * L, ~std::uint64_t{0});
+            simd::minsumVarPass8(chan_sign.data(), llr, n, no_checks, 0,
+                                 nullptr, nullptr, nullptr, total.data(),
+                                 hard.data());
+            for (std::size_t v = 0; v < words * 64; ++v) {
+                for (std::size_t l = 0; l < L; ++l) {
+                    const bool bit = (hard[(v / 64) * L + l] >> (v % 64)) & 1u;
+                    const bool want = v < n && llr != 0.0f &&
+                                      ((chan_sign[v] >> l) & 1u);
+                    ASSERT_EQ(bit, want) << "n " << n << " llr " << llr
+                                         << " variable " << v << " lane "
+                                         << l;
+                }
+            }
+        }
+    }
+}
+
 TEST(CodewordBatch, LaneRoundTrip)
 {
     Rng rng(10);
