@@ -64,13 +64,13 @@ defaultThreadCount()
 }
 
 /**
- * The one pool implementation: a persistent team of members woken
- * through an epoch barrier. A job publication is one release store of
- * the epoch counter; members acknowledge through one atomic decrement.
- * The mutex/condvars are touched only when somebody actually sleeps:
- * members count themselves in `sleepers_` before parking so the caller
- * can skip the notify entirely in the common spin-hit case, and the
- * caller parks on `doneCv_` only after its own spin budget runs out.
+ * The one pool implementation: a persistent team of members parked on
+ * a condition variable between jobs. Under `mutex_`, the caller
+ * publishes the job, sets `remaining_` to the number of other members
+ * and bumps `generation_`, then wakes them all; each member runs its
+ * share and counts itself out under the same mutex, and the last one
+ * wakes the caller. Shutdown is one more generation with `stopping_`
+ * set.
  *
  * Every member (the caller is member 0) pulls index chunks from one
  * atomic cursor until the job drains; members with an id at or above
@@ -90,10 +90,10 @@ class WorkerTeam
 
     ~WorkerTeam()
     {
-        stopping_.store(true);
-        epoch_.fetch_add(1);
         {
-            std::unique_lock<std::mutex> lock(mutex_);
+            std::lock_guard<std::mutex> lock(mutex_);
+            stopping_ = true;
+            ++generation_;
         }
         wakeCv_.notify_all();
         for (auto &t : threads_)
@@ -114,48 +114,30 @@ class WorkerTeam
     run(std::size_t n, const std::function<void(std::size_t, int)> &fn)
     {
         std::lock_guard<std::mutex> serial(dispatchMutex_);
-        job_ = &fn;
-        jobSize_ = n;
-        // Chunked index handout amortizes the atomic for cheap bodies
-        // while keeping tail imbalance small.
-        chunk_ = std::max<std::size_t>(
-            1, n / (static_cast<std::size_t>(members_) * 8));
-        cursor_.store(0, std::memory_order_relaxed);
-        ctx_ = captureTaskContexts();
-        error_ = nullptr;
-        remaining_.store(members_ - 1, std::memory_order_relaxed);
-        epoch_.fetch_add(1);
-        if (sleepers_.load() > 0) {
-            // The lock orders this notify after any member that beat
-            // the bump into its wait; a spurious notify is harmless.
-            std::unique_lock<std::mutex> lock(mutex_);
-            wakeCv_.notify_all();
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            job_ = &fn;
+            jobSize_ = n;
+            // Chunked index handout amortizes the atomic for cheap
+            // bodies while keeping tail imbalance small.
+            chunk_ = std::max<std::size_t>(
+                1, n / (static_cast<std::size_t>(members_) * 8));
+            cursor_.store(0, std::memory_order_relaxed);
+            ctx_ = captureTaskContexts();
+            error_ = nullptr;
+            remaining_ = members_ - 1;
+            ++generation_;
         }
+        wakeCv_.notify_all();
         runBody(0);
-        for (int i = 0; i < kSpinIters; ++i) {
-            if (remaining_.load(std::memory_order_acquire) == 0)
-                break;
-            if ((i & 15) == 15)
-                std::this_thread::yield();
-        }
-        if (remaining_.load(std::memory_order_acquire) != 0) {
-            std::unique_lock<std::mutex> lock(mutex_);
-            callerParked_ = true;
-            doneCv_.wait(lock, [&] {
-                return remaining_.load(std::memory_order_acquire) == 0;
-            });
-            callerParked_ = false;
-        }
+        std::unique_lock<std::mutex> lock(mutex_);
+        doneCv_.wait(lock, [&] { return remaining_ == 0; });
         job_ = nullptr;
         if (error_)
             std::rethrow_exception(error_);
     }
 
   private:
-    /** Spin iterations before parking; yields keep a core-starved host
-     *  (or an oversubscribed CI runner) from stalling the job. */
-    static constexpr int kSpinIters = 1024;
-
     void
     runBody(int member)
     {
@@ -198,61 +180,41 @@ class WorkerTeam
     {
         std::uint64_t seen = 0;
         while (true) {
-            // Bounded spin on the epoch; park only when no job shows
-            // up. A yield every 16 iterations keeps progress on hosts
-            // with fewer cores than members.
-            bool woke = false;
-            for (int i = 0; i < kSpinIters; ++i) {
-                if (epoch_.load(std::memory_order_acquire) != seen) {
-                    woke = true;
-                    break;
-                }
-                if ((i & 15) == 15)
-                    std::this_thread::yield();
-            }
-            if (!woke) {
+            {
                 std::unique_lock<std::mutex> lock(mutex_);
-                // Sequentially-consistent increment-then-recheck pairs
-                // with the caller's bump-then-read: either this member
-                // sees the new epoch in the wait predicate, or the
-                // caller sees sleepers_ > 0 and notifies.
-                sleepers_.fetch_add(1);
-                wakeCv_.wait(lock, [&] { return epoch_.load() != seen; });
-                sleepers_.fetch_sub(1);
+                wakeCv_.wait(lock, [&] { return generation_ != seen; });
+                seen = generation_;
+                if (stopping_)
+                    return;
             }
-            seen = epoch_.load(std::memory_order_acquire);
-            if (stopping_.load(std::memory_order_relaxed))
-                return;
             runBody(member);
-            if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                // Last member out: wake the caller if it parked.
-                std::unique_lock<std::mutex> lock(mutex_);
-                if (callerParked_)
-                    doneCv_.notify_one();
-            }
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (--remaining_ == 0)
+                doneCv_.notify_one();
         }
     }
 
     const int members_;
 
-    /** Serializes callers sharing the team; guards the job below. */
+    /** Serializes callers sharing the team. */
     std::mutex dispatchMutex_;
+
+    /**
+     * Guards everything below. Members read the job fields without it,
+     * but only after seeing `generation_` move under it, and the caller
+     * rewrites them only after every member has counted itself out.
+     */
+    std::mutex mutex_;
     const std::function<void(std::size_t, int)> *job_ = nullptr;
     std::size_t jobSize_ = 0;
     std::size_t chunk_ = 1;
     std::atomic<std::size_t> cursor_{0};
     CapturedContexts ctx_;
-
-    std::atomic<std::uint64_t> epoch_{0};
-    std::atomic<int> remaining_{0};
-    std::atomic<int> sleepers_{0};
-    std::atomic<bool> stopping_{false};
-
-    /** Guards the parking handshake and the first body exception. */
-    std::mutex mutex_;
     std::condition_variable wakeCv_;
     std::condition_variable doneCv_;
-    bool callerParked_ = false;
+    std::uint64_t generation_ = 0;
+    int remaining_ = 0;
+    bool stopping_ = false;
     std::exception_ptr error_;
 
     /** Declared last: members use everything above. */

@@ -15,15 +15,13 @@
  *    passed to the parallelForWorker callback; scratch affects speed,
  *    never results.
  *
- * The pool is a persistent team of members parked on an epoch barrier
- * between jobs: a parallelFor wakes them with one atomic epoch bump,
- * every member (the caller is member 0) pulls index chunks from one
- * atomic cursor, and completion is one atomic countdown. Members spin
- * briefly for the next job and park on a condition variable only when
- * none arrives, so back-to-back jobs (the fleet's thousands of
- * lookahead rounds) dispatch without a syscall. A job runs inline on
- * the caller when the pool has one member, when it has at most one
- * index, or when it is issued from inside another job's body.
+ * The pool is a persistent team of members parked on a condition
+ * variable between jobs: a parallelFor publishes the job under one
+ * mutex and wakes them, every member (the caller is member 0) pulls
+ * index chunks from one atomic cursor, and the last member to finish
+ * wakes the caller. A job runs inline on the caller when the pool has
+ * one member, when it has at most one index, or when it is issued from
+ * inside another job's body.
  *
  * The pool size defaults to the hardware concurrency and can be
  * overridden with the RIF_THREADS environment variable (a positive

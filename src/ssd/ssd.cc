@@ -420,6 +420,7 @@ Ssd::finishRequest(HostRequest *req)
     req->onDone = nullptr; // recycled requests must not retain hooks
     hostReqPool_.release(req);
     --outstanding_;
+    noGainGcStreak_ = 0;
     if (done)
         done(sim_.now());
 }
@@ -456,6 +457,28 @@ Ssd::maybeStartGc()
 }
 
 void
+Ssd::checkGcProgress(const GcJob &job)
+{
+    // Relocating a fully valid victim fills as much space as erasing it
+    // frees. Once more such jobs than the drive has blocks complete
+    // without a host request retiring, no plane is climbing back to its
+    // threshold and simulated time would grow forever.
+    const auto &g = config_.geometry;
+    if (job.lpnsToMove.size() != static_cast<std::size_t>(g.pagesPerBlock))
+        return;
+    if (++noGainGcStreak_ <= g.totalPlanes() * g.blocksPerPlane)
+        return;
+    fatal("GC livelock: ", noGainGcStreak_,
+          " GC jobs in a row relocated fully valid victims with no host "
+          "request retiring; plane (channel ", job.channel, ", die ",
+          job.die, ", plane ", job.plane, ") stays below "
+          "gcFreeBlockThreshold=", config_.gcFreeBlockThreshold,
+          " with blocksPerPlane=", g.blocksPerPlane, " at a footprint of ",
+          ftl_->footprintPages(), " pages; raise blocksPerPlane or "
+          "shrink the footprint");
+}
+
+void
 Ssd::runGcJob(const GcJob &job)
 {
     // Relocate every valid page (read via the normal retry-policy path,
@@ -478,6 +501,7 @@ Ssd::runGcJob(const GcJob &job)
         erase_op->onComplete = [this, job_copy,
                                 moves_left](PageOp *done_op) {
             freeOp(done_op);
+            checkGcProgress(*job_copy);
             ftl_->completeErase(*job_copy);
             ++stats_.blockErases;
             delete job_copy;

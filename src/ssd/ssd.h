@@ -186,6 +186,9 @@ class Ssd
     void finishRequest(HostRequest *req);
     void maybeStartGc();
     void drainStalledWrites();
+    /** Count a completed GC job that freed nothing; fail the run once
+     *  such jobs outnumber the drive's blocks (see noGainGcStreak_). */
+    void checkGcProgress(const GcJob &job);
     void runGcJob(const GcJob &job);
     /** Pooled op with all per-use fields reset; release with freeOp. */
     PageOp *acquireOp(PageOp::Type type);
@@ -221,6 +224,12 @@ class Ssd
     int outstanding_ = 0;
     int outstandingPeak_ = 0;
     int gcJobsInFlight_ = 0;
+    /**
+     * GC jobs completed since the last host request retired whose
+     * victim was fully valid, so they freed nothing. A streak longer
+     * than the drive's block count is a livelock (checkGcProgress).
+     */
+    std::uint64_t noGainGcStreak_ = 0;
     /** Host writes parked while GC reclaims free blocks. */
     std::deque<InlineFunction<void()>> stalledWrites_;
 

@@ -297,8 +297,9 @@ TEST(Ftl, HybridSlcBlocksReadAsLsbWithScaledRber)
             EXPECT_LT(h.rber, n.rber);
             // ...and exactly the scaled Lsb RBER where the native
             // page is itself an Lsb page.
-            if (n.type == nand::PageType::Lsb)
+            if (n.type == nand::PageType::Lsb) {
                 EXPECT_DOUBLE_EQ(h.rber, n.rber * cfg.slcRberFactor);
+            }
         } else {
             EXPECT_EQ(h.type, n.type);
             EXPECT_EQ(h.rber, n.rber);

@@ -2,7 +2,7 @@
  * @file
  * Tests for the parallel harness: pool mechanics (full coverage, worker
  * ids, exception propagation, nesting, park/wake, concurrent callers,
- * arenas), the RIF_THREADS override, and the
+ * arenas and their teardown), the RIF_THREADS override, and the
  * bit-identical-at-any-thread-count guarantee of every parallelized
  * Monte-Carlo sweep.
  */
@@ -114,8 +114,8 @@ TEST(ParallelFor, NestedCallsRunInline)
 
 TEST(ParallelFor, BackToBackCallsCoverEveryIndexExactlyOnce)
 {
-    // The fleet's round shape: hundreds of small jobs in a row, each
-    // dispatched to members still spinning from the previous one.
+    // Hundreds of small jobs in a row: each one is published while
+    // members may still be counting themselves out of the previous one.
     PoolGuard guard;
     setGlobalThreadCount(4);
     constexpr std::size_t kN = 8;
@@ -157,7 +157,7 @@ TEST(ParallelFor, SkewedPerIndexWorkStaysCorrect)
 
 TEST(ParallelFor, MembersParkedBetweenCallsAreWoken)
 {
-    // Sleeping far past the members' spin budget parks them on the
+    // Sleeping between calls leaves every member parked on the
     // condition variable. Each call's four indices then rendezvous, so
     // the call completes only if all three parked members were woken.
     PoolGuard guard;
@@ -238,6 +238,31 @@ TEST(ThreadArena, RunsInlineAtABudgetOfOne)
         ++hits;
     });
     EXPECT_EQ(hits, 100);
+}
+
+TEST(ThreadArena, TeardownWithAndWithoutJobs)
+{
+    // Shutdown must reach members that never saw a job as well as
+    // members that just finished one; a lost wake hangs the join (ctest
+    // bounds this executable with a timeout).
+    PoolGuard guard;
+    for (int r = 0; r < 200; ++r) {
+        { ThreadArena idle(4); }
+        std::atomic<int> count{0};
+        {
+            ThreadArena arena(4);
+            parallelFor(64, [&](std::size_t) { count.fetch_add(1); });
+        }
+        ASSERT_EQ(count.load(), 64) << "round " << r;
+    }
+    // The global pool's teardown, via setGlobalThreadCount.
+    for (int r = 0; r < 20; ++r) {
+        setGlobalThreadCount(4);
+        std::atomic<int> count{0};
+        parallelFor(64, [&](std::size_t) { count.fetch_add(1); });
+        ASSERT_EQ(count.load(), 64) << "round " << r;
+        setGlobalThreadCount(0);
+    }
 }
 
 TEST(ParallelConfig, SetGlobalThreadCountOverrides)

@@ -219,6 +219,23 @@ TEST(SsdIntegration, WriteChurnTriggersGc)
     EXPECT_GT(st.pageWrites, 0u);
 }
 
+TEST(SsdIntegrationDeathTest, GcLivelockFailsInsteadOfHanging)
+{
+    // Eight blocks per plane at a 68% fill leave too few spare blocks
+    // for the GC threshold: once the host work drains, GC keeps
+    // relocating fully valid victims that free nothing. The run must
+    // stop with a diagnostic instead of advancing simulated time
+    // forever.
+    SsdConfig cfg = smallConfig(PolicyKind::Rif);
+    cfg.geometry.blocksPerPlane = 8;
+    trace::WorkloadSpec spec = smallWorkload(0.27, 0.5);
+    spec.footprintPages = 11150;
+    EXPECT_DEATH(runOne(cfg, spec, 2000, 1),
+                 "GC livelock.*plane \\(channel [0-9]+, die [0-9]+, "
+                 "plane [0-9]+\\) stays below gcFreeBlockThreshold=3 "
+                 "with blocksPerPlane=8 at a footprint of 11150 pages");
+}
+
 TEST(SsdIntegration, ReadPriorityImprovesReadLatency)
 {
     // Mixed workload: serving reads ahead of 400 us programs at the
