@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulation substrate: event
- * queue throughput (heap kernel vs the PR-1 binary-heap reference), die
+ * queue throughput (heap kernel vs the PR-1 binary-heap reference, also
+ * under a drive's share of zero-delay events), die
  * batch formation under a GC-shaped backlog, read-script planning
  * (pooled in-place vs allocating), and end-to-end simulated requests
  * per second of the full SSD model.
@@ -105,6 +106,51 @@ BM_ReferenceEventQueue(benchmark::State &state)
 BENCHMARK(BM_ReferenceEventQueue)
     ->Arg(static_cast<int>(Mix::Uniform))
     ->Arg(static_cast<int>(Mix::SsdMix));
+
+/**
+ * The same-tick share of a drive: `n` events in all, half seeded at
+ * non-zero delays of the SSD mix, and every seed schedules one
+ * follow-up. Two in five seeds (a fifth of all events) make it a
+ * zero-delay poke, as `DieModel::kick` does; the rest go a DMA, sense,
+ * program or erase out.
+ */
+template <typename Kernel>
+void
+BM_ZeroDelayKernel(benchmark::State &state)
+{
+    constexpr int kEvents = 20000;
+    Kernel sim;
+    int fired = 0;
+    for (auto _ : state) {
+        for (int i = 0; i < kEvents / 2; ++i) {
+            sim.schedule(1 + delayFor(Mix::SsdMix, i), [&sim, &fired, i] {
+                ++fired;
+                const Tick d =
+                    i % 5 < 2 ? 0 : 1 + delayFor(Mix::SsdMix, i + kEvents);
+                sim.schedule(d, [&fired] { ++fired; });
+            });
+        }
+        sim.run();
+        benchmark::DoNotOptimize(fired);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) * kEvents);
+    state.SetLabel("zero-delay-20%");
+}
+
+void
+BM_EventQueueZeroDelay(benchmark::State &state)
+{
+    BM_ZeroDelayKernel<Simulator>(state);
+}
+BENCHMARK(BM_EventQueueZeroDelay);
+
+void
+BM_ReferenceEventQueueZeroDelay(benchmark::State &state)
+{
+    BM_ZeroDelayKernel<ReferenceSimulator>(state);
+}
+BENCHMARK(BM_ReferenceEventQueueZeroDelay);
 
 /**
  * Die batch formation behind a GC-shaped backlog: `range(0)` relocation

@@ -49,6 +49,32 @@ Ftl::Ftl(const SsdConfig &config, Rng rng)
         for (int b = g.blocksPerPlane - 1; b >= 0; --b)
             plane.freeBlocks.push_back(b);
     }
+    freeTotal_ = nblocks;
+    lowPlanes_ =
+        g.blocksPerPlane < config_.gcFreeBlockThreshold ? nplanes : 0;
+}
+
+int
+Ftl::popFreeBlock(std::size_t plane_idx)
+{
+    auto &free = planes_[plane_idx].freeBlocks;
+    RIF_ASSERT(!free.empty(), "plane out of free blocks: GC fell behind");
+    if (static_cast<int>(free.size()) == config_.gcFreeBlockThreshold)
+        ++lowPlanes_;
+    --freeTotal_;
+    const int block = free.back();
+    free.pop_back();
+    return block;
+}
+
+void
+Ftl::pushFreeBlock(std::size_t plane_idx, int block)
+{
+    auto &free = planes_[plane_idx].freeBlocks;
+    free.push_back(block);
+    if (static_cast<int>(free.size()) == config_.gcFreeBlockThreshold)
+        --lowPlanes_;
+    ++freeTotal_;
 }
 
 std::size_t
@@ -102,10 +128,7 @@ Ftl::allocateInPlane(std::size_t plane_idx, std::uint64_t lpn)
     auto &plane = planes_[plane_idx];
 
     if (plane.activeBlock < 0) {
-        RIF_ASSERT(!plane.freeBlocks.empty(),
-                   "plane out of free blocks: GC fell behind");
-        plane.activeBlock = plane.freeBlocks.back();
-        plane.freeBlocks.pop_back();
+        plane.activeBlock = popFreeBlock(plane_idx);
         const std::size_t bi =
             blockIndex(plane_idx, plane.activeBlock);
         auto &meta = blocks_[bi];
@@ -194,10 +217,7 @@ Ftl::installMappings(std::uint64_t footprint_pages)
         std::uint64_t k = 0;
         std::uint64_t seq = 0;
         while (k < count) {
-            RIF_ASSERT(!plane.freeBlocks.empty(),
-                       "plane out of free blocks: GC fell behind");
-            const int block = plane.freeBlocks.back();
-            plane.freeBlocks.pop_back();
+            const int block = popFreeBlock(pi);
             const std::size_t bi = blockIndex(pi, block);
             auto &meta = blocks_[bi];
             const std::uint64_t run =
@@ -401,6 +421,8 @@ Ftl::nextReadDisturbJob(GcJob &out)
 bool
 Ftl::nextGcJob(GcJob &out)
 {
+    if (lowPlanes_ == 0)
+        return false;
     const auto &g = config_.geometry;
     for (std::size_t pi = 0; pi < planes_.size(); ++pi) {
         auto &plane = planes_[pi];
@@ -445,17 +467,8 @@ Ftl::completeErase(const GcJob &job)
     meta.eraseCount++;
     meta.writeCursor = 0;
     clearBlockValid(bi);
-    planes_[pi].freeBlocks.push_back(job.block);
+    pushFreeBlock(pi, job.block);
     ++erases_;
-}
-
-std::uint64_t
-Ftl::totalFreeBlocks() const
-{
-    std::uint64_t n = 0;
-    for (const auto &plane : planes_)
-        n += plane.freeBlocks.size();
-    return n;
 }
 
 bool
@@ -464,7 +477,7 @@ Ftl::writePressureCritical() const
     // Keep at least one free block per plane in reserve: below that,
     // host writes must wait for garbage collection (write throttling,
     // as real drives do under sustained random-write pressure).
-    return totalFreeBlocks() <= planes_.size();
+    return freeTotal_ <= planes_.size();
 }
 
 int

@@ -150,8 +150,8 @@ class Ftl
     /** Physical blocks per plane still free (for tests). */
     int freeBlocksInPlane(int channel, int die, int plane) const;
 
-    /** Free blocks summed over all planes. */
-    std::uint64_t totalFreeBlocks() const;
+    /** Free blocks summed over all planes (a running total). */
+    std::uint64_t totalFreeBlocks() const { return freeTotal_; }
 
     /**
      * True when host writes should be throttled so in-flight GC can
@@ -200,6 +200,13 @@ class Ftl
     std::uint64_t installMappings(std::uint64_t footprint_pages);
     Ppn encodePpn(const nand::PhysAddr &a) const;
     nand::PhysAddr decodePpn(Ppn p) const;
+    /**
+     * Take a block off / put one back on a plane's free list. The only
+     * writers of the free lists, so they keep freeTotal_ and
+     * lowPlanes_ current.
+     */
+    int popFreeBlock(std::size_t plane_idx);
+    void pushFreeBlock(std::size_t plane_idx, int block);
     /** Allocate the next page in a plane (opens a new block if needed). */
     nand::PhysAddr allocateInPlane(std::size_t plane_idx,
                                    std::uint64_t lpn);
@@ -282,6 +289,10 @@ class Ftl
     std::vector<std::uint64_t> validBits_;
     std::size_t validWordsPerBlock_ = 0;
     std::vector<PlaneState> planes_;
+    /** Free blocks over all planes. */
+    std::uint64_t freeTotal_ = 0;
+    /** Planes with fewer than gcFreeBlockThreshold free blocks. */
+    std::size_t lowPlanes_ = 0;
     std::uint64_t writeCursorPlane_ = 0; ///< round-robin allocator
     std::uint64_t erases_ = 0;
     /** Blocks whose read count crossed the disturb threshold. */

@@ -8,13 +8,28 @@ namespace rif {
 namespace ssd {
 
 void
-Simulator::schedule(Tick delay, Action action)
+Simulator::growSlab()
 {
-    scheduleAt(now_ + delay, std::move(action));
+    chunks_.push_back(std::make_unique<Action[]>(kChunkSlots));
+    Action *chunk = chunks_.back().get();
+    // Listed backwards so the chunk's slots are handed out in order.
+    for (std::size_t i = kChunkSlots; i-- > 0;)
+        freeSlots_.push_back(chunk + i);
 }
 
 void
-Simulator::scheduleAt(Tick when, Action action)
+Simulator::growFifo()
+{
+    // Unroll the ring into twice the room (a power of two).
+    std::vector<Action *> grown(std::max<std::size_t>(16, 2 * fifo_.size()));
+    for (std::size_t i = 0; i < fifoSize_; ++i)
+        grown[i] = fifo_[(fifoHead_ + i) & (fifo_.size() - 1)];
+    fifo_.swap(grown);
+    fifoHead_ = 0;
+}
+
+void
+Simulator::enqueue(Tick when, Action *slot)
 {
     RIF_ASSERT(when >= now_, "event scheduled in the past");
     // A push can only lower a cached bound; the lowered bound is exact
@@ -24,18 +39,25 @@ Simulator::scheduleAt(Tick when, Action action)
         cacheExact_ = when - windowBase_ < kWindowTicks;
     }
 
-    std::uint32_t slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        actions_[slot] = std::move(action);
+    if (when == now_) {
+        // Same tick: later than every pending key at now_ in (when,
+        // seq) order, so the FIFO needs no seq.
+        if (fifoSize_ == fifo_.size())
+            growFifo();
+        fifo_[(fifoHead_ + fifoSize_) & (fifo_.size() - 1)] = slot;
+        ++fifoSize_;
     } else {
-        slot = static_cast<std::uint32_t>(actions_.size());
-        actions_.push_back(std::move(action));
+        pushHeap(Key{when, nextSeq_++, slot});
     }
+    const std::size_t pending = heap_.size() + fifoSize_;
+    if (pending > peakSize_)
+        peakSize_ = pending;
+}
 
+void
+Simulator::pushHeap(const Key &key)
+{
     // Sift up: move parents down into the hole, then drop the key in.
-    const Key key{when, nextSeq_++, slot};
     std::size_t hole = heap_.size();
     heap_.push_back(key);
     while (hole > 0) {
@@ -46,15 +68,13 @@ Simulator::scheduleAt(Tick when, Action action)
         hole = parent;
     }
     heap_[hole] = key;
-    if (heap_.size() > peakSize_)
-        peakSize_ = heap_.size();
 }
 
 Tick
 Simulator::bound(bool &exact)
 {
     if (!cacheValid_) {
-        const Tick m = heap_.front().when;
+        const Tick m = earliest();
         cacheExact_ = m - windowBase_ < kWindowTicks;
         if (cacheExact_ || m - spanBase_ >= kSpanTicks)
             cacheTick_ = m;
@@ -74,8 +94,8 @@ Simulator::reposition(Tick m)
     cacheValid_ = false;
 }
 
-void
-Simulator::executeTop()
+Simulator::Key
+Simulator::popHeap()
 {
     const Key top = heap_.front();
     const Key last = heap_.back();
@@ -111,15 +131,31 @@ Simulator::executeTop()
         }
         heap_[hole] = last;
     }
+    return top;
+}
 
-    now_ = top.when;
+void
+Simulator::executeTop()
+{
+    Action *action;
+    // Heap keys at now_ predate every FIFO entry (see sim.h).
+    if (fifoSize_ != 0 && (heap_.empty() || heap_.front().when != now_)) {
+        action = fifo_[fifoHead_];
+        fifoHead_ = (fifoHead_ + 1) & (fifo_.size() - 1);
+        --fifoSize_;
+    } else {
+        const Key top = popHeap();
+        now_ = top.when;
+        action = top.action;
+    }
     ++executed_;
     cacheValid_ = false;
-    // Move the action out before running it: it may schedule events,
-    // which can reuse or reallocate the slab.
-    Action act = std::move(actions_[top.slot]);
-    freeSlots_.push_back(top.slot);
-    act();
+    // Run in place: the slot stays off the free list until the action
+    // returns, and chunks never move, so the events it schedules can
+    // neither reuse nor relocate it.
+    (*action)();
+    action->reset();
+    freeSlots_.push_back(action);
 }
 
 Tick
@@ -131,8 +167,8 @@ Simulator::run()
 Tick
 Simulator::run(std::uint64_t max_events)
 {
-    for (; max_events > 0 && !heap_.empty(); --max_events) {
-        const Tick m = heap_.front().when;
+    for (; max_events > 0 && !empty(); --max_events) {
+        const Tick m = earliest();
         if (m - windowBase_ >= kWindowTicks)
             reposition(m);
         executeTop();
@@ -143,7 +179,7 @@ Simulator::run(std::uint64_t max_events)
 Tick
 Simulator::nextEventBound()
 {
-    if (heap_.empty())
+    if (empty())
         return ~Tick(0);
     bool exact;
     return bound(exact);
@@ -152,7 +188,7 @@ Simulator::nextEventBound()
 Tick
 Simulator::runUntil(Tick limit)
 {
-    while (!heap_.empty()) {
+    while (!empty()) {
         bool exact;
         const Tick e = bound(exact);
         // `e` is a lower bound when inexact, so e > limit means the
@@ -166,7 +202,7 @@ Simulator::runUntil(Tick limit)
         if (exact)
             executeTop();
         else
-            reposition(heap_.front().when);
+            reposition(earliest());
     }
     if (now_ < limit)
         now_ = limit;

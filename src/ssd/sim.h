@@ -8,12 +8,19 @@
  *
  *  - Simulator: the production kernel. Actions are small-buffer
  *    optimized callables (no heap allocation for captures up to 48
- *    bytes) kept in a free-listed slab, and the pending-event set is a
- *    4-ary min-heap of 24-byte (when, seq, slot) keys, so each event
- *    costs O(log pending) key moves and never touches an empty tick.
- *    Same-tick FIFO order is exact: seq is the schedule order. One
- *    drive runs on one kernel on one thread; parallelism lives a level
- *    up, where a fleet runs whole drives concurrently.
+ *    bytes), constructed directly in a slot of a slab of fixed-size
+ *    chunks. A chunk never moves, so an action runs where it lies and
+ *    its slot is freed only after it returns, even if it schedules
+ *    enough events to grow the slab. Future events are keyed in a
+ *    4-ary min-heap of 24-byte (when, seq, action) keys, so each costs
+ *    O(log pending) key moves and no empty tick is ever visited.
+ *    Events scheduled at the current tick (about a fifth of a drive's,
+ *    mostly die batch pokes) skip the heap: they go to a same-tick
+ *    FIFO. Every heap key at the current tick was scheduled before the
+ *    clock reached it, so its seq is below every FIFO entry's; running
+ *    those keys first and then the FIFO is exactly (when, seq) order,
+ *    and seq is the schedule order. One drive runs on one kernel on
+ *    one thread.
  *
  *    nextEventBound() reports the earliest pending tick through a
  *    fixed quantization (a 2^14-tick window inside a 2^24-tick span,
@@ -30,7 +37,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/inline_function.h"
@@ -39,7 +48,7 @@
 namespace rif {
 namespace ssd {
 
-/** Event-driven simulator kernel (4-ary heap implementation). */
+/** Event-driven simulator kernel (4-ary heap + same-tick FIFO). */
 class Simulator
 {
   public:
@@ -48,11 +57,26 @@ class Simulator
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /** Schedule an action `delay` ticks in the future. */
-    void schedule(Tick delay, Action action);
+    /** Schedule `action` `delay` ticks in the future. */
+    template <typename F>
+    void
+    schedule(Tick delay, F &&action)
+    {
+        scheduleAt(now_ + delay, std::forward<F>(action));
+    }
 
-    /** Schedule at an absolute tick (must not be in the past). */
-    void scheduleAt(Tick when, Action action);
+    /**
+     * Schedule at an absolute tick (must not be in the past). The
+     * closure is constructed directly in its slab slot.
+     */
+    template <typename F>
+    void
+    scheduleAt(Tick when, F &&action)
+    {
+        Action *slot = acquireSlot();
+        *slot = std::forward<F>(action);
+        enqueue(when, slot);
+    }
 
     /** Run until the event queue drains. Returns the final tick. */
     Tick run();
@@ -81,32 +105,32 @@ class Simulator
     /**
      * Earliest pending tick, or a lower bound no later than it;
      * ~Tick(0) when the queue is empty. With m the earliest pending
-     * tick, the value is m when m lies inside the current 2^14-tick
-     * window (the bound is then exact), m floored to a multiple of
-     * 2^14 when m lies beyond the window but inside the current
-     * 2^24-tick span, and m beyond the span. Both start at tick 0;
-     * run() and runUntil() move them onto m whenever they are about to
-     * act on an inexact bound. The value is cached until an event
-     * executes or the window moves; a schedule below the cached value
-     * replaces it with its own tick.
+     * tick (now() while the same-tick FIFO holds events), the value is
+     * m when m lies inside the current 2^14-tick window (the bound is
+     * then exact), m floored to a multiple of 2^14 when m lies beyond
+     * the window but inside the current 2^24-tick span, and m beyond
+     * the span. Both start at tick 0; run() and runUntil() move them
+     * onto m whenever they are about to act on an inexact bound. The
+     * value is cached until an event executes or the window moves; a
+     * schedule below the cached value replaces it with its own tick.
      */
     Tick nextEventBound();
 
     /** Number of events executed so far. */
     std::uint64_t eventsExecuted() const { return executed_; }
 
-    /** High-water mark of pending events (queue occupancy). */
+    /** High-water mark of pending events (heap and FIFO together). */
     std::uint64_t peakQueueSize() const { return peakSize_; }
 
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return heap_.empty() && fifoSize_ == 0; }
 
   private:
-    /** Heap entry; the action lives in actions_[slot]. */
+    /** Heap entry; the action lives in its slab slot. */
     struct Key
     {
         Tick when;
         std::uint64_t seq;
-        std::uint32_t slot;
+        Action *action;
     };
 
     /** (when, seq) order, branch-free: heap sifts compare
@@ -118,14 +142,40 @@ class Simulator
     }
 
     static constexpr std::size_t kArity = 4;
+    static constexpr std::size_t kChunkSlots = 256;
     static constexpr Tick kWindowTicks = Tick(1) << 14;
     static constexpr Tick kSpanTicks = Tick(1) << 24;
 
+    /** A free slab slot, adding a chunk when none is left. */
+    Action *
+    acquireSlot()
+    {
+        if (freeSlots_.empty())
+            growSlab();
+        Action *slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        return slot;
+    }
+    void growSlab();
+    /** Queue the constructed action in `slot` for tick `when`. */
+    void enqueue(Tick when, Action *slot);
+    /** Earliest pending tick of a non-empty queue. */
+    Tick
+    earliest() const
+    {
+        return fifoSize_ != 0 ? now_ : heap_.front().when;
+    }
     /** Cached nextEventBound() of a non-empty queue; sets `exact`. */
     Tick bound(bool &exact);
     /** Move the window and the span onto tick `m`. */
     void reposition(Tick m);
-    /** Pop and execute the earliest event. */
+    /** Double the same-tick FIFO's ring. */
+    void growFifo();
+    /** Insert a key into the heap. */
+    void pushHeap(const Key &key);
+    /** Remove and return the heap's least key. */
+    Key popHeap();
+    /** Take the earliest event off the queue and run it in place. */
     void executeTop();
 
     Tick now_ = 0;
@@ -134,9 +184,14 @@ class Simulator
     std::uint64_t peakSize_ = 0;
 
     std::vector<Key> heap_;
-    /** Action slab indexed by Key::slot; free slots are listed. */
-    std::vector<Action> actions_;
-    std::vector<std::uint32_t> freeSlots_;
+    /** Same-tick FIFO: a ring of actions due at now_, in schedule
+     *  order. */
+    std::vector<Action *> fifo_;
+    std::size_t fifoHead_ = 0;
+    std::size_t fifoSize_ = 0;
+    /** Action slab: chunks of kChunkSlots that never move. */
+    std::vector<std::unique_ptr<Action[]>> chunks_;
+    std::vector<Action *> freeSlots_;
 
     /** First tick of the bound window (multiple of kWindowTicks). */
     Tick windowBase_ = 0;

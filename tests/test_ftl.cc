@@ -2,11 +2,13 @@
  * @file
  * Tests of the FTL: preconditioning, translation, retention-age
  * assignment (cold vs hot), write allocation/invalidations, read-disturb
- * accounting and the garbage-collection lifecycle.
+ * accounting, the garbage-collection lifecycle and the running
+ * free-space counters behind nextGcJob() and writePressureCritical().
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <set>
 
 #include "ssd/ftl.h"
@@ -160,6 +162,71 @@ TEST(Ftl, GcPrefersSparseVictims)
     EXPECT_LT(job.lpnsToMove.size(),
               static_cast<std::size_t>(cfg.geometry.pagesPerBlock))
         << "victim should have invalid pages";
+}
+
+TEST(Ftl, FreeSpaceCountersMatchRecount)
+{
+    // Seeded random host writes, GC probes and (deferred) erase
+    // completions; after every step the running counters must agree
+    // with a recount over the per-plane free lists.
+    for (std::uint64_t seed : {21u, 22u, 23u}) {
+        SsdConfig cfg = tinyConfig();
+        cfg.gcFreeBlockThreshold = 4;
+        const auto &g = cfg.geometry;
+        Ftl ftl(cfg, Rng(seed));
+        const std::uint64_t footprint = 12000;
+        ftl.precondition(footprint, footprint);
+
+        Rng rng(seed * 7);
+        std::deque<GcJob> inFlight;
+        for (int step = 0; step < 20000; ++step) {
+            std::uint64_t total = 0;
+            bool anyLow = false;
+            for (int c = 0; c < g.channels; ++c)
+                for (int d = 0; d < g.diesPerChannel; ++d)
+                    for (int p = 0; p < g.planesPerDie; ++p) {
+                        const int n = ftl.freeBlocksInPlane(c, d, p);
+                        total += static_cast<std::uint64_t>(n);
+                        anyLow |= n < cfg.gcFreeBlockThreshold;
+                    }
+            ASSERT_EQ(ftl.totalFreeBlocks(), total)
+                << "seed=" << seed << " step=" << step;
+            ASSERT_EQ(ftl.writePressureCritical(),
+                      total <= static_cast<std::uint64_t>(g.totalPlanes()))
+                << "seed=" << seed << " step=" << step;
+
+            const std::uint64_t kind = rng.below(10);
+            if (kind < 6) {
+                if (!ftl.writePressureCritical())
+                    ftl.allocateWrite(rng.below(footprint));
+            } else if (kind < 8 && inFlight.size() < 3) {
+                GcJob job;
+                const bool found = ftl.nextGcJob(job);
+                // No low plane: no job. A low plane and no job in
+                // flight: its full blocks are all eligible victims.
+                if (!anyLow)
+                    ASSERT_FALSE(found) << "seed=" << seed
+                                        << " step=" << step;
+                if (anyLow && inFlight.empty())
+                    ASSERT_TRUE(found) << "seed=" << seed
+                                       << " step=" << step;
+                if (found) {
+                    EXPECT_LT(ftl.freeBlocksInPlane(job.channel, job.die,
+                                                    job.plane),
+                              cfg.gcFreeBlockThreshold);
+                    inFlight.push_back(std::move(job));
+                }
+            } else if (!inFlight.empty()) {
+                const GcJob job = std::move(inFlight.front());
+                inFlight.pop_front();
+                for (std::uint64_t lpn : job.lpnsToMove)
+                    ftl.allocateWrite(lpn);
+                ftl.completeErase(job);
+            }
+        }
+        EXPECT_GT(ftl.erasesPerformed(), 0u) << "seed=" << seed;
+        EXPECT_EQ(ftl.validPages(), footprint) << "seed=" << seed;
+    }
 }
 
 TEST(Ftl, ReadDisturbTriggersRelocation)

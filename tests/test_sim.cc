@@ -1,8 +1,10 @@
 /**
  * @file
- * Tests of the discrete-event kernel: time ordering, FIFO tie-breaking,
- * reentrancy (events scheduling events), the watchdog run bound and the
- * exact nextEventBound() values the fleet's rounds depend on.
+ * Tests of the discrete-event kernel: time ordering, FIFO tie-breaking
+ * (including the same-tick FIFO beside the heap), reentrancy (events
+ * scheduling events), in-place execution in the action slab, the
+ * watchdog run bound and the exact nextEventBound() values the fleet's
+ * rounds depend on.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -500,6 +503,221 @@ TEST(Simulator, MatchesReferenceKernelOnRandomScripts)
         ASSERT_EQ(production.size(), reference.size()) << "seed=" << seed;
         EXPECT_EQ(production, reference) << "seed=" << seed;
     }
+}
+
+/**
+ * Drive a kernel through a script built for the same-tick FIFO: outside
+ * pushes at the current tick beside future ones, watchdog-limited runs
+ * that stop mid-tick, zero-delay chains of random length and events
+ * that fan out into mixed zero and non-zero delays.
+ */
+template <typename Kernel>
+std::vector<std::pair<Tick, int>>
+runSameTickScript(std::uint64_t seed)
+{
+    Kernel sim;
+    std::vector<std::pair<Tick, int>> log;
+    Rng rng(seed);
+    int next_id = 0;
+    // chain(id, left): log, then hand off to a zero-delay successor.
+    std::function<void(int, int)> chain = [&](int id, int left) {
+        log.emplace_back(sim.now(), id);
+        if (left > 0)
+            sim.schedule(0, [&chain, id, left] {
+                chain(id + 1000000, left - 1);
+            });
+    };
+    const auto fanOut = [&](int id) {
+        log.emplace_back(sim.now(), id);
+        // Children alternate between the current tick and the near
+        // future, so same-tick heap keys and FIFO entries interleave.
+        for (int c = 0; c < 3; ++c) {
+            const int cid = 2000000 + id * 4 + c;
+            const Tick d = (id + c) % 2 == 0 ? 0 : Tick(1 + c);
+            sim.schedule(d, [&log, &sim, cid] {
+                log.emplace_back(sim.now(), cid);
+            });
+        }
+    };
+    for (int op = 0; op < 600; ++op) {
+        const std::uint64_t kind = rng.below(8);
+        const Tick d = kind < 3 ? 0 : Tick(rng.below(4));
+        const int id = next_id++;
+        if (kind < 4) {
+            const int len = static_cast<int>(rng.below(5));
+            sim.schedule(d, [&chain, id, len] { chain(id, len); });
+        } else if (kind < 6) {
+            sim.schedule(d, [&fanOut, id] { fanOut(id); });
+        } else {
+            sim.run(rng.below(7));
+        }
+    }
+    sim.run();
+    return log;
+}
+
+TEST(Simulator, ZeroDelayChainsMatchReference)
+{
+    // A chain whose every link schedules its successor at delay 0 runs
+    // entirely at one tick, after everything already due there.
+    const auto script = [](auto &sim, auto &log) {
+        for (int i = 0; i < 4; ++i) {
+            sim.schedule(10, [&sim, &log, i] {
+                log.emplace_back(sim.now(), i);
+                sim.schedule(0, [&sim, &log, i] {
+                    log.emplace_back(sim.now(), 10 + i);
+                    sim.schedule(0, [&sim, &log, i] {
+                        log.emplace_back(sim.now(), 20 + i);
+                    });
+                });
+            });
+        }
+    };
+    Simulator sim;
+    ReferenceSimulator ref;
+    std::vector<std::pair<Tick, int>> simLog, refLog;
+    script(sim, simLog);
+    script(ref, refLog);
+    sim.run();
+    ref.run();
+    EXPECT_EQ(simLog, refLog);
+    ASSERT_EQ(simLog.size(), 12u);
+    EXPECT_EQ(simLog.back(), (std::pair<Tick, int>{10, 23}));
+    EXPECT_EQ(sim.now(), 10u);
+}
+
+TEST(Simulator, MatchesReferenceKernelOnSameTickScripts)
+{
+    for (std::uint64_t seed : {5u, 17u, 321u, 65537u}) {
+        const auto production = runSameTickScript<Simulator>(seed);
+        const auto reference = runSameTickScript<ReferenceSimulator>(seed);
+        ASSERT_EQ(production.size(), reference.size()) << "seed=" << seed;
+        EXPECT_EQ(production, reference) << "seed=" << seed;
+    }
+}
+
+TEST(Simulator, OutsideScheduleAtNowAfterClockAdvance)
+{
+    // runUntil past an empty window moves the clock but not the window;
+    // an outside schedule at the new now() then sits outside the window,
+    // so the bound is the inexact, floored or cached value of the
+    // quantization, exactly as if the event had gone through the heap.
+    constexpr Tick kWindow = Tick(1) << 14;
+    {
+        Simulator sim;
+        sim.runUntil(100000);
+        sim.scheduleAt(sim.now(), [] {});
+        EXPECT_EQ(sim.nextEventBound(), 6 * kWindow); // floored
+        int fired = 0;
+        sim.scheduleAt(sim.now(), [&] { ++fired; });
+        EXPECT_EQ(sim.runUntil(100000), 100000u);
+        EXPECT_EQ(fired, 1);
+        EXPECT_TRUE(sim.empty());
+    }
+    {
+        Simulator sim;
+        std::vector<int> order;
+        sim.scheduleAt(200000, [&] { order.push_back(2); });
+        EXPECT_EQ(sim.nextEventBound(), 12 * kWindow);
+        // A horizon below the bound: a pure clock advance.
+        EXPECT_EQ(sim.runUntil(150000), 150000u);
+        EXPECT_EQ(sim.nextEventBound(), 12 * kWindow);
+        // A push below the cached bound replaces it, unfloored.
+        sim.scheduleAt(sim.now(), [&] { order.push_back(1); });
+        EXPECT_EQ(sim.nextEventBound(), 150000u);
+        // Acting on the inexact bound repositions onto now(); the
+        // remaining event floors against the new window.
+        sim.runUntil(150000);
+        EXPECT_EQ(order, (std::vector<int>{1}));
+        EXPECT_EQ(sim.nextEventBound(), 12 * kWindow);
+        sim.run();
+        EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    }
+    {
+        // Same, but the outside push lands in the window: exact.
+        Simulator sim;
+        sim.runUntil(kWindow - 10);
+        sim.scheduleAt(sim.now(), [] {});
+        EXPECT_EQ(sim.nextEventBound(), kWindow - 10);
+    }
+}
+
+TEST(Simulator, SlabGrowsWhileAnActionRuns)
+{
+    // One action schedules several chunks' worth of events, so the slab
+    // grows under it; it must still read its own captures afterwards
+    // (under ASan a moved slot would be a use-after-free).
+    Simulator sim;
+    std::vector<int> order;
+    std::vector<int> payload(64);
+    for (int i = 0; i < 64; ++i)
+        payload[i] = i * 3;
+    int sum = 0;
+    sim.schedule(1, [&sim, &order, &sum, payload] {
+        for (int i = 0; i < 1500; ++i)
+            sim.schedule(static_cast<Tick>(i % 3),
+                         [&order, i] { order.push_back(i); });
+        for (int v : payload)
+            sum += v;
+    });
+    sim.run();
+    EXPECT_EQ(sum, 3 * 63 * 64 / 2);
+    ASSERT_EQ(order.size(), 1500u);
+    // Delay 0 first (FIFO at tick 1), then ticks 2 and 3, each in
+    // schedule order.
+    std::vector<int> expected;
+    for (int r = 0; r < 3; ++r)
+        for (int i = r; i < 1500; i += 3)
+            expected.push_back(i);
+    EXPECT_EQ(order, expected);
+}
+
+TEST(Simulator, CapturesAreReleasedRightAfterTheirEvent)
+{
+    Simulator sim;
+    auto owned = std::make_shared<int>(7);
+    const std::weak_ptr<int> watch = owned;
+    bool aliveDuring = false;
+    bool aliveAfter = true;
+    sim.schedule(5, [&aliveDuring, &watch, p = std::move(owned)] {
+        aliveDuring = !watch.expired() && *p == 7;
+    });
+    // Same tick, next in line: the capture must already be gone.
+    sim.schedule(5, [&] { aliveAfter = !watch.expired(); });
+    sim.run();
+    EXPECT_TRUE(aliveDuring);
+    EXPECT_FALSE(aliveAfter);
+
+    // A zero-delay (same-tick FIFO) event likewise.
+    auto owned2 = std::make_shared<int>(8);
+    const std::weak_ptr<int> watch2 = owned2;
+    sim.schedule(0, [p = std::move(owned2)] { (void)p; });
+    sim.schedule(0, [&] { aliveAfter = !watch2.expired(); });
+    sim.run();
+    EXPECT_FALSE(aliveAfter);
+}
+
+TEST(Simulator, PeakQueueSizeCountsSameTickEvents)
+{
+    Simulator sim;
+    for (int i = 0; i < 3; ++i)
+        sim.schedule(0, [] {});
+    sim.schedule(4, [] {});
+    EXPECT_EQ(sim.peakQueueSize(), 4u);
+    sim.run();
+    EXPECT_EQ(sim.peakQueueSize(), 4u);
+
+    // From inside an event: the running event is no longer pending,
+    // the tick-30 one still is, and ten same-tick pushes join it.
+    Simulator fan;
+    fan.schedule(1, [&fan] {
+        for (int i = 0; i < 10; ++i)
+            fan.schedule(0, [] {});
+    });
+    fan.schedule(30, [] {});
+    EXPECT_EQ(fan.peakQueueSize(), 2u);
+    fan.run();
+    EXPECT_EQ(fan.peakQueueSize(), 11u);
 }
 
 } // namespace
