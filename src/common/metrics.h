@@ -2,8 +2,7 @@
  * @file
  * Hierarchical metrics registry for the whole stack: named counters,
  * high-water gauges and full-sample distributions, bumped through
- * inlined handles that compile to nothing when RIF_METRICS_ENABLED is
- * 0 and to a TLS load + null check + array bump when enabled.
+ * inlined handles that compile to a TLS load + null check + array bump.
  *
  * Determinism contract (the same one the golden-CSV suites enforce):
  * values are collected in per-thread shards and merged only with
@@ -35,9 +34,9 @@
 #include <string_view>
 #include <vector>
 
-#ifndef RIF_METRICS_ENABLED
+/** Hot-path instrumentation is always compiled in; the macro stays 1
+ *  for tools that report it. */
 #define RIF_METRICS_ENABLED 1
-#endif
 
 namespace rif {
 
@@ -223,13 +222,9 @@ class MetricsScope
 
 /*
  * Hot-path handles. Instrumentation sites declare a `static const`
- * handle (registration happens once) and bump it unconditionally; when
- * RIF_METRICS_ENABLED is 0 the handle is an empty constexpr object and
- * every call compiles away. With no active collector a bump is a TLS
- * load and a branch.
+ * handle (registration happens once) and bump it unconditionally. With
+ * no active collector a bump is a TLS load and a branch.
  */
-#if RIF_METRICS_ENABLED
-
 /** Counter handle: registers at construction, add() is hot-path safe. */
 class Counter
 {
@@ -299,44 +294,6 @@ class Distribution
   private:
     int id_;
 };
-
-#else // !RIF_METRICS_ENABLED
-
-class Counter
-{
-  public:
-    constexpr explicit Counter(const char *, const char * = "",
-                               const char * = "")
-    {
-    }
-    void add(std::uint64_t) const {}
-    void inc() const {}
-    int id() const { return -1; }
-};
-
-class Gauge
-{
-  public:
-    constexpr explicit Gauge(const char *, const char * = "",
-                             const char * = "")
-    {
-    }
-    void observe(std::uint64_t) const {}
-    int id() const { return -1; }
-};
-
-class Distribution
-{
-  public:
-    constexpr explicit Distribution(const char *, const char * = "",
-                                    const char * = "")
-    {
-    }
-    void observe(double) const {}
-    int id() const { return -1; }
-};
-
-#endif // RIF_METRICS_ENABLED
 
 } // namespace metrics
 } // namespace rif

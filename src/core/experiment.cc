@@ -9,13 +9,27 @@ namespace rif {
 
 namespace {
 
-/** Label the current trace track after the run it carries. */
-void
-labelTrack(const ssd::SsdConfig &config, const std::string &workload)
+/**
+ * The body every single-drive run shares: build the drive, label the
+ * trace track after the run, and collect the stats `replay(drive)`
+ * returns plus the metrics it records.
+ */
+template <typename Replay>
+RunResult
+runOnDrive(const ssd::SsdConfig &config, const std::string &label,
+           Replay replay)
 {
+    ssd::Ssd drive(config);
+    RunResult out;
+    out.workload = label;
+    out.policy = config.policy;
+    out.peCycles = config.peCycles;
     tracing::setTrackLabel(tracing::currentTrack(),
-                           workload + " " +
-                               ssd::policyName(config.policy));
+                           label + " " + ssd::policyName(config.policy));
+    metrics::MetricsScope scope;
+    out.stats = replay(drive);
+    out.metrics = scope.finish();
+    return out;
 }
 
 } // namespace
@@ -42,31 +56,14 @@ Experiment::run(const std::string &workload_name,
 {
     trace::SyntheticWorkload source(trace::workloadByName(workload_name),
                                     scale.requests, scale.seed);
-    ssd::Ssd drive(config_);
-    RunResult out;
-    out.workload = workload_name;
-    out.policy = config_.policy;
-    out.peCycles = config_.peCycles;
-    labelTrack(config_, workload_name);
-    metrics::MetricsScope scope;
-    out.stats = drive.run(source);
-    out.metrics = scope.finish();
-    return out;
+    return run(source, workload_name);
 }
 
 RunResult
 Experiment::run(trace::TraceSource &source, const std::string &label) const
 {
-    ssd::Ssd drive(config_);
-    RunResult out;
-    out.workload = label;
-    out.policy = config_.policy;
-    out.peCycles = config_.peCycles;
-    labelTrack(config_, label);
-    metrics::MetricsScope scope;
-    out.stats = drive.run(source);
-    out.metrics = scope.finish();
-    return out;
+    return runOnDrive(config_, label,
+                      [&](ssd::Ssd &drive) { return drive.run(source); });
 }
 
 RunResult
@@ -90,16 +87,9 @@ Experiment::runMultiTenant(const std::vector<trace::WorkloadSpec> &specs,
         label += specs[i].name;
     }
 
-    ssd::Ssd drive(config_);
-    RunResult out;
-    out.workload = label;
-    out.policy = config_.policy;
-    out.peCycles = config_.peCycles;
-    labelTrack(config_, label);
-    metrics::MetricsScope scope;
-    out.stats = drive.runMultiQueue(sources);
-    out.metrics = scope.finish();
-    return out;
+    return runOnDrive(config_, label, [&](ssd::Ssd &drive) {
+        return drive.runMultiQueue(sources);
+    });
 }
 
 std::vector<RunResult>

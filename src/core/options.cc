@@ -71,16 +71,6 @@ parseDoubleValue(const std::string &key, const std::string &value,
     return v;
 }
 
-bool
-parseBoolValue(const std::string &key, const std::string &value)
-{
-    if (value == "1" || value == "true")
-        return true;
-    if (value == "0" || value == "false")
-        return false;
-    badValue(key, value, "true|false|1|0");
-}
-
 /**
  * One settable field: `make*(value)` parses eagerly (fatal on error)
  * and returns the closure that applies the parsed value later, so a
@@ -151,17 +141,6 @@ makeFields()
              },
              nullptr});
     };
-    auto addBool = [&f](const char *key, const char *help,
-                        void (*set)(ssd::SsdConfig &, bool)) {
-        f.push_back({key, help,
-                     [key, set](const std::string &v) {
-                         const bool parsed = parseBoolValue(key, v);
-                         return [set, parsed](ssd::SsdConfig &c) {
-                             set(c, parsed);
-                         };
-                     },
-                     nullptr});
-    };
 
     // --- ssd.* ---------------------------------------------------------
     f.push_back(
@@ -181,17 +160,6 @@ makeFields()
              }
              return [kind = *parsed](ssd::SsdConfig &c) {
                  c.policy = kind;
-             };
-         },
-         nullptr});
-    f.push_back(
-        {"ssd.rberSource", "per-read RBER substrate: parametric|vth",
-         [](const std::string &v) {
-             const auto parsed = ssd::parseRberSource(v);
-             if (!parsed)
-                 badValue("ssd.rberSource", v, "parametric|vth");
-             return [source = *parsed](ssd::SsdConfig &c) {
-                 c.rberSource = source;
              };
          },
          nullptr});
@@ -256,9 +224,6 @@ makeFields()
     addDouble("ssd.codewordBits", "bits per codeword seen by the decoder",
               [](ssd::SsdConfig &c, double v) { c.codewordBits = v; },
               0.0, 1e9, true);
-    addBool("ssd.readPriority",
-            "serve queued reads ahead of writes/erases",
-            [](ssd::SsdConfig &c, bool v) { c.readPriority = v; });
     addInt("ssd.gcFreeBlockThreshold", "GC low watermark per plane",
            [](ssd::SsdConfig &c, long long v) {
                c.gcFreeBlockThreshold = static_cast<int>(v);
@@ -499,21 +464,6 @@ makeFields()
                    0.0, 1e7);
 
     // --- workload.* ----------------------------------------------------
-    auto addWorkloadDouble =
-        [&f](const char *key, const char *help,
-             void (*set)(trace::WorkloadConfig &, double), double min,
-             double max, bool min_exclusive = false) {
-            f.push_back(
-                {key, help, nullptr, nullptr, nullptr,
-                 [key, set, min, max,
-                  min_exclusive](const std::string &v) {
-                     const double parsed = parseDoubleValue(
-                         key, v, min, max, min_exclusive);
-                     return [set, parsed](trace::WorkloadConfig &c) {
-                         set(c, parsed);
-                     };
-                 }});
-        };
     f.push_back({"workload.trace",
                  "block-trace file to replay (empty: synthetic "
                  "generator)",
@@ -537,52 +487,25 @@ makeFields()
                      };
                  }});
     f.push_back({"workload.arrival",
-                 "injection mode: closed|timestamp|rate|poisson|onoff|"
-                 "diurnal",
+                 "injection mode: closed|timestamp|poisson",
                  nullptr, nullptr, nullptr,
                  [](const std::string &v) {
                      trace::ArrivalMode parsed;
                      if (!trace::parseArrivalMode(v, parsed))
                          badValue("workload.arrival", v,
-                                  "closed|timestamp|rate|poisson|"
-                                  "onoff|diurnal");
+                                  "closed|timestamp|poisson");
                      return [v](trace::WorkloadConfig &c) {
                          c.arrival = v;
                      };
                  }});
-    addWorkloadDouble("workload.rateKiops",
-                      "offered load of the generated open-loop modes "
-                      "(kIOPS)",
-                      [](trace::WorkloadConfig &c, double v) {
-                          c.rateKiops = v;
-                      },
-                      0.0, 1e6, true);
-    addWorkloadDouble("workload.onMs", "on/off burst length (ms)",
-                      [](trace::WorkloadConfig &c, double v) {
-                          c.onMs = v;
-                      },
-                      0.0, 1e7, true);
-    addWorkloadDouble("workload.offMs", "on/off silence length (ms)",
-                      [](trace::WorkloadConfig &c, double v) {
-                          c.offMs = v;
-                      },
-                      0.0, 1e7);
-    addWorkloadDouble("workload.periodMs", "diurnal period (ms)",
-                      [](trace::WorkloadConfig &c, double v) {
-                          c.periodMs = v;
-                      },
-                      0.0, 1e9, true);
-    f.push_back({"workload.amplitude",
-                 "diurnal rate swing, in [0, 1)",
+    f.push_back({"workload.rateKiops",
+                 "offered load of the Poisson open loop (kIOPS)",
                  nullptr, nullptr, nullptr,
                  [](const std::string &v) {
                      const double parsed = parseDoubleValue(
-                         "workload.amplitude", v, 0.0, 1.0);
-                     if (parsed >= 1.0)
-                         badValue("workload.amplitude", v,
-                                  "number in [0, 1)");
+                         "workload.rateKiops", v, 0.0, 1e6, true);
                      return [parsed](trace::WorkloadConfig &c) {
-                         c.amplitude = parsed;
+                         c.rateKiops = parsed;
                      };
                  }});
     f.push_back({"workload.queueCap",

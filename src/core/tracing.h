@@ -16,9 +16,6 @@
  * JSON is byte-identical at any RIF_THREADS / --jobs setting — the
  * trace shows what the *simulated* SSD did, not the host scheduler.
  *
- * Compile-gated with the metrics layer: when RIF_METRICS_ENABLED is 0
- * the record calls are empty inlines.
- *
  * See docs/OBSERVABILITY.md for the format spec and a worked example.
  */
 
@@ -31,10 +28,6 @@
 #include <string>
 
 #include "common/units.h"
-
-#ifndef RIF_METRICS_ENABLED
-#define RIF_METRICS_ENABLED 1
-#endif
 
 namespace rif {
 namespace tracing {
@@ -78,8 +71,6 @@ currentTrack()
     return detail::t_track;
 }
 
-#if RIF_METRICS_ENABLED
-
 /** Record a completed span [ts, ts + dur) on the current track. */
 inline void
 complete(const char *name, Tick ts, Tick dur, std::uint32_t lane = 0,
@@ -99,22 +90,6 @@ instant(const char *name, Tick ts, std::uint32_t lane = 0,
         detail::record(TraceEvent{name, argName, argValue, ts, 0,
                                   detail::t_track, lane, 'i'});
 }
-
-#else // !RIF_METRICS_ENABLED
-
-inline void
-complete(const char *, Tick, Tick, std::uint32_t = 0, const char * = nullptr,
-         std::int64_t = 0)
-{
-}
-
-inline void
-instant(const char *, Tick, std::uint32_t = 0, const char * = nullptr,
-        std::int64_t = 0)
-{
-}
-
-#endif // RIF_METRICS_ENABLED
 
 /**
  * Attach a human-readable label to a track (rendered as the Chrome

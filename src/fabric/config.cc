@@ -43,11 +43,9 @@ FleetConfig::validate() const
         fatal("fleet.qd must be >= 1");
     if (linkGBps <= 0.0)
         fatal("fleet.linkGBps must be > 0");
-    if (linkUs < 0.0)
-        fatal("fleet.linkUs must be >= 0");
-    if (drives > 1 && linkTicks() < 1)
-        fatal("fleet.linkUs must be > 0 when fleet.drives > 1 "
-              "(the link latency is the lookahead window)");
+    if (!(linkUs > 0.0) || linkTicks() < 1)
+        fatal("fleet.linkUs must be > 0 (the link latency is the "
+              "lookahead window)");
     if (agedDrives < 0 || agedDrives > drives)
         fatal("fleet.agedDrives must be in [0, fleet.drives] (got ",
               agedDrives, ")");

@@ -52,10 +52,9 @@ struct FleetConfig
     /**
      * One-way link propagation latency, host <-> each drive. Also the
      * lookahead window of the conservative round scheduler: larger
-     * values mean fewer synchronization rounds. Must be > 0
-     * unless drives == 1: that degenerate coupled mode, used by the
-     * bare-Ssd equivalence tests, runs the host driver on the single
-     * drive's own lane, still paced at `qd`.
+     * values mean fewer synchronization rounds. Must be at least one
+     * tick for every fleet, a single drive included; a bare Ssd runs
+     * one drive without a link.
      */
     double linkUs = 10.0;
 

@@ -100,27 +100,6 @@ Fleet::driveConfig(int drive) const
 }
 
 FleetStats
-Fleet::runCoupled(trace::TraceSource &source, ssd::ArrivalPolicy &policy)
-{
-    tracing::TrackScope track(tracing::currentTrack() + 1);
-    tracing::setTrackLabel(tracing::currentTrack(), "ssd0");
-    const ssd::SsdStats drive = drives_[0]->run(source, policy);
-
-    stats_.makespan = drive.makespan;
-    stats_.commands = drive.hostRequests;
-    stats_.readCommands = drive.readLatencyUs.count();
-    stats_.subIos = drive.hostRequests;
-    for (double x : drive.readLatencyUs.samples())
-        stats_.readLatencyUs.add(x);
-    for (double x : drive.writeLatencyUs.samples())
-        stats_.writeLatencyUs.add(x);
-    stats_.driveEvents = drives_[0]->simulator().eventsExecuted();
-    stats_.drives.push_back(drive);
-    publishFleetMetrics();
-    return stats_;
-}
-
-FleetStats
 Fleet::run(trace::TraceSource &source)
 {
     ssd::ClosedLoopArrival closed(cfg_.qd);
@@ -130,12 +109,6 @@ Fleet::run(trace::TraceSource &source)
 FleetStats
 Fleet::run(trace::TraceSource &source, ssd::ArrivalPolicy &policy)
 {
-    // The degenerate single-drive, zero-latency fleet has no modeled
-    // interconnect to cross: the host driver runs on the drive's own
-    // lane. This is the bare-Ssd equivalence anchor.
-    if (cfg_.drives == 1 && cfg_.linkTicks() == 0)
-        return runCoupled(source, policy);
-
     const int n = cfg_.drives;
     const std::uint32_t baseTrack = tracing::currentTrack();
 

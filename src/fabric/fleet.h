@@ -11,7 +11,9 @@
  * lookahead: each drive advances on its own event lane to a shared
  * horizon bounded by the link latency (no message can cross the
  * interconnect in less than one link delay), so drives only
- * synchronize at interconnect-crossing events.
+ * synchronize at interconnect-crossing events. Every fleet, a one-drive
+ * fleet included, has a link of at least one tick; a bare Ssd is the
+ * way to replay on one drive without one.
  *
  * Each round runs, on the calling thread and in ascending drive index,
  * only the drives with work inside its window (skipping an idle drive
@@ -118,11 +120,6 @@ class Fleet
      * the host lane, so the conservative lookahead rounds are
      * unchanged: a submission at host tick t reaches a drive no
      * earlier than t + linkTicks, past every round horizon.
-     *
-     * The degenerate 1-drive, zero-latency fleet has no interconnect to
-     * cross and replays on the drive's own lane (coupled mode): it is
-     * byte-identical to a bare Ssd at the drive's forked seed under the
-     * same policy — the anchor the fabric equivalence tests pin.
      */
     FleetStats run(trace::TraceSource &source,
                    ssd::ArrivalPolicy &policy);
@@ -141,9 +138,6 @@ class Fleet
         int subsLeft = 0;
     };
 
-    /** Coupled mode: the policy paces drive 0's own replay. */
-    FleetStats runCoupled(trace::TraceSource &source,
-                          ssd::ArrivalPolicy &policy);
     /** The host driver's start callback: place one host command and
      *  submit its sub-IOs, latency measured from `issuedAt`. */
     void startCommand(const trace::IoRecord &rec, Tick issuedAt);

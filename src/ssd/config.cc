@@ -41,27 +41,6 @@ parsePolicy(const std::string &name)
     return std::nullopt;
 }
 
-const char *
-rberSourceName(RberSource source)
-{
-    switch (source) {
-      case RberSource::Parametric:
-        return "parametric";
-      case RberSource::VthModel:
-        return "vth";
-    }
-    panic("unknown RBER source");
-}
-
-std::optional<RberSource>
-parseRberSource(const std::string &name)
-{
-    for (RberSource source : kAllRberSources)
-        if (name == rberSourceName(source))
-            return source;
-    return std::nullopt;
-}
-
 void
 SsdConfig::validate() const
 {

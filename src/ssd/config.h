@@ -35,24 +35,11 @@ enum class PolicyKind
     Rif,           ///< RiFSSD: on-die ODEAR engine
 };
 
-/** Which substrate supplies per-read RBER values. */
-enum class RberSource
-{
-    Parametric, ///< calibrated fast model (nand::RberModel)
-    VthModel,   ///< physics-flavoured V_TH overlap model
-};
-
 /** Human-readable policy name as used in the paper's figures. */
 const char *policyName(PolicyKind kind);
 
 /** Inverse of policyName(); nullopt for an unknown label. */
 std::optional<PolicyKind> parsePolicy(const std::string &name);
-
-/** Name of the RBER substrate, accepted back by parseRberSource(). */
-const char *rberSourceName(RberSource source);
-
-/** Inverse of rberSourceName(); nullopt for an unknown label. */
-std::optional<RberSource> parseRberSource(const std::string &name);
 
 /** All comparison policies in the paper's plotting order. */
 inline constexpr PolicyKind kAllPolicies[] = {
@@ -69,20 +56,12 @@ inline constexpr PolicyKind kAllPolicyKinds[] = {
     PolicyKind::RpController,  PolicyKind::Rif,
 };
 
-/** Every RBER substrate, for round-trip tests. */
-inline constexpr RberSource kAllRberSources[] = {
-    RberSource::Parametric,
-    RberSource::VthModel,
-};
-
 /** Full simulator configuration. */
 struct SsdConfig
 {
     nand::Geometry geometry = simGeometry();
     nand::Timing timing;
     nand::RberParams rber;
-    /** RBER substrate used by the FTL's read translation. */
-    RberSource rberSource = RberSource::Parametric;
 
     /**
      * NAND cell type of the array (`--set nand.cellType=slc|tlc|qlc`).
@@ -149,13 +128,6 @@ struct SsdConfig
     double rpObservedBits = 1024.0 * 33.0;
     /** Bits per codeword seen by the decoder. */
     double codewordBits = 36864.0;
-
-    /**
-     * Serve queued reads ahead of writes/erases at each die (read
-     * prioritization, common in enterprise firmware). Off by default
-     * to match the paper's plain transaction scheduling.
-     */
-    bool readPriority = false;
 
     /** GC: free-block low watermark per plane. */
     int gcFreeBlockThreshold = 3;

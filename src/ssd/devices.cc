@@ -24,7 +24,6 @@ PageOp::pendingDieTicks() const
 DieModel::DieModel(Simulator &sim, const SsdConfig &config,
                    ChannelModel &channel, EccEngine &ecc)
     : sim_(sim),
-      config_(config),
       channel_(channel),
       ecc_(ecc),
       planes_(config.geometry.planesPerDie),
@@ -50,8 +49,6 @@ DieModel::enqueueQuiet(PageOp *op)
                "plane out of range");
     lane(op->type, op->addr.plane).push(Entry{nextSeq_++, op});
     ++queued_;
-    if (op->type == PageOp::Type::Read)
-        ++queuedReads_;
 }
 
 void
@@ -66,18 +63,14 @@ DieModel::tryStart()
     if (busy_ || queued_ == 0)
         return;
 
-    // The batch type is the oldest queued op's type; with read
-    // priority it is Read whenever any read is queued.
-    PageOp::Type batch_type = PageOp::Type::Read;
+    // The batch type is the oldest queued op's type.
     Lane *oldest = nullptr;
-    if (!config_.readPriority || queuedReads_ == 0) {
-        for (Lane &l : lanes_) {
-            if (!l.empty() &&
-                (oldest == nullptr || l.front().seq < oldest->front().seq))
-                oldest = &l;
-        }
-        batch_type = oldest->front().op->type;
+    for (Lane &l : lanes_) {
+        if (!l.empty() &&
+            (oldest == nullptr || l.front().seq < oldest->front().seq))
+            oldest = &l;
     }
+    const PageOp::Type batch_type = oldest->front().op->type;
 
     // A batch is the first op of the batch type on each plane, in FIFO
     // order; an erase goes alone.
@@ -101,8 +94,6 @@ DieModel::tryStart()
     }
     RIF_ASSERT(!batch.empty());
     queued_ -= batch.size();
-    if (batch_type == PageOp::Type::Read)
-        queuedReads_ -= batch.size();
 
     busy_ = true;
     Tick busy_for = 0;

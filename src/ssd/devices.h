@@ -170,7 +170,6 @@ class DieModel
     void releaseOp(PageOp *op);
 
     Simulator &sim_;
-    const SsdConfig &config_;
     ChannelModel &channel_;
     EccEngine &ecc_;
     const int planes_;
@@ -178,7 +177,6 @@ class DieModel
     std::vector<Lane> lanes_;
     std::uint64_t nextSeq_ = 0;
     std::size_t queued_ = 0;
-    std::size_t queuedReads_ = 0;
     /** Scratch for batch formation, reused across tryStart calls. */
     std::vector<Entry> batch_;
     bool busy_ = false;

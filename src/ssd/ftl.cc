@@ -19,8 +19,6 @@ const metrics::Counter mSlcReads{
 Ftl::Ftl(const SsdConfig &config, Rng rng)
     : config_(config),
       rberModel_(config.rber),
-      vthModel_(nand::defaultDistortionParams(config.cellType),
-                config.cellType),
       rng_(rng)
 {
     const auto &g = config_.geometry;
@@ -303,21 +301,8 @@ Ftl::translateRead(std::uint64_t lpn)
         !meta.gcPending && !meta.free) {
         disturbCandidates_.push_back(blockIndex(pi, out.addr.block));
     }
-    if (config_.rberSource == RberSource::VthModel) {
-        // Physics path: V_TH state overlap at default VREF, scaled by
-        // the block's process-variation factor, plus the read-disturb
-        // term the distribution model does not carry.
-        const double disturb = rberModel_.params().readCoeff *
-                               static_cast<double>(meta.readCount) *
-                               (1.0 + config_.peCycles / 1000.0);
-        out.rber = vthModel_.pageRber(out.type, config_.peCycles,
-                                      retentionDays_[lpn]) *
-                       meta.factor +
-                   disturb * meta.factor;
-    } else {
-        out.rber = rberModel_.rber(config_.peCycles, retentionDays_[lpn],
-                                   meta.readCount, out.type, meta.factor);
-    }
+    out.rber = rberModel_.rber(config_.peCycles, retentionDays_[lpn],
+                               meta.readCount, out.type, meta.factor);
     if (slc_mode)
         out.rber *= config_.slcRberFactor;
     return out;

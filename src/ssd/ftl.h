@@ -18,7 +18,6 @@
 
 #include "common/rng.h"
 #include "nand/rber_model.h"
-#include "nand/vth_model.h"
 #include "ssd/config.h"
 
 namespace rif {
@@ -271,7 +270,6 @@ class Ftl
 
     SsdConfig config_;
     nand::RberModel rberModel_;
-    nand::VthModel vthModel_;
     Rng rng_;
     /** Leading blocks of each plane operated in SLC mode (0 = none). */
     int slcBlocksPerPlane_ = 0;

@@ -379,7 +379,7 @@ Ssd::dispatchWritePages(HostRequest *req, std::uint64_t lpn,
     if (ftl_->writePressureCritical()) {
         // Throttle: park the write until GC frees blocks (drained on
         // every erase completion).
-        stalledWrites_.push_back(
+        stalledWrites_.push(
             [this, req, lpn, pages] { dispatchWritePages(req, lpn, pages); });
         maybeStartGc();
         return;
@@ -430,7 +430,7 @@ Ssd::drainStalledWrites()
 {
     while (!stalledWrites_.empty() && !ftl_->writePressureCritical()) {
         auto retry = std::move(stalledWrites_.front());
-        stalledWrites_.pop_front();
+        stalledWrites_.pop();
         retry();
     }
 }
@@ -441,16 +441,17 @@ Ssd::maybeStartGc()
     // Bound concurrent relocation so internal traffic cannot starve
     // the host; free-space GC takes precedence over read-disturb
     // relocations.
-    GcJob job;
     while (gcJobsInFlight_ < config_.geometry.channels) {
-        if (ftl_->nextGcJob(job)) {
+        GcRun *run = gcJobPool_.acquire();
+        if (ftl_->nextGcJob(run->job)) {
             ++gcJobsInFlight_;
-            runGcJob(job);
-        } else if (ftl_->nextReadDisturbJob(job)) {
+            runGcJob(run);
+        } else if (ftl_->nextReadDisturbJob(run->job)) {
             ++gcJobsInFlight_;
             ++stats_.disturbBlockRelocations;
-            runGcJob(job);
+            runGcJob(run);
         } else {
+            gcJobPool_.release(run);
             break;
         }
     }
@@ -479,33 +480,31 @@ Ssd::checkGcProgress(const GcJob &job)
 }
 
 void
-Ssd::runGcJob(const GcJob &job)
+Ssd::runGcJob(GcRun *run)
 {
     // Relocate every valid page (read via the normal retry-policy path,
     // then program elsewhere), then erase the victim.
+    const GcJob &job = run->job;
     tracing::instant("ssd.gc.job", sim_.now(),
                      1u + static_cast<std::uint32_t>(job.channel), "moves",
                      static_cast<std::int64_t>(job.lpnsToMove.size()));
-    auto *moves_left = new int(static_cast<int>(job.lpnsToMove.size()));
-    auto *job_copy = new GcJob(job);
+    run->movesLeft = static_cast<int>(job.lpnsToMove.size());
 
-    auto finish_moves = [this, moves_left, job_copy] {
-        if (--(*moves_left) > 0)
+    auto finish_moves = [this, run] {
+        if (--run->movesLeft > 0)
             return;
         PageOp *erase_op = acquireOp(PageOp::Type::Erase);
-        erase_op->addr.channel = job_copy->channel;
-        erase_op->addr.die = job_copy->die;
-        erase_op->addr.plane = job_copy->plane;
-        erase_op->addr.block = job_copy->block;
+        erase_op->addr.channel = run->job.channel;
+        erase_op->addr.die = run->job.die;
+        erase_op->addr.plane = run->job.plane;
+        erase_op->addr.block = run->job.block;
         erase_op->dieTicks = config_.timing.tErase;
-        erase_op->onComplete = [this, job_copy,
-                                moves_left](PageOp *done_op) {
+        erase_op->onComplete = [this, run](PageOp *done_op) {
             freeOp(done_op);
-            checkGcProgress(*job_copy);
-            ftl_->completeErase(*job_copy);
+            checkGcProgress(run->job);
+            ftl_->completeErase(run->job);
             ++stats_.blockErases;
-            delete job_copy;
-            delete moves_left;
+            gcJobPool_.release(run);
             --gcJobsInFlight_;
             maybeStartGc();
             drainStalledWrites();
@@ -514,7 +513,7 @@ Ssd::runGcJob(const GcJob &job)
     };
 
     if (job.lpnsToMove.empty()) {
-        *moves_left = 1;
+        run->movesLeft = 1;
         finish_moves();
         return;
     }

@@ -11,7 +11,6 @@
 #ifndef RIF_SSD_SSD_H
 #define RIF_SSD_SSD_H
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -158,6 +157,9 @@ class Ssd
     {
         return hostReqPool_.allocated();
     }
+    /** Objects ever constructed by the GC-job pool: at most
+     *  geometry.channels, the in-flight cap of maybeStartGc. */
+    std::size_t gcJobPoolAllocated() const { return gcJobPool_.allocated(); }
 
   private:
     struct HostRequest
@@ -169,6 +171,14 @@ class Ssd
         int queue = 0;
         /** Completion hook, fired after the request is released. */
         InlineFunction<void(Tick)> onDone;
+    };
+
+    /** An in-flight GC job: the FTL's work order plus the relocations
+     *  still outstanding before the victim's erase. */
+    struct GcRun
+    {
+        GcJob job;
+        int movesLeft = 0;
     };
 
     DieModel &dieAt(const nand::PhysAddr &addr);
@@ -189,7 +199,7 @@ class Ssd
     /** Count a completed GC job that freed nothing; fail the run once
      *  such jobs outnumber the drive's blocks (see noGainGcStreak_). */
     void checkGcProgress(const GcJob &job);
-    void runGcJob(const GcJob &job);
+    void runGcJob(GcRun *run);
     /** Pooled op with all per-use fields reset; release with freeOp. */
     PageOp *acquireOp(PageOp::Type type);
     void freeOp(PageOp *op) { pageOpPool_.release(op); }
@@ -231,16 +241,18 @@ class Ssd
      */
     std::uint64_t noGainGcStreak_ = 0;
     /** Host writes parked while GC reclaims free blocks. */
-    std::deque<InlineFunction<void()>> stalledWrites_;
+    Fifo<InlineFunction<void()>> stalledWrites_;
 
     /**
      * Free-list pools for the per-operation records. Steady-state
      * replay acquires and releases without heap allocation; pooled
      * PageOps additionally retain their script vector's capacity, so
-     * planReadInto never allocates either.
+     * planReadInto never allocates either, and pooled GC jobs keep
+     * their lpnsToMove capacity.
      */
     ObjectPool<PageOp> pageOpPool_;
     ObjectPool<HostRequest> hostReqPool_;
+    ObjectPool<GcRun> gcJobPool_;
 
     /** See setMetricsPrefix(). */
     std::string metricsPrefix_;

@@ -1,24 +1,9 @@
 #include "trace/arrival.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace rif {
 namespace trace {
-
-FixedRateArrivals::FixedRateArrivals(double iops) : gapUs_(1e6 / iops)
-{
-    RIF_ASSERT(iops > 0.0);
-}
-
-Tick
-FixedRateArrivals::next()
-{
-    const Tick t = usToTicks(cursorUs_);
-    cursorUs_ += gapUs_;
-    return t;
-}
 
 PoissonArrivals::PoissonArrivals(double iops, std::uint64_t seed)
     : ratePerUs_(iops / 1e6), rng_(seed)
@@ -34,56 +19,14 @@ PoissonArrivals::next()
     return t;
 }
 
-OnOffArrivals::OnOffArrivals(double iops, double onMs, double offMs)
-    : gapUs_(1e6 / iops), onUs_(onMs * 1e3),
-      periodUs_((onMs + offMs) * 1e3)
-{
-    RIF_ASSERT(iops > 0.0);
-    RIF_ASSERT(onMs > 0.0 && offMs >= 0.0);
-}
-
-Tick
-OnOffArrivals::next()
-{
-    // Skip to the next on-window when the cursor fell into the gap.
-    const double phase = std::fmod(cursorUs_, periodUs_);
-    if (phase >= onUs_)
-        cursorUs_ += periodUs_ - phase;
-    const Tick t = usToTicks(cursorUs_);
-    cursorUs_ += gapUs_;
-    return t;
-}
-
-DiurnalArrivals::DiurnalArrivals(double iops, double periodMs,
-                                 double amplitude)
-    : ratePerUs_(iops / 1e6), periodUs_(periodMs * 1e3),
-      amplitude_(amplitude)
-{
-    RIF_ASSERT(iops > 0.0);
-    RIF_ASSERT(periodMs > 0.0);
-    RIF_ASSERT(amplitude >= 0.0 && amplitude < 1.0);
-}
-
-Tick
-DiurnalArrivals::next()
-{
-    const Tick t = usToTicks(cursorUs_);
-    const double rate =
-        ratePerUs_ *
-        (1.0 + amplitude_ *
-                   std::sin(2.0 * M_PI * cursorUs_ / periodUs_));
-    cursorUs_ += 1.0 / rate;
-    return t;
-}
-
 TimedTrace::TimedTrace(std::unique_ptr<TraceSource> inner,
-                       std::unique_ptr<ArrivalProcess> arrivals)
-    : ownedInner_(std::move(inner)), ownedArrivals_(std::move(arrivals)),
-      inner_(*ownedInner_), arrivals_(*ownedArrivals_)
+                       const PoissonArrivals &arrivals)
+    : ownedInner_(std::move(inner)), inner_(*ownedInner_),
+      arrivals_(arrivals)
 {
 }
 
-TimedTrace::TimedTrace(TraceSource &inner, ArrivalProcess &arrivals)
+TimedTrace::TimedTrace(TraceSource &inner, const PoissonArrivals &arrivals)
     : inner_(inner), arrivals_(arrivals)
 {
 }

@@ -1,12 +1,9 @@
 /**
  * @file
- * Composable open-loop arrival processes: generators that assign
- * arrival timestamps to any TraceSource, turning a closed-loop request
- * stream into offered load. Poisson and fixed-rate model steady open
- * loops, on/off models bursty tenants, and the diurnal curve models the
- * day/night swing of a shared cloud volume. All are deterministic —
- * the Poisson process runs on the repo's own Rng — so open-loop runs
- * stay byte-identical at any thread or job count.
+ * The generated open-loop arrival process: a Poisson generator that
+ * assigns arrival timestamps to any TraceSource, turning a closed-loop
+ * request stream into offered load. It runs on the repo's own Rng, so
+ * open-loop runs stay byte-identical at any thread or job count.
  */
 
 #ifndef RIF_TRACE_ARRIVAL_H
@@ -22,36 +19,17 @@
 namespace rif {
 namespace trace {
 
-/** A stream of non-decreasing arrival ticks (one per request). */
-class ArrivalProcess
-{
-  public:
-    virtual ~ArrivalProcess() = default;
-
-    /** The next request's arrival tick; non-decreasing across calls. */
-    virtual Tick next() = 0;
-};
-
-/** Open loop at a constant rate: arrivals every 1/iops seconds. */
-class FixedRateArrivals final : public ArrivalProcess
-{
-  public:
-    explicit FixedRateArrivals(double iops);
-
-    Tick next() override;
-
-  private:
-    double gapUs_;
-    double cursorUs_ = 0.0;
-};
-
-/** Memoryless open loop: exponential gaps with mean 1/iops. */
-class PoissonArrivals final : public ArrivalProcess
+/**
+ * Memoryless open loop: exponential gaps with mean 1/iops, starting at
+ * tick zero. Arrival ticks are non-decreasing across next() calls.
+ */
+class PoissonArrivals
 {
   public:
     PoissonArrivals(double iops, std::uint64_t seed);
 
-    Tick next() override;
+    /** The next request's arrival tick. */
+    Tick next();
 
   private:
     double ratePerUs_;
@@ -60,58 +38,21 @@ class PoissonArrivals final : public ArrivalProcess
 };
 
 /**
- * Bursty on/off tenant: fixed-rate arrivals during `onMs` windows,
- * silence during `offMs` windows. `iops` is the in-burst rate, so the
- * long-run average is iops * on / (on + off).
- */
-class OnOffArrivals final : public ArrivalProcess
-{
-  public:
-    OnOffArrivals(double iops, double onMs, double offMs);
-
-    Tick next() override;
-
-  private:
-    double gapUs_;
-    double onUs_;
-    double periodUs_;
-    double cursorUs_ = 0.0;
-};
-
-/**
- * Diurnal rate curve: instantaneous rate
- * iops * (1 + amplitude * sin(2*pi*t / period)), stepped one arrival
- * at a time (the gap is the reciprocal of the instantaneous rate).
- */
-class DiurnalArrivals final : public ArrivalProcess
-{
-  public:
-    DiurnalArrivals(double iops, double periodMs, double amplitude);
-
-    Tick next() override;
-
-  private:
-    double ratePerUs_;
-    double periodUs_;
-    double amplitude_;
-    double cursorUs_ = 0.0;
-};
-
-/**
- * Stamps an arrival process onto an inner stream: next() forwards the
- * record and overwrites its arrival tick. Footprint, cold layout and
- * the precondition digest pass straight through — pacing does not
- * change preconditioned FTL state, so every offered-load point of a
- * sweep shares one snapshot-cache entry.
+ * Stamps a Poisson process onto an inner stream: next() forwards the
+ * record and overwrites its arrival tick. The process is copied in, so
+ * a TimedTrace draws the same sequence its argument would have.
+ * Footprint, cold layout and the precondition digest pass straight
+ * through — pacing does not change preconditioned FTL state, so every
+ * offered-load point of a sweep shares one snapshot-cache entry.
  */
 class TimedTrace final : public TraceSource
 {
   public:
     /** Owning composition (the factory path: openWorkload). */
     TimedTrace(std::unique_ptr<TraceSource> inner,
-               std::unique_ptr<ArrivalProcess> arrivals);
+               const PoissonArrivals &arrivals);
     /** Non-owning composition (stack-built test fixtures). */
-    TimedTrace(TraceSource &inner, ArrivalProcess &arrivals);
+    TimedTrace(TraceSource &inner, const PoissonArrivals &arrivals);
 
     bool next(IoRecord &out) override;
     std::uint64_t footprintPages() const override;
@@ -121,9 +62,8 @@ class TimedTrace final : public TraceSource
 
   private:
     std::unique_ptr<TraceSource> ownedInner_;
-    std::unique_ptr<ArrivalProcess> ownedArrivals_;
     TraceSource &inner_;
-    ArrivalProcess &arrivals_;
+    PoissonArrivals arrivals_;
 };
 
 } // namespace trace

@@ -15,14 +15,8 @@ arrivalModeName(ArrivalMode m)
         return "closed";
     case ArrivalMode::Timestamp:
         return "timestamp";
-    case ArrivalMode::Rate:
-        return "rate";
     case ArrivalMode::Poisson:
         return "poisson";
-    case ArrivalMode::OnOff:
-        return "onoff";
-    case ArrivalMode::Diurnal:
-        return "diurnal";
     }
     return "?";
 }
@@ -30,10 +24,8 @@ arrivalModeName(ArrivalMode m)
 bool
 parseArrivalMode(const std::string &name, ArrivalMode &out)
 {
-    for (ArrivalMode m :
-         {ArrivalMode::Closed, ArrivalMode::Timestamp, ArrivalMode::Rate,
-          ArrivalMode::Poisson, ArrivalMode::OnOff,
-          ArrivalMode::Diurnal}) {
+    for (ArrivalMode m : {ArrivalMode::Closed, ArrivalMode::Timestamp,
+                          ArrivalMode::Poisson}) {
         if (name == arrivalModeName(m)) {
             out = m;
             return true;
@@ -48,8 +40,7 @@ WorkloadConfig::mode() const
     ArrivalMode m = ArrivalMode::Closed;
     if (!parseArrivalMode(arrival, m))
         fatal("workload.arrival: unknown mode '", arrival,
-              "' (expected closed|timestamp|rate|poisson|onoff|"
-              "diurnal)");
+              "' (expected closed|timestamp|poisson)");
     return m;
 }
 
@@ -63,13 +54,6 @@ WorkloadConfig::validate() const
               "' (expected auto|csv|msr|alibaba)");
     if (!(rateKiops > 0.0))
         fatal("workload.rateKiops must be positive");
-    if (!(onMs > 0.0) || offMs < 0.0)
-        fatal("workload.onMs must be positive and workload.offMs "
-              "non-negative");
-    if (!(periodMs > 0.0))
-        fatal("workload.periodMs must be positive");
-    if (amplitude < 0.0 || amplitude >= 1.0)
-        fatal("workload.amplitude must lie in [0, 1)");
     if (queueCap < 1)
         fatal("workload.queueCap must be at least 1");
 }
@@ -92,32 +76,14 @@ openWorkload(const WorkloadConfig &cfg, const WorkloadSpec &fallback,
         base = std::make_unique<StreamTrace>(cfg.trace, f);
     }
 
-    const double iops = cfg.rateKiops * 1e3;
-    std::unique_ptr<ArrivalProcess> proc;
-    switch (cfg.mode()) {
-    case ArrivalMode::Closed:
-    case ArrivalMode::Timestamp:
+    if (cfg.mode() != ArrivalMode::Poisson) {
         // Closed loop ignores timestamps; timestamp mode replays the
         // ones already on the records.
         return base;
-    case ArrivalMode::Rate:
-        proc = std::make_unique<FixedRateArrivals>(iops);
-        break;
-    case ArrivalMode::Poisson:
-        proc =
-            std::make_unique<PoissonArrivals>(iops, cfg.arrivalSeed);
-        break;
-    case ArrivalMode::OnOff:
-        proc = std::make_unique<OnOffArrivals>(iops, cfg.onMs,
-                                               cfg.offMs);
-        break;
-    case ArrivalMode::Diurnal:
-        proc = std::make_unique<DiurnalArrivals>(iops, cfg.periodMs,
-                                                 cfg.amplitude);
-        break;
     }
-    return std::make_unique<TimedTrace>(std::move(base),
-                                        std::move(proc));
+    return std::make_unique<TimedTrace>(
+        std::move(base),
+        PoissonArrivals(cfg.rateKiops * 1e3, cfg.arrivalSeed));
 }
 
 } // namespace trace

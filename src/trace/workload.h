@@ -3,7 +3,7 @@
  * The workload engine's front door: one WorkloadConfig describes where
  * requests come from (a real trace file or the synthetic Table-II
  * generator) and how they arrive (closed-loop, the trace's own
- * timestamps, or a generated open-loop process), and openWorkload()
+ * timestamps, or a generated Poisson open loop), and openWorkload()
  * assembles the TraceSource chain. Scenario bodies set defaults, layer
  * `--set workload.*` overrides on top, and replay the result through
  * Ssd::run or Fleet::run, whose HostDriver paces it with the matching
@@ -27,10 +27,7 @@ enum class ArrivalMode
 {
     Closed,    ///< closed loop at the device/fleet queue depth
     Timestamp, ///< open loop at the records' own arrival ticks
-    Rate,      ///< open loop, fixed-rate generator
     Poisson,   ///< open loop, Poisson generator
-    OnOff,     ///< open loop, bursty on/off generator
-    Diurnal,   ///< open loop, diurnal rate curve
 };
 
 const char *arrivalModeName(ArrivalMode m);
@@ -45,15 +42,10 @@ struct WorkloadConfig
     std::string trace;
     /** Trace dialect: auto | csv | msr | alibaba. */
     std::string format = "auto";
-    /** Injection: closed | timestamp | rate | poisson | onoff |
-     *  diurnal. */
+    /** Injection: closed | timestamp | poisson. */
     std::string arrival = "closed";
-    /** Offered load for the generated open-loop modes (kIOPS). */
+    /** Offered load of the Poisson open loop (kIOPS). */
     double rateKiops = 200.0;
-    double onMs = 2.0;   ///< on/off burst length
-    double offMs = 2.0;  ///< on/off silence length
-    double periodMs = 50.0; ///< diurnal period
-    double amplitude = 0.8; ///< diurnal swing, in [0, 1)
     /** Bounded host queue past the device depth (open loop). */
     int queueCap = 1024;
     std::uint64_t arrivalSeed = 0x5eed;
@@ -70,7 +62,7 @@ struct WorkloadConfig
 /**
  * Build the configured source chain: the trace file (streaming reader,
  * dialect per cfg.format) or a SyntheticWorkload(fallback, requests,
- * seed), wrapped in a TimedTrace for the generated open-loop modes.
+ * seed), wrapped in a TimedTrace for the Poisson open loop.
  */
 std::unique_ptr<TraceSource> openWorkload(const WorkloadConfig &cfg,
                                           const WorkloadSpec &fallback,

@@ -134,13 +134,12 @@ TEST(ClosedLoopArrival, MatchesLegacyFleetReplay)
 
 TEST(ClosedLoopArrival, MatchesLegacyCoupledFleetReplay)
 {
-    // The 1-drive, zero-latency fleet replays on the drive's own lane;
-    // run(source) is run(source, ClosedLoopArrival(fleet.qd)) there too.
+    // A one-drive fleet behind the default link: run(source) is
+    // run(source, ClosedLoopArrival(fleet.qd)) there too.
     const trace::WorkloadSpec spec = smallWorkload();
     const SsdConfig cfg = smallConfig();
     fabric::FleetConfig fc;
     fc.drives = 1;
-    fc.linkUs = 0.0;
 
     trace::SyntheticWorkload legacy_src(spec, 800, 7);
     fabric::Fleet legacy_fleet(cfg, fc);
@@ -154,8 +153,11 @@ TEST(ClosedLoopArrival, MatchesLegacyCoupledFleetReplay)
 
     EXPECT_EQ(legacy.makespan, viaPolicy.makespan);
     EXPECT_EQ(legacy.commands, viaPolicy.commands);
+    EXPECT_EQ(legacy.syncRounds, viaPolicy.syncRounds);
+    EXPECT_GT(legacy.syncRounds, 0u);
     EXPECT_EQ(legacy.readLatencyUs.percentile(99),
               viaPolicy.readLatencyUs.percentile(99));
+    EXPECT_EQ(closed.stats().offered, viaPolicy.commands);
 }
 
 // ---------------------------------------------------------------------

@@ -162,13 +162,7 @@ class FifoScanDie
     {
         if (busy_ || queue_.empty())
             return;
-        PageOp::Type batch_type = queue_.front()->type;
-        if (config_.readPriority) {
-            for (const PageOp *op : queue_) {
-                if (op->type == PageOp::Type::Read)
-                    batch_type = PageOp::Type::Read;
-            }
-        }
+        const PageOp::Type batch_type = queue_.front()->type;
         std::vector<PageOp *> batch;
         if (batch_type == PageOp::Type::Erase) {
             batch.push_back(queue_.front());
@@ -321,24 +315,18 @@ replayDieScript(const SsdConfig &cfg, const std::vector<DieScriptOp> &script)
 TEST(DieModel, BatchingMatchesFifoScanOracle)
 {
     for (int planes : {1, 2, 4, 40}) {
-        for (bool read_priority : {false, true}) {
-            for (std::uint64_t seed : {5u, 77u, 4242u}) {
-                SsdConfig cfg;
-                cfg.geometry.channels = 1;
-                cfg.geometry.diesPerChannel = 1;
-                cfg.geometry.planesPerDie = planes;
-                cfg.readPriority = read_priority;
-                cfg.timing.tDmaPage = 0;
-                const auto script = randomDieScript(seed, planes);
-                const auto lanes = replayDieScript<DieModel>(cfg, script);
-                const auto oracle =
-                    replayDieScript<FifoScanDie>(cfg, script);
-                ASSERT_EQ(lanes.size(), script.size());
-                EXPECT_EQ(lanes, oracle)
-                    << "planes=" << planes
-                    << " readPriority=" << read_priority
-                    << " seed=" << seed;
-            }
+        for (std::uint64_t seed : {5u, 77u, 4242u}) {
+            SsdConfig cfg;
+            cfg.geometry.channels = 1;
+            cfg.geometry.diesPerChannel = 1;
+            cfg.geometry.planesPerDie = planes;
+            cfg.timing.tDmaPage = 0;
+            const auto script = randomDieScript(seed, planes);
+            const auto lanes = replayDieScript<DieModel>(cfg, script);
+            const auto oracle = replayDieScript<FifoScanDie>(cfg, script);
+            ASSERT_EQ(lanes.size(), script.size());
+            EXPECT_EQ(lanes, oracle)
+                << "planes=" << planes << " seed=" << seed;
         }
     }
 }

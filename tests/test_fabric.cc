@@ -7,6 +7,7 @@
 #include <atomic>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/parallel.h"
 #include "fabric/config.h"
 #include "fabric/fleet.h"
@@ -203,74 +204,47 @@ TEST(DriveSeed, AgedDrivesGetTheAgedWearPoint)
 // Fleet runs.
 // ---------------------------------------------------------------------
 
-TEST(Fleet, SingleDriveCoupledFleetMatchesBareSsd)
+TEST(FleetConfigDeathTest, EveryFleetNeedsALink)
 {
-    // drives=1 + linkUs=0 bypasses the interconnect entirely: the
-    // fleet must reproduce a bare Ssd at the drive's forked seed.
-    ssd::SsdConfig cfg;
-    const trace::WorkloadSpec spec = smallWorkload();
-
+    // The link latency is the lookahead window, so a fleet without one
+    // cannot run; a bare Ssd is the linkless single drive.
     FleetConfig fc = makeFleet(1);
     fc.linkUs = 0.0;
-    Fleet fleet(cfg, fc);
-    trace::SyntheticWorkload fleetSrc(spec, 600, 7);
-    const FleetStats fs = fleet.run(fleetSrc);
-
-    ssd::SsdConfig bare = cfg;
-    bare.seed = driveSeed(cfg.seed, 0);
-    bare.queueDepth = fc.qd;
-    ssd::Ssd drive(bare);
-    trace::SyntheticWorkload bareSrc(spec, 600, 7);
-    const ssd::SsdStats ss = drive.run(bareSrc);
-
-    EXPECT_EQ(fs.makespan, ss.makespan);
-    EXPECT_EQ(fs.commands, ss.hostRequests);
-    ASSERT_EQ(fs.drives.size(), 1u);
-    EXPECT_EQ(fs.drives[0].pageReads, ss.pageReads);
-    EXPECT_EQ(fs.drives[0].retriedReads, ss.retriedReads);
-    EXPECT_EQ(fs.readLatencyUs.count(), ss.readLatencyUs.count());
-    EXPECT_DOUBLE_EQ(fs.readLatencyUs.percentile(99),
-                     ss.readLatencyUs.percentile(99));
-    EXPECT_EQ(fs.syncRounds, 0u);
+    EXPECT_DEATH(fc.validate(), "fleet.linkUs must be > 0");
+    fc.linkUs = -1.0;
+    EXPECT_DEATH(fc.validate(), "fleet.linkUs must be > 0");
+    fc = makeFleet(4);
+    fc.linkUs = 0.0;
+    EXPECT_DEATH(fc.validate(), "fleet.linkUs must be > 0");
 }
 
 TEST(Fleet, CoupledFleetHonorsFleetQd)
 {
-    // The coupled fleet paces its drive at fleet.qd, not at the
-    // drive's own ssd.queueDepth: a qd-8 fleet is a bare Ssd at queue
-    // depth 8, and differs from the same fleet at qd = ssd.queueDepth.
+    // A one-drive fleet behind the default link paces its host at
+    // fleet.qd, not at the drive's own ssd.queueDepth: the host queue
+    // peaks at exactly fleet.qd, and a qd-8 fleet runs slower than the
+    // same fleet at qd = ssd.queueDepth.
     ssd::SsdConfig cfg;
     const trace::WorkloadSpec spec = smallWorkload();
+    auto replay = [&](int qd, std::uint64_t &queuePeak) {
+        FleetConfig fc = makeFleet(1);
+        fc.qd = qd;
+        Fleet fleet(cfg, fc);
+        trace::SyntheticWorkload src(spec, 600, 7);
+        metrics::MetricsScope scope;
+        const FleetStats fs = fleet.run(src);
+        queuePeak = scope.finish().value("fabric.host.queue_peak");
+        EXPECT_EQ(fs.commands, 600u);
+        return fs;
+    };
 
-    FleetConfig fc = makeFleet(1);
-    fc.linkUs = 0.0;
-    fc.qd = 8;
-    ASSERT_NE(fc.qd, cfg.queueDepth);
-    Fleet fleet(cfg, fc);
-    trace::SyntheticWorkload fleetSrc(spec, 600, 7);
-    const FleetStats fs = fleet.run(fleetSrc);
-
-    ssd::SsdConfig bare = cfg;
-    bare.seed = driveSeed(cfg.seed, 0);
-    bare.queueDepth = 8;
-    ssd::Ssd drive(bare);
-    trace::SyntheticWorkload bareSrc(spec, 600, 7);
-    const ssd::SsdStats ss = drive.run(bareSrc);
-
-    EXPECT_EQ(fs.makespan, ss.makespan);
-    EXPECT_EQ(fs.commands, ss.hostRequests);
-    ASSERT_EQ(fs.drives.size(), 1u);
-    EXPECT_EQ(fs.drives[0].pageReads, ss.pageReads);
-    EXPECT_DOUBLE_EQ(fs.readLatencyUs.percentile(50),
-                     ss.readLatencyUs.percentile(50));
-    EXPECT_DOUBLE_EQ(fs.readLatencyUs.percentile(99),
-                     ss.readLatencyUs.percentile(99));
-
-    FleetConfig deep = fc;
-    deep.qd = cfg.queueDepth;
-    Fleet deepFleet(cfg, deep);
-    trace::SyntheticWorkload deepSrc(spec, 600, 7);
-    EXPECT_NE(deepFleet.run(deepSrc).makespan, fs.makespan);
+    ASSERT_NE(8, cfg.queueDepth);
+    std::uint64_t shallowPeak = 0, deepPeak = 0;
+    const FleetStats shallow = replay(8, shallowPeak);
+    const FleetStats deep = replay(cfg.queueDepth, deepPeak);
+    EXPECT_EQ(shallowPeak, 8u);
+    EXPECT_EQ(deepPeak, static_cast<std::uint64_t>(cfg.queueDepth));
+    EXPECT_GT(shallow.makespan, deep.makespan);
 }
 
 /** Run one small fleet replay and return its stats. */

@@ -28,8 +28,6 @@ TEST(MetricsRegistry, RegisterIsIdempotentAndBackfills)
     EXPECT_GT(schemaSize(), id);
 }
 
-#if RIF_METRICS_ENABLED
-
 TEST(MetricsHandles, BumpsLandInTheActiveScope)
 {
     const Counter reads{"test.handles.reads", "ops"};
@@ -56,8 +54,6 @@ TEST(MetricsHandles, BumpsLandInTheActiveScope)
     EXPECT_EQ(e->samples.back(), 2.5);
 }
 
-#endif // RIF_METRICS_ENABLED
-
 TEST(MetricsHandles, NoActiveScopeIsANoOp)
 {
     const Counter c{"test.handles.orphan", "ops"};
@@ -68,8 +64,7 @@ TEST(MetricsHandles, NoActiveScopeIsANoOp)
 }
 
 // The nesting, sorting, percentile and determinism tests below drive
-// the Collector API directly (the path Ssd::publishMetrics uses), so
-// they hold in RIF_METRICS=OFF builds too.
+// the Collector API directly (the path Ssd::publishMetrics uses).
 TEST(MetricsScopeNesting, InnerFoldsIntoOuter)
 {
     const int id = registerMetric("test.nesting.count", Kind::Counter);
@@ -185,36 +180,12 @@ TEST(MetricsOutput, TableListsEveryEntry)
     EXPECT_EQ(t.rows().size(), snap.entries().size());
 }
 
-#if RIF_METRICS_ENABLED
-
 TEST(MetricsBuild, HandlesAreEnabled)
 {
-    // An enabled-build handle owns a real schema id.
+    // A handle owns a real schema id.
     const Counter c{"test.build.enabled"};
     EXPECT_GE(c.id(), 0);
 }
-
-#else // !RIF_METRICS_ENABLED
-
-TEST(MetricsBuild, DisabledHandlesAreConstexprAndInert)
-{
-    // The whole handle must be a compile-time constant: proof that an
-    // instrumentation site costs nothing in a RIF_METRICS=OFF build.
-    constexpr Counter c{"test.build.disabled"};
-    constexpr Gauge g{"test.build.disabled.g"};
-    constexpr Distribution d{"test.build.disabled.d"};
-    MetricsScope scope;
-    c.inc();
-    g.observe(7);
-    d.observe(1.0);
-    const Snapshot snap = scope.finish();
-    EXPECT_EQ(snap.find("test.build.disabled"), nullptr);
-    EXPECT_EQ(c.id(), -1);
-    (void)g;
-    (void)d;
-}
-
-#endif // RIF_METRICS_ENABLED
 
 } // namespace
 } // namespace metrics

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests of the layered `--set` option layer, the config name parsers
- * (parsePolicy / parseRberSource), SsdConfig::validate(), the workload
+ * Tests of the layered `--set` option layer, the config name parser
+ * (parsePolicy), SsdConfig::validate(), the workload
  * lookup helpers and the bench scale helpers.
  */
 
@@ -37,23 +37,6 @@ TEST(ConfigParsers, PolicyRejectsUnknownNames)
     EXPECT_FALSE(ssd::parsePolicy("SENCX").has_value()); // no prefixes
 }
 
-TEST(ConfigParsers, RberSourceRoundTripsOverAllSources)
-{
-    for (ssd::RberSource source : ssd::kAllRberSources) {
-        const auto parsed =
-            ssd::parseRberSource(ssd::rberSourceName(source));
-        ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(*parsed, source);
-    }
-}
-
-TEST(ConfigParsers, RberSourceRejectsUnknownNames)
-{
-    EXPECT_FALSE(ssd::parseRberSource("").has_value());
-    EXPECT_FALSE(ssd::parseRberSource("Vth").has_value());
-    EXPECT_FALSE(ssd::parseRberSource("gaussian").has_value());
-}
-
 // ---------------------------------------------------------------------
 // OptionSet: typed parsing and layering.
 // ---------------------------------------------------------------------
@@ -64,8 +47,6 @@ TEST(OptionSet, AppliesTypedSsdOverrides)
     opts.addSet("ssd.queueDepth=128");
     opts.addSet("ssd.hostGBps=4.5");
     opts.addSet("ssd.policy=SWR+");
-    opts.addSet("ssd.rberSource=vth");
-    opts.addSet("ssd.readPriority=false");
     opts.addSet("geometry.channels=4");
     opts.addSet("timing.tR=45.5");
 
@@ -74,8 +55,6 @@ TEST(OptionSet, AppliesTypedSsdOverrides)
     EXPECT_EQ(cfg.queueDepth, 128);
     EXPECT_DOUBLE_EQ(cfg.hostGBps, 4.5);
     EXPECT_EQ(cfg.policy, ssd::PolicyKind::SwiftReadPlus);
-    EXPECT_EQ(cfg.rberSource, ssd::RberSource::VthModel);
-    EXPECT_FALSE(cfg.readPriority);
     EXPECT_EQ(cfg.geometry.channels, 4);
     EXPECT_EQ(cfg.timing.tR, usToTicks(45.5));
 }
@@ -138,6 +117,10 @@ TEST(OptionSetDeathTest, RejectsMalformedAndUnknownInput)
     EXPECT_DEATH(opts.addSet("=128"), "key=value");
     EXPECT_DEATH(opts.addSet("ssd.bogus=1"), "unknown key");
     EXPECT_DEATH(opts.addSet("queueDepth=128"), "unknown key");
+    // Keys of deleted model forks stay rejected, not silently ignored.
+    EXPECT_DEATH(opts.addSet("ssd.rberSource=vth"), "unknown key");
+    EXPECT_DEATH(opts.addSet("ssd.readPriority=true"), "unknown key");
+    EXPECT_DEATH(opts.addSet("workload.onMs=1"), "unknown key");
 }
 
 TEST(OptionSetDeathTest, RejectsOutOfDomainValuesEagerly)
@@ -152,8 +135,8 @@ TEST(OptionSetDeathTest, RejectsOutOfDomainValuesEagerly)
     EXPECT_DEATH(opts.addSet("ssd.hostGBps=0"), "invalid value");
     EXPECT_DEATH(opts.addSet("ssd.hostGBps="), "invalid value");
     EXPECT_DEATH(opts.addSet("ssd.policy=RAID"), "invalid value");
-    EXPECT_DEATH(opts.addSet("ssd.rberSource=magic"), "invalid value");
-    EXPECT_DEATH(opts.addSet("ssd.readPriority=maybe"), "invalid value");
+    EXPECT_DEATH(opts.addSet("workload.arrival=diurnal"),
+                 "invalid value");
     EXPECT_DEATH(opts.addSet("ssd.sentinelExtraReadProb=1.5"),
                  "invalid value");
     EXPECT_DEATH(opts.addSet("run.requests=0"), "invalid value");

@@ -236,21 +236,6 @@ TEST(SsdIntegrationDeathTest, GcLivelockFailsInsteadOfHanging)
                  "with blocksPerPlane=8 at a footprint of 11150 pages");
 }
 
-TEST(SsdIntegration, ReadPriorityImprovesReadLatency)
-{
-    // Mixed workload: serving reads ahead of 400 us programs at the
-    // dies must cut read latency without breaking conservation.
-    trace::WorkloadSpec spec = smallWorkload(0.5, 0.5);
-    SsdConfig cfg = smallConfig(PolicyKind::Rif);
-    const SsdStats fifo = runOne(cfg, spec, 2000);
-    cfg.readPriority = true;
-    const SsdStats prio = runOne(cfg, spec, 2000);
-    EXPECT_LT(prio.readLatencyUs.percentile(95.0),
-              fifo.readLatencyUs.percentile(95.0));
-    EXPECT_EQ(prio.hostRequests, fifo.hostRequests);
-    EXPECT_EQ(prio.hostReadBytes, fifo.hostReadBytes);
-}
-
 TEST(SsdIntegration, WriteOnlyWorkloadCompletes)
 {
     const SsdConfig cfg = smallConfig(PolicyKind::SwiftRead);
@@ -332,22 +317,6 @@ TEST(SsdIntegration, ReadHammerTriggersDisturbRelocation)
     EXPECT_GT(st.blockErases, 0u);
 }
 
-TEST(SsdIntegration, VthModelRberSourceBehavesLikeParametric)
-{
-    // Swapping the RBER substrate keeps the qualitative behaviour:
-    // completion, retries driven by cold reads, wear sensitivity.
-    SsdConfig cfg = smallConfig(PolicyKind::IdealOffChip, 1000.0);
-    cfg.rberSource = RberSource::VthModel;
-    const trace::WorkloadSpec spec = smallWorkload(0.95, 0.85);
-    const SsdStats st = runOne(cfg, spec, 1200);
-    EXPECT_EQ(st.hostRequests, 1200u);
-    EXPECT_GT(st.retriedReads, 0u);
-
-    cfg.peCycles = 0.0;
-    const SsdStats fresh = runOne(cfg, spec, 1200);
-    EXPECT_LT(fresh.retriedReads, st.retriedReads);
-}
-
 TEST(SsdIntegration, WriteAmplificationAtLeastOne)
 {
     SsdConfig cfg = smallConfig(PolicyKind::Rif);
@@ -387,6 +356,26 @@ TEST(SsdIntegration, SteadyStateReadPathDoesNotGrowPools)
     EXPECT_EQ(longrun.second, warm.second);
     // Page ops: bounded by concurrency, not by reads retired.
     EXPECT_LT(longrun.first, warm.first + 32);
+}
+
+TEST(SsdIntegration, GcJobRecordsArePooled)
+{
+    // A write-heavy replay on a small drive runs thousands of GC jobs;
+    // their records come from a pool bounded by the in-flight cap (one
+    // job per channel), not by the number of jobs run.
+    SsdConfig cfg = smallConfig(PolicyKind::Rif);
+    cfg.geometry.blocksPerPlane = 24;
+    cfg.geometry.pagesPerBlock = 64;
+    trace::WorkloadSpec spec = smallWorkload(0.05, 0.5);
+    spec.footprintPages = 12000;
+    trace::SyntheticWorkload gen(spec, 9000, 21);
+    Ssd drive(cfg);
+    const SsdStats st = drive.run(gen);
+    EXPECT_GT(st.blockErases,
+              static_cast<std::uint64_t>(4 * cfg.geometry.channels));
+    EXPECT_GT(drive.gcJobPoolAllocated(), 0u);
+    EXPECT_LE(drive.gcJobPoolAllocated(),
+              static_cast<std::size_t>(cfg.geometry.channels));
 }
 
 TEST(ChannelUsage, TransitionAccounting)

@@ -3,14 +3,12 @@
  * Tests of the workload substrate: the Table II specs, the synthetic
  * generator's realized read/cold-read ratios, address-bound invariants,
  * the streaming trace readers (CSV / MSR-Cambridge / Alibaba dialects,
- * with line-numbered validation), the in-memory source, the arrival
- * processes and the WorkloadConfig front door.
+ * with line-numbered validation), the in-memory source, the Poisson
+ * arrival process and the WorkloadConfig front door.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -376,14 +374,6 @@ TEST(StreamTraceDeathTest, EmptyAndUnknownDialectsAreFatal)
 // Arrival processes and composition.
 // ---------------------------------------------------------------------
 
-TEST(ArrivalProcesses, FixedRateStepsAtTheConfiguredGap)
-{
-    FixedRateArrivals a(250000); // 4 us apart
-    EXPECT_EQ(a.next(), usToTicks(0.0));
-    EXPECT_EQ(a.next(), usToTicks(4.0));
-    EXPECT_EQ(a.next(), usToTicks(8.0));
-}
-
 TEST(ArrivalProcesses, PoissonIsDeterministicAndMonotonic)
 {
     PoissonArrivals a(100000, 7), b(100000, 7);
@@ -400,46 +390,12 @@ TEST(ArrivalProcesses, PoissonIsDeterministicAndMonotonic)
     EXPECT_NE(a.next(), c.next());
 }
 
-TEST(ArrivalProcesses, OnOffArrivalsLandInsideOnWindows)
-{
-    const double on_us = 2000.0, period_us = 5000.0;
-    OnOffArrivals a(100000, 2.0, 3.0);
-    Tick prev = 0;
-    for (int i = 0; i < 500; ++i) {
-        const Tick t = a.next();
-        EXPECT_GE(t, prev);
-        prev = t;
-        const double phase =
-            std::fmod(ticksToUs(t), period_us);
-        EXPECT_LT(phase, on_us + 1e-6);
-    }
-}
-
-TEST(ArrivalProcesses, DiurnalRateSwingsAroundTheMean)
-{
-    DiurnalArrivals a(100000, 1.0, 0.9);
-    Tick prev = 0;
-    std::vector<double> gaps;
-    for (int i = 0; i < 2000; ++i) {
-        const Tick t = a.next();
-        EXPECT_GE(t, prev);
-        if (i > 0)
-            gaps.push_back(ticksToUs(t) - ticksToUs(prev));
-        prev = t;
-    }
-    const auto [lo, hi] =
-        std::minmax_element(gaps.begin(), gaps.end());
-    // Amplitude 0.9: instantaneous gaps spread ~1/1.9 .. 1/0.1 of
-    // the mean 10 us.
-    EXPECT_LT(*lo, 7.0);
-    EXPECT_GT(*hi, 30.0);
-}
-
 TEST(TimedTrace, StampsArrivalsAndForwardsEverythingElse)
 {
     SyntheticWorkload inner(workloadByName("Sys0"), 100, 3);
     SyntheticWorkload bare(workloadByName("Sys0"), 100, 3);
-    FixedRateArrivals gen(500000); // 2 us apart
+    PoissonArrivals gen(500000, 3);
+    PoissonArrivals twin(500000, 3);
     TimedTrace timed(inner, gen);
     EXPECT_EQ(timed.footprintPages(), bare.footprintPages());
     EXPECT_EQ(timed.coldRegionStart(), bare.coldRegionStart());
@@ -453,7 +409,8 @@ TEST(TimedTrace, StampsArrivalsAndForwardsEverythingElse)
     while (timed.next(rec)) {
         ASSERT_TRUE(bare.next(want));
         EXPECT_EQ(rec.lpn, want.lpn);
-        EXPECT_EQ(rec.arrival, usToTicks(2.0 * i++));
+        EXPECT_EQ(rec.arrival, twin.next());
+        ++i;
     }
     EXPECT_EQ(i, 100);
 }
@@ -466,7 +423,7 @@ TEST(OffsetTrace, PreservesArrivalsAndAnswersColdnessWhenTimed)
                        {false, 4, 1, usToTicks(9.0)}},
                       100, 50);
     OffsetTrace shifted(inner, 1000);
-    FixedRateArrivals gen(1000000);
+    PoissonArrivals gen(1000000, 1);
     TimedTrace timed(shifted, gen);
     EXPECT_TRUE(timed.isCold(1060));
     EXPECT_FALSE(timed.isCold(1010));
@@ -488,16 +445,15 @@ TEST(OffsetTrace, PreservesArrivalsAndAnswersColdnessWhenTimed)
 
 TEST(WorkloadConfig, ParsesEveryArrivalMode)
 {
-    for (ArrivalMode m :
-         {ArrivalMode::Closed, ArrivalMode::Timestamp, ArrivalMode::Rate,
-          ArrivalMode::Poisson, ArrivalMode::OnOff,
-          ArrivalMode::Diurnal}) {
+    for (ArrivalMode m : {ArrivalMode::Closed, ArrivalMode::Timestamp,
+                          ArrivalMode::Poisson}) {
         ArrivalMode out = ArrivalMode::Closed;
         ASSERT_TRUE(parseArrivalMode(arrivalModeName(m), out));
         EXPECT_EQ(out, m);
     }
     ArrivalMode out;
     EXPECT_FALSE(parseArrivalMode("sometimes", out));
+    EXPECT_FALSE(parseArrivalMode("rate", out));
     WorkloadConfig cfg;
     EXPECT_FALSE(cfg.openLoop());
     cfg.arrival = "poisson";
@@ -523,8 +479,8 @@ TEST(WorkloadConfigDeathTest, ValidateCatchesNonsense)
     }
     {
         WorkloadConfig cfg;
-        cfg.amplitude = 1.0;
-        EXPECT_DEATH(cfg.validate(), "amplitude");
+        cfg.arrival = "diurnal";
+        EXPECT_DEATH(cfg.validate(), "unknown mode");
     }
     {
         WorkloadConfig cfg;
@@ -552,15 +508,17 @@ TEST(WorkloadConfig, OpenWorkloadAssemblesTheConfiguredChain)
     ASSERT_TRUE(replay->next(rec));
     EXPECT_EQ(rec.arrival, usToTicks(3.0));
 
-    // The same trace restamped by a generated process.
-    WorkloadConfig rate = ts;
-    rate.arrival = "rate";
-    rate.rateKiops = 1000.0; // 1 us gaps
-    auto timed = openWorkload(rate, workloadByName("Sys1"), 50, 9);
+    // The same trace restamped by the Poisson process.
+    WorkloadConfig poisson = ts;
+    poisson.arrival = "poisson";
+    poisson.rateKiops = 1000.0;
+    PoissonArrivals want(poisson.rateKiops * 1e3, poisson.arrivalSeed);
+    auto timed = openWorkload(poisson, workloadByName("Sys1"), 50, 9);
     ASSERT_TRUE(timed->next(rec));
-    EXPECT_EQ(rec.arrival, 0u);
+    EXPECT_EQ(rec.arrival, want.next());
     ASSERT_TRUE(timed->next(rec));
-    EXPECT_EQ(rec.arrival, usToTicks(1.0));
+    EXPECT_EQ(rec.arrival, want.next());
+    EXPECT_GT(rec.arrival, 0u);
     EXPECT_EQ(timed->footprintPages(), 21u);
 }
 

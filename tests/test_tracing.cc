@@ -22,8 +22,6 @@ TEST(Tracing, NoActiveRecorderIsANoOp)
     instant("orphan.instant", 5);
 }
 
-#if RIF_METRICS_ENABLED
-
 TEST(Tracing, RecordsSpansAndInstants)
 {
     TraceScope trace;
@@ -132,19 +130,6 @@ TEST(Tracing, RecorderScopeJoinsAnExistingRecorder)
     other.join();
     EXPECT_EQ(trace.eventCount(), 1u);
 }
-
-#else // !RIF_METRICS_ENABLED
-
-TEST(TracingBuild, DisabledRecordCallsAreInert)
-{
-    TraceScope trace;
-    complete("gone", 0, 10);
-    instant("gone.too", 5);
-    EXPECT_EQ(trace.eventCount(), 0u);
-    EXPECT_EQ(trace.dropped(), 0u);
-}
-
-#endif // RIF_METRICS_ENABLED
 
 /** The emitted bytes must not depend on the pool size. */
 std::string
