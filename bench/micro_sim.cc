@@ -174,7 +174,7 @@ BM_DieBatch(benchmark::State &state)
     EccEngine ecc(sim, cfg);
     ChannelModel channel(sim, cfg, ecc, usage);
     ecc.setChannel(&channel);
-    DieModel die(sim, cfg, channel, ecc);
+    DieModel die(sim, cfg, channel);
 
     const int reads = (planes - 1) * kReadsPerPlane;
     std::vector<PageOp> ops(static_cast<std::size_t>(backlog + reads));

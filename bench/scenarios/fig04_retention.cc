@@ -37,27 +37,16 @@ run(core::ScenarioContext &ctx)
     t.setHeader(head);
 
     for (double pe : pes) {
-        // One cached fit per P/E level; binning walks the shared
-        // vector with proportionCrossingAtDay's exact arithmetic.
+        // One cached fit per P/E level.
         const auto cached =
             core::cachedRetentionThresholds(model, pop, cfg, pe);
-        const auto prop = [&](int day) {
-            std::uint64_t in_bin = 0;
-            for (double d : *cached) {
-                if (d >= static_cast<double>(day) &&
-                    d < static_cast<double>(day + 1)) {
-                    ++in_bin;
-                }
-            }
-            return static_cast<double>(in_bin) /
-                   static_cast<double>(cached->size());
-        };
         auto thresholds = *cached;
         std::sort(thresholds.begin(), thresholds.end());
         std::vector<std::string> row{Table::num(pe, 0)};
         for (int day = 2; day <= 30; day += 2) {
             // 2-day bin [day-2, day).
-            const double p = prop(day - 2) + prop(day - 1);
+            const double p = proportionInDayBin(*cached, day - 2) +
+                             proportionInDayBin(*cached, day - 1);
             row.push_back(p > 0.0 ? Table::num(p, 2) : ".");
         }
         row.push_back(

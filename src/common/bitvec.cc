@@ -78,22 +78,6 @@ xorBitsRaw(std::uint64_t *dst, std::size_t dpos, const std::uint64_t *src,
         xorStep(dst, dpos, src, spos, len);
 }
 
-/** Zero `len` bits of `dst` starting at bit `dpos`. */
-void
-clearBitsRaw(std::uint64_t *dst, std::size_t dpos, std::size_t len)
-{
-    while (len > 0) {
-        const std::size_t db = dpos & 63;
-        const std::size_t chunk = std::min<std::size_t>(64 - db, len);
-        std::uint64_t mask = ~std::uint64_t(0);
-        if (chunk < 64)
-            mask = (std::uint64_t(1) << chunk) - 1;
-        dst[dpos >> 6] &= ~(mask << db);
-        dpos += chunk;
-        len -= chunk;
-    }
-}
-
 } // namespace
 
 BitVec::BitVec(std::size_t nbits)
@@ -102,23 +86,10 @@ BitVec::BitVec(std::size_t nbits)
 }
 
 void
-BitVec::clear()
-{
-    std::fill(words_.begin(), words_.end(), 0);
-}
-
-void
 BitVec::reset(std::size_t nbits)
 {
     nbits_ = nbits;
     words_.assign((nbits + 63) / 64, 0);
-}
-
-void
-BitVec::xorWith(const BitVec &other)
-{
-    RIF_ASSERT(nbits_ == other.nbits_);
-    simd::xorWords(words_.data(), other.words_.data(), words_.size());
 }
 
 void
@@ -148,46 +119,12 @@ BitVec::isZero() const
 }
 
 BitVec
-BitVec::rotl(std::size_t k) const
-{
-    BitVec out(nbits_);
-    if (nbits_ == 0)
-        return out;
-    k %= nbits_;
-    // Bit i of the result is bit (i + k) mod n of the source: a left
-    // rotation moves each source bit k positions toward index 0 in our
-    // little-endian numbering, matching the paper's "rotate segment left".
-    out.xorRange(0, *this, k, nbits_ - k);
-    out.xorRange(nbits_ - k, *this, 0, k);
-    return out;
-}
-
-BitVec
-BitVec::rotr(std::size_t k) const
-{
-    if (nbits_ == 0)
-        return BitVec(0);
-    k %= nbits_;
-    return rotl(nbits_ - k == nbits_ ? 0 : nbits_ - k);
-}
-
-BitVec
 BitVec::slice(std::size_t start, std::size_t len) const
 {
     RIF_ASSERT(start + len <= nbits_);
     BitVec out(len);
     out.xorRange(0, *this, start, len);
     return out;
-}
-
-void
-BitVec::insert(std::size_t start, const BitVec &other)
-{
-    RIF_ASSERT(start + other.nbits_ <= nbits_);
-    if (other.nbits_ == 0)
-        return;
-    clearBitsRaw(words_.data(), start, other.nbits_);
-    xorBitsRaw(words_.data(), start, other.words_.data(), 0, other.nbits_);
 }
 
 void

@@ -1,14 +1,14 @@
 /**
  * @file
  * A packed bit vector over 64-bit words with the operations the LDPC and
- * ODEAR datapaths need: bulk XOR, population count, and cyclic rotation of
- * the whole vector (used by the codeword-rearrangement scheme, which
- * rotates each QC-LDPC segment by its circulant shift coefficient).
+ * ODEAR datapaths need: bit-range XOR (which also rotates a segment, as
+ * the codeword-rearrangement scheme rotates each QC-LDPC segment by its
+ * circulant shift coefficient), population count and slicing.
  *
- * All bulk operations (xorRange, rotl, slice, insert, word gathers) run
- * word-parallel: 64 bits per step regardless of alignment, so the
- * circulant-rotation syndrome identity the paper's RP datapath exploits
- * maps onto whole-word XOR + popcount on the host too.
+ * All bulk operations (xorRange, slice, word gathers) run word-parallel:
+ * 64 bits per step regardless of alignment, so the circulant-rotation
+ * syndrome identity the paper's RP datapath exploits maps onto
+ * whole-word XOR + popcount on the host too.
  */
 
 #ifndef RIF_COMMON_BITVEC_H
@@ -57,14 +57,8 @@ class BitVec
         words_[i >> 6] ^= std::uint64_t(1) << (i & 63);
     }
 
-    /** Set every bit to zero. */
-    void clear();
-
     /** Resize to nbits, zeroing all content (keeps capacity). */
     void reset(std::size_t nbits);
-
-    /** XOR another vector of identical length into this one. */
-    void xorWith(const BitVec &other);
 
     /**
      * XOR bits [src_start, src_start + len) of `src` into bits
@@ -80,17 +74,8 @@ class BitVec
     /** True iff no bit is set. */
     bool isZero() const;
 
-    /** Cyclic left rotation of the whole vector by k bit positions. */
-    BitVec rotl(std::size_t k) const;
-
-    /** Cyclic right rotation (inverse of rotl). */
-    BitVec rotr(std::size_t k) const;
-
     /** Extract bits [start, start+len) into a new vector. */
     BitVec slice(std::size_t start, std::size_t len) const;
-
-    /** Overwrite bits [start, start+other.size()) with `other`. */
-    void insert(std::size_t start, const BitVec &other);
 
     /**
      * Adopt nbits from strided packed words: word i is read from

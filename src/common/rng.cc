@@ -46,14 +46,6 @@ Rng::below(std::uint64_t n)
     return v % n;
 }
 
-std::int64_t
-Rng::range(std::int64_t lo, std::int64_t hi)
-{
-    RIF_ASSERT(lo <= hi);
-    return lo + static_cast<std::int64_t>(
-        below(static_cast<std::uint64_t>(hi - lo) + 1));
-}
-
 double
 Rng::gaussian()
 {

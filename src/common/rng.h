@@ -64,9 +64,6 @@ class Rng
     /** Uniform integer in [0, n) (n > 0). */
     std::uint64_t below(std::uint64_t n);
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t range(std::int64_t lo, std::int64_t hi);
-
     /** Bernoulli trial with success probability p. */
     bool chance(double p) { return uniform() < p; }
 

@@ -77,31 +77,6 @@ class PercentileTracker
     mutable bool sorted_ = true;
 };
 
-/** Fixed-width-bin histogram over [lo, hi) with under/overflow bins. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, int bins);
-
-    /** Add one sample. */
-    void add(double x);
-
-    int bins() const { return static_cast<int>(counts_.size()); }
-    std::uint64_t binCount(int i) const { return counts_.at(i); }
-    double binLow(int i) const;
-    double binHigh(int i) const;
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t total() const { return total_; }
-
-  private:
-    double lo_, hi_, width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
-};
-
 } // namespace rif
 
 #endif // RIF_COMMON_STATS_H

@@ -3,8 +3,8 @@
  * High-level experiment facade — the public API most users of the
  * library interact with. An Experiment binds an SSD configuration
  * (policy + wear state) to a workload and produces the statistics the
- * paper's figures report; helpers sweep policies and P/E cycles the way
- * the evaluation section does.
+ * paper's figures report; parallelRuns() runs independent points of a
+ * sweep the way the evaluation section does.
  */
 
 #ifndef RIF_CORE_EXPERIMENT_H
@@ -70,24 +70,6 @@ class Experiment
     RunResult run(trace::TraceSource &source,
                   const std::string &label = "custom") const;
 
-    /**
-     * Multi-tenant run: each spec becomes one host submission queue on
-     * its own LBA partition (see Ssd::runMultiQueue). Per-tenant read
-     * latencies are in stats.queueReadLatencyUs, indexed like `specs`.
-     */
-    RunResult runMultiTenant(
-        const std::vector<trace::WorkloadSpec> &specs,
-        const RunScale &scale = RunScale{}) const;
-
-    /**
-     * The paper's main sweep (Fig. 17): every policy in `policies` on
-     * one workload at one P/E point.
-     */
-    std::vector<RunResult> sweepPolicies(
-        const std::string &workload_name,
-        const std::vector<ssd::PolicyKind> &policies,
-        const RunScale &scale = RunScale{}) const;
-
   private:
     ssd::SsdConfig config_;
 };
@@ -101,9 +83,6 @@ class Experiment
  */
 std::vector<RunResult> parallelRuns(
     std::size_t n, const std::function<RunResult(std::size_t)> &job);
-
-/** Library version string. */
-const char *versionString();
 
 } // namespace rif
 

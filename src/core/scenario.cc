@@ -81,15 +81,6 @@ runScenario(const Scenario &scenario, ResultSink &sink, double scale,
 void
 runScenarios(const std::vector<const Scenario *> &selected,
              SinkFormat format, std::ostream &os, double scale,
-             const OptionSet &opts, int jobs)
-{
-    runScenarios(selected, format, os, scale, opts, jobs,
-                 ObservabilityOptions{});
-}
-
-void
-runScenarios(const std::vector<const Scenario *> &selected,
-             SinkFormat format, std::ostream &os, double scale,
              const OptionSet &opts, int jobs,
              const ObservabilityOptions &obs)
 {

@@ -157,13 +157,10 @@ struct ObservabilityOptions
  * configured RIF_THREADS budget between them (each gets a private
  * ThreadArena of max(1, budget/jobs) threads), so scenario-level and
  * data-level parallelism never oversubscribe the machine. jobs <= 1 is
- * exactly the sequential path, streaming straight to `os`.
+ * exactly the sequential path, streaming straight to `os`. `obs` selects
+ * the metrics and trace capture (`--metrics`, `--trace`); pass `{}` for
+ * none.
  */
-void runScenarios(const std::vector<const Scenario *> &selected,
-                  SinkFormat format, std::ostream &os, double scale,
-                  const OptionSet &opts, int jobs);
-
-/** As above, with metrics/trace capture per ObservabilityOptions. */
 void runScenarios(const std::vector<const Scenario *> &selected,
                   SinkFormat format, std::ostream &os, double scale,
                   const OptionSet &opts, int jobs,

@@ -61,20 +61,6 @@ parseSinkFormat(const std::string &name)
     return std::nullopt;
 }
 
-const char *
-sinkFormatName(SinkFormat format)
-{
-    switch (format) {
-      case SinkFormat::Table:
-        return "table";
-      case SinkFormat::Csv:
-        return "csv";
-      case SinkFormat::Jsonl:
-        return "jsonl";
-    }
-    panic("unknown sink format");
-}
-
 void
 TableSink::header(const std::string &title, const std::string &paper_ref)
 {

@@ -38,9 +38,6 @@ enum class SinkFormat
 /** Parse a `--format` value; nullopt for an unknown name. */
 std::optional<SinkFormat> parseSinkFormat(const std::string &name);
 
-/** Canonical name of a format ("table", "csv", "jsonl"). */
-const char *sinkFormatName(SinkFormat format);
-
 /** Destination for everything a scenario reports. */
 class ResultSink
 {

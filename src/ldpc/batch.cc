@@ -113,12 +113,6 @@ CodewordBatch::reset(std::size_t nbits, std::size_t lanes)
 }
 
 void
-CodewordBatch::clear()
-{
-    std::fill(words_.begin(), words_.end(), 0);
-}
-
-void
 CodewordBatch::setLane(std::size_t lane, const BitVec &v)
 {
     RIF_ASSERT(lane < lanes_ && v.size() == nbits_);

@@ -41,9 +41,6 @@ class CodewordBatch
     /** Resize to nbits x lanes and zero all content (keeps capacity). */
     void reset(std::size_t nbits, std::size_t lanes);
 
-    /** Zero every lane. */
-    void clear();
-
     std::size_t bits() const { return nbits_; }
     std::size_t lanes() const { return lanes_; }
     std::size_t wordsPerLane() const { return (nbits_ + 63) / 64; }

@@ -52,9 +52,8 @@ BlockPopulation::retentionThresholds(double pe) const
 }
 
 double
-BlockPopulation::proportionCrossingAtDay(double pe, int day) const
+proportionInDayBin(const std::vector<double> &thresholds, int day)
 {
-    const auto thresholds = retentionThresholds(pe);
     std::uint64_t in_bin = 0;
     for (double d : thresholds) {
         if (d >= static_cast<double>(day) &&

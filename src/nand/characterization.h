@@ -51,17 +51,18 @@ class BlockPopulation
      */
     std::vector<double> retentionThresholds(double pe) const;
 
-    /**
-     * Proportion of blocks whose retention threshold at `pe` lies in
-     * [day, day+1) — one cell of the paper's Fig. 4 heat strip.
-     */
-    double proportionCrossingAtDay(double pe, int day) const;
-
   private:
     const RberModel &model_;
     int pageTypes_;
     std::vector<double> factors_;
 };
+
+/**
+ * Proportion of `thresholds` (retention days, as retentionThresholds
+ * returns them) that lie in [day, day+1) — one cell of the paper's
+ * Fig. 4 heat strip.
+ */
+double proportionInDayBin(const std::vector<double> &thresholds, int day);
 
 /** Result of the Fig. 12 chunk-similarity measurement for one setting. */
 struct ChunkSimilarity

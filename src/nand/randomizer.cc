@@ -34,14 +34,5 @@ Randomizer::apply(BitVec &data) const
     }
 }
 
-double
-Randomizer::onesRatio(const BitVec &data)
-{
-    if (data.size() == 0)
-        return 0.0;
-    return static_cast<double>(data.popcount()) /
-           static_cast<double>(data.size());
-}
-
 } // namespace nand
 } // namespace rif

@@ -28,10 +28,6 @@ class Randomizer
      *  restores the original). */
     void apply(BitVec &data) const;
 
-    /** Fraction of ones in a scrambled vector is ~0.5; helper used by
-     *  tests asserting the uniformity property. */
-    static double onesRatio(const BitVec &data);
-
   private:
     std::uint64_t seed_;
 };

@@ -92,20 +92,6 @@ RberModel::rber(double pe, double ret_days, std::uint64_t reads,
 }
 
 double
-RberModel::rberAfterRetry(double first_rber) const
-{
-    // Re-reading at near-optimal VREF removes the retention-shift
-    // component; what remains is roughly the wear baseline.
-    return first_rber * params_.optimalVrefFactor;
-}
-
-bool
-RberModel::exceedsCapability(double rber_value) const
-{
-    return rber_value > params_.capability;
-}
-
-double
 RberModel::retentionUntilCapability(double pe, PageType type,
                                     double block_factor) const
 {

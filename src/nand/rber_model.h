@@ -93,12 +93,6 @@ class RberModel
     double rber(double pe, double ret_days, std::uint64_t reads,
                 PageType type, double block_factor) const;
 
-    /** RBER of the same page after a near-optimal VREF re-read. */
-    double rberAfterRetry(double first_rber) const;
-
-    /** True iff the off-chip ECC engine would fail at this RBER. */
-    bool exceedsCapability(double rber_value) const;
-
     /**
      * Days of retention until the median block's RBER crosses the
      * capability at the given wear (bisection; the Fig. 4 statistic).

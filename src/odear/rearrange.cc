@@ -59,7 +59,7 @@ CodewordRearranger::toControllerLayout(const BitVec &flash_word) const
 
     BitVec out(p.n());
     for (int j = 0; j < p.blockCols; ++j) {
-        // Inverse rotation: rotr(k) == rotl(t - k).
+        // Inverse rotation: right by k is left by t - k.
         const auto c =
             j < d ? static_cast<std::size_t>(code_.shift(0, j)) : 0;
         rotateSegmentInto(out, flash_word, static_cast<std::size_t>(j) * t,

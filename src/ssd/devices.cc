@@ -22,10 +22,9 @@ PageOp::pendingDieTicks() const
 }
 
 DieModel::DieModel(Simulator &sim, const SsdConfig &config,
-                   ChannelModel &channel, EccEngine &ecc)
+                   ChannelModel &channel)
     : sim_(sim),
       channel_(channel),
-      ecc_(ecc),
       planes_(config.geometry.planesPerDie),
       lanes_(kOpTypes * static_cast<std::size_t>(config.geometry.planesPerDie))
 {

@@ -127,8 +127,7 @@ class Fifo
 class DieModel
 {
   public:
-    DieModel(Simulator &sim, const SsdConfig &config, ChannelModel &channel,
-             EccEngine &ecc);
+    DieModel(Simulator &sim, const SsdConfig &config, ChannelModel &channel);
 
     /** Queue an operation whose next phase runs on this die. */
     void enqueue(PageOp *op);
@@ -171,7 +170,6 @@ class DieModel
 
     Simulator &sim_;
     ChannelModel &channel_;
-    EccEngine &ecc_;
     const int planes_;
     /** Lane of (type, plane) at index type * planes_ + plane. */
     std::vector<Lane> lanes_;

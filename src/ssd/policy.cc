@@ -35,18 +35,6 @@ ReadPhase::decode(Tick t, bool fails)
     return p;
 }
 
-Tick
-ReadScript::initialDieTicks() const
-{
-    Tick t = 0;
-    for (const auto &p : phases) {
-        if (p.kind != ReadPhase::Kind::DieVisit)
-            break;
-        t += p.duration;
-    }
-    return t;
-}
-
 odear::RpBehaviorModel
 makeBehaviorModel(const SsdConfig &config)
 {

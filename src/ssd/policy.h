@@ -60,9 +60,6 @@ struct ReadScript
 {
     std::vector<ReadPhase> phases;
     ReadPlanStats stats;
-
-    /** Total die occupancy before the first transfer. */
-    Tick initialDieTicks() const;
 };
 
 /**

@@ -34,8 +34,8 @@ Ssd::Ssd(const SsdConfig &config)
     dies_.reserve(g.totalDies());
     for (int c = 0; c < g.channels; ++c) {
         for (int d = 0; d < g.diesPerChannel; ++d) {
-            dies_.push_back(std::make_unique<DieModel>(
-                sim_, config_, *channels_[c], *eccs_[c]));
+            dies_.push_back(
+                std::make_unique<DieModel>(sim_, config_, *channels_[c]));
         }
     }
     auto lookup = [this](const nand::PhysAddr &a) -> DieModel & {

@@ -33,7 +33,7 @@ struct Rig
         channel =
             std::make_unique<ChannelModel>(sim, cfg, *ecc, usage);
         ecc->setChannel(channel.get());
-        die = std::make_unique<DieModel>(sim, cfg, *channel, *ecc);
+        die = std::make_unique<DieModel>(sim, cfg, *channel);
         auto lookup = [this](const nand::PhysAddr &) -> DieModel & {
             return *die;
         };
@@ -148,7 +148,7 @@ class FifoScanDie
 {
   public:
     FifoScanDie(Simulator &sim, const SsdConfig &config,
-                ChannelModel &channel, EccEngine &)
+                ChannelModel &channel)
         : sim_(sim), config_(config), channel_(channel)
     {
     }
@@ -279,7 +279,7 @@ replayDieScript(const SsdConfig &cfg, const std::vector<DieScriptOp> &script)
     EccEngine ecc(sim, cfg);
     ChannelModel channel(sim, cfg, ecc, usage);
     ecc.setChannel(&channel);
-    Die die(sim, cfg, channel, ecc);
+    Die die(sim, cfg, channel);
     std::vector<std::unique_ptr<PageOp>> ops;
     std::vector<std::pair<int, Tick>> log;
     for (std::size_t i = 0; i < script.size(); ++i) {

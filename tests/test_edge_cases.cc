@@ -32,15 +32,8 @@ TEST(EdgeBitVec, EmptyVectorOperations)
     BitVec v(0);
     EXPECT_EQ(v.size(), 0u);
     EXPECT_EQ(v.popcount(), 0u);
-    EXPECT_EQ(v.rotl(5).size(), 0u);
-    EXPECT_EQ(v, v.rotr(3));
-}
-
-TEST(EdgeBitVec, SingleBitRotation)
-{
-    BitVec v(1);
-    v.set(0, true);
-    EXPECT_EQ(v.rotl(7), v);
+    EXPECT_TRUE(v.isZero());
+    EXPECT_EQ(v.slice(0, 0), v);
 }
 
 TEST(EdgeStats, PercentileOutOfRangeClamps)

@@ -121,7 +121,7 @@ TEST_F(PipelineFixture, ScramblingIsolatesPages)
     const ProgrammedPage b =
         pipeline.program(payloads, 222, nand::PageType::Lsb);
     BitVec diff = a.flashCodewords[0];
-    diff.xorWith(b.flashCodewords[0]);
+    diff.xorRange(0, b.flashCodewords[0], 0, diff.size());
     EXPECT_GT(diff.popcount(), code.params().n() / 4);
 }
 

@@ -14,14 +14,6 @@
 namespace rif {
 namespace {
 
-RunScale
-tinyScale()
-{
-    RunScale s;
-    s.requests = 600;
-    return s;
-}
-
 Experiment
 smallExperiment()
 {
@@ -49,25 +41,6 @@ TEST(Experiment, RunsNamedWorkload)
     EXPECT_GT(r.bandwidthMBps(), 0.0);
 }
 
-TEST(Experiment, SweepPreservesPolicyOrder)
-{
-    Experiment e = smallExperiment();
-    e.withPeCycles(0.0);
-    // Use the full default geometry path through named workloads: the
-    // default footprints require the default geometry, so keep it.
-    Experiment full;
-    full.withPeCycles(0.0);
-    const std::vector<ssd::PolicyKind> policies = {
-        ssd::PolicyKind::Zero, ssd::PolicyKind::Rif};
-    const auto results =
-        full.sweepPolicies("Ali2", policies, tinyScale());
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].policy, ssd::PolicyKind::Zero);
-    EXPECT_EQ(results[1].policy, ssd::PolicyKind::Rif);
-    for (const auto &r : results)
-        EXPECT_GT(r.bandwidthMBps(), 0.0);
-}
-
 TEST(Experiment, ConfigChaining)
 {
     Experiment e;
@@ -78,6 +51,8 @@ TEST(Experiment, ConfigChaining)
 
 TEST(Experiment, MultiTenantRunPartitionsTenants)
 {
+    // Two tenants on one drive, each a host queue on its own LBA
+    // partition, as examples/multi_tenant_qos runs them.
     Experiment e = smallExperiment();
     e.withPolicy(ssd::PolicyKind::Rif).withPeCycles(1000.0);
     trace::WorkloadSpec a;
@@ -88,20 +63,15 @@ TEST(Experiment, MultiTenantRunPartitionsTenants)
     trace::WorkloadSpec b = a;
     b.name = "writer";
     b.readRatio = 0.2;
-    RunScale scale;
-    scale.requests = 400;
-    const RunResult r = e.runMultiTenant({a, b}, scale);
-    EXPECT_EQ(r.workload, "reader+writer");
-    EXPECT_EQ(r.stats.hostRequests, 800u);
-    ASSERT_EQ(r.stats.queueReadLatencyUs.size(), 2u);
-    EXPECT_EQ(r.stats.queueReadLatencyUs[0].count(), 400u);
-    EXPECT_GT(r.bandwidthMBps(), 0.0);
-}
-
-TEST(Experiment, VersionString)
-{
-    EXPECT_NE(std::string(versionString()).find("rif"),
-              std::string::npos);
+    trace::SyntheticWorkload reader(a, 400, 99);
+    trace::SyntheticWorkload writer_gen(b, 400, 100);
+    trace::OffsetTrace writer(writer_gen, a.footprintPages);
+    ssd::Ssd drive(e.config());
+    const ssd::SsdStats st = drive.runMultiQueue({&reader, &writer});
+    EXPECT_EQ(st.hostRequests, 800u);
+    ASSERT_EQ(st.queueReadLatencyUs.size(), 2u);
+    EXPECT_EQ(st.queueReadLatencyUs[0].count(), 400u);
+    EXPECT_GT(st.ioBandwidthMBps(), 0.0);
 }
 
 /** Restores the default pool (and RIF_THREADS state) on scope exit. */

@@ -190,14 +190,6 @@ TEST(RberModel, FreshDriveStillRetries)
     EXPECT_GT(t, 5.0);
 }
 
-TEST(RberModel, RetryRberDropsBelowCapability)
-{
-    const RberModel m;
-    const double first = m.rber(1000.0, 20.0, 0, PageType::Csb, 1.0);
-    EXPECT_GT(first, m.params().capability);
-    EXPECT_LT(m.rberAfterRetry(first), m.params().capability);
-}
-
 TEST(RberModel, BlockFactorsAreLognormalAroundOne)
 {
     const RberModel m;
@@ -265,7 +257,9 @@ TEST(Randomizer, ScrambledDataIsBalanced)
     // uniformity property Swift-Read and chunk prediction rely on.
     BitVec zeros(1 << 16);
     Randomizer(0xfeed).apply(zeros);
-    EXPECT_NEAR(Randomizer::onesRatio(zeros), 0.5, 0.02);
+    EXPECT_NEAR(static_cast<double>(zeros.popcount()) /
+                    static_cast<double>(zeros.size()),
+                0.5, 0.02);
 }
 
 TEST(Randomizer, DifferentSeedsDifferentKeystreams)
@@ -273,7 +267,7 @@ TEST(Randomizer, DifferentSeedsDifferentKeystreams)
     BitVec a(4096), b(4096);
     Randomizer(1).apply(a);
     Randomizer(2).apply(b);
-    a.xorWith(b);
+    a.xorRange(0, b, 0, b.size());
     EXPECT_GT(a.popcount(), 1000u);
 }
 
@@ -302,9 +296,10 @@ TEST(BlockPopulation, ProportionsFormADistribution)
     cfg.chips = 10;
     cfg.blocksPerChip = 16;
     const BlockPopulation pop(m, cfg);
+    const auto thresholds = pop.retentionThresholds(500.0);
     double total = 0.0;
     for (int day = 0; day < 40; ++day)
-        total += pop.proportionCrossingAtDay(500.0, day);
+        total += proportionInDayBin(thresholds, day);
     EXPECT_NEAR(total, 1.0, 1e-9);
 }
 

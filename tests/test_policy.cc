@@ -44,16 +44,6 @@ countUsage(const ReadScript &s, ChannelState u)
     return n;
 }
 
-Tick
-totalDie(const ReadScript &s)
-{
-    Tick t = 0;
-    for (const auto &ph : s.phases)
-        if (ph.kind == ReadPhase::Kind::DieVisit)
-            t += ph.duration;
-    return t;
-}
-
 TEST(PlanRead, ZeroNeverRetries)
 {
     const SsdConfig cfg = configFor(PolicyKind::Zero);
@@ -252,16 +242,6 @@ TEST(PlanRead, FixedSequenceFinerStepsNeedMoreRounds)
             planRead(fine, bm, kDoomedRber, rng_b).stats.uncorTransfers;
     }
     EXPECT_LT(coarse_sum, fine_sum);
-}
-
-TEST(PlanRead, InitialDieTicksStopsAtFirstTransfer)
-{
-    const SsdConfig cfg = configFor(PolicyKind::IdealOffChip);
-    const auto bm = makeBehaviorModel(cfg);
-    Rng rng(11);
-    const ReadScript s = planRead(cfg, bm, kDoomedRber, rng);
-    EXPECT_EQ(s.initialDieTicks(), cfg.timing.tR);
-    EXPECT_GT(totalDie(s), cfg.timing.tR);
 }
 
 class EveryPolicy : public ::testing::TestWithParam<PolicyKind>

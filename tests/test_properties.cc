@@ -31,7 +31,7 @@ TEST(LdpcProperties, CodeIsLinear)
     const BitVec b =
         code.encode(ldpc::randomData(code.params().k(), rng));
     BitVec sum = a;
-    sum.xorWith(b);
+    sum.xorRange(0, b, 0, b.size());
     EXPECT_TRUE(code.isCodeword(sum));
 }
 
@@ -62,7 +62,7 @@ TEST(LdpcProperties, SyndromeIsLinearInErrors)
     BitVec error(clean.size());
     ldpc::injectExactErrors(error, 25, rng);
     BitVec noisy = clean;
-    noisy.xorWith(error);
+    noisy.xorRange(0, error, 0, error.size());
     EXPECT_EQ(code.syndrome(noisy), code.syndrome(error));
 }
 
@@ -80,9 +80,9 @@ TEST(RearrangeProperties, TransformIsLinear)
         b.set(i, rng.chance(0.5));
     }
     BitVec sum = a;
-    sum.xorWith(b);
+    sum.xorRange(0, b, 0, b.size());
     BitVec ta = rr.toFlashLayout(a);
-    ta.xorWith(rr.toFlashLayout(b));
+    ta.xorRange(0, rr.toFlashLayout(b), 0, p.n());
     EXPECT_EQ(rr.toFlashLayout(sum), ta);
 }
 

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "common/parallel.h"
 #include "core/scenario.h"
@@ -108,11 +109,13 @@ sampleTable()
 
 TEST(Sinks, FormatNamesRoundTrip)
 {
-    for (core::SinkFormat f :
-         {core::SinkFormat::Table, core::SinkFormat::Csv,
-          core::SinkFormat::Jsonl}) {
-        const auto parsed = core::parseSinkFormat(core::sinkFormatName(f));
-        ASSERT_TRUE(parsed.has_value());
+    const std::pair<const char *, core::SinkFormat> names[] = {
+        {"table", core::SinkFormat::Table},
+        {"csv", core::SinkFormat::Csv},
+        {"jsonl", core::SinkFormat::Jsonl}};
+    for (const auto &[name, f] : names) {
+        const auto parsed = core::parseSinkFormat(name);
+        ASSERT_TRUE(parsed.has_value()) << name;
         EXPECT_EQ(*parsed, f);
     }
     EXPECT_FALSE(core::parseSinkFormat("yaml").has_value());

@@ -52,7 +52,7 @@ render(const std::vector<const Scenario *> &selected, int jobs)
     std::ostringstream os;
     const core::OptionSet no_overrides;
     core::runScenarios(selected, core::SinkFormat::Csv, os, 0.02,
-                       no_overrides, jobs);
+                       no_overrides, jobs, {});
     return os.str();
 }
 
@@ -97,7 +97,7 @@ TEST(Scheduler, HandlesEdgeSelections)
     std::ostringstream os;
     const core::OptionSet no_overrides;
     core::runScenarios({}, core::SinkFormat::Csv, os, 0.02, no_overrides,
-                       8);
+                       8, {});
     EXPECT_EQ(os.str(), "");
 
     const Scenario *s =
