@@ -1,11 +1,11 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulation substrate: event
- * queue throughput (heap kernel vs the PR-1 binary-heap reference, also
- * under a drive's share of zero-delay events), die
- * batch formation under a GC-shaped backlog, read-script planning
- * (pooled in-place vs allocating), and end-to-end simulated requests
- * per second of the full SSD model.
+ * queue throughput (delay-ring kernel vs the std::function binary-heap
+ * reference, under jittered and exact drive delays and a drive's share
+ * of zero-delay events), die batch formation under a GC-shaped
+ * backlog, read-script planning (pooled in-place vs allocating), and
+ * end-to-end simulated requests per second of the full SSD model.
  */
 
 #include <benchmark/benchmark.h>
@@ -26,15 +26,56 @@ using namespace rif::ssd;
  * pseudo-random spread of delays, each firing one nop. `Mix` selects the
  * delay pattern:
  *  - Uniform: delays spread over ~1000 ticks (dense same-window load);
- *  - SsdMix:  the delay population a real replay produces (zero-delay
- *    batch pokes, DMA/decode in the tens of microseconds, programs and
- *    erases hundreds of microseconds out).
+ *  - SsdMix: jittered delays of a drive's shape (zero-delay batch
+ *    pokes, DMA/decode in the tens of microseconds, programs and erases
+ *    hundreds of microseconds out); no two events share a non-zero
+ *    delay by design, so this is the adversarial case for delay rings;
+ *  - DriveReplay: the exact delays a drive replay schedules, at the
+ *    shares counted on rifbench's drive_write_gc (seed 1, one pass,
+ *    7.2 M events; kDriveDelays).
  */
 enum class Mix
 {
     Uniform,
     SsdMix,
+    DriveReplay,
 };
+
+/** drive_write_gc's delay histogram in per mille: the twelve most
+ *  frequent delays (92.6 % of its events); the remaining 7.4 % are
+ *  spread over ~4 800 distinct delays, 90 % of them between 1 500 and
+ *  4 000 ticks, drawn here uniformly from that range. */
+struct DriveDelay
+{
+    Tick delay;
+    std::uint32_t perMille;
+};
+constexpr DriveDelay kDriveDelays[] = {
+    {13000, 266},  // tDmaPage
+    {400000, 239}, // tProg
+    {0, 197},      // die batch pokes
+    {42500, 129},  // tR + tPred
+    {122500, 30},
+    {1000, 19},    // tEccMin
+    {2048, 18},
+    {8192, 9},
+    {4096, 9},
+    {16384, 5},
+    {32768, 4},
+    {3500000, 1},  // tErase
+};
+
+inline Tick
+driveReplayDelay(std::uint32_t h)
+{
+    std::uint32_t pick = h % 1000;
+    for (const DriveDelay &d : kDriveDelays) {
+        if (pick < d.perMille)
+            return d.delay;
+        pick -= d.perMille;
+    }
+    return 1500 + (h >> 10) % 2500;
+}
 
 inline Tick
 delayFor(Mix mix, int i)
@@ -42,6 +83,8 @@ delayFor(Mix mix, int i)
     const std::uint32_t h = static_cast<std::uint32_t>(i) * 2654435761u;
     if (mix == Mix::Uniform)
         return h % 1000;
+    if (mix == Mix::DriveReplay)
+        return driveReplayDelay(h);
     switch (h % 8) {
       case 0:
       case 1:
@@ -56,6 +99,20 @@ delayFor(Mix mix, int i)
         return 400000 + h % 50000; // program
       default:
         return 3500000 + h % 100000; // erase
+    }
+}
+
+/** Benchmark label of a mix. */
+inline const char *
+mixLabel(Mix mix)
+{
+    switch (mix) {
+      case Mix::Uniform:
+        return "uniform";
+      case Mix::SsdMix:
+        return "ssd-mix";
+      default:
+        return "drive-replay";
     }
 }
 
@@ -86,7 +143,7 @@ BM_QueueKernel(benchmark::State &state)
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) * kEvents);
-    state.SetLabel(mix == Mix::Uniform ? "uniform" : "ssd-mix");
+    state.SetLabel(mixLabel(mix));
 }
 
 void
@@ -96,7 +153,8 @@ BM_EventQueue(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueue)
     ->Arg(static_cast<int>(Mix::Uniform))
-    ->Arg(static_cast<int>(Mix::SsdMix));
+    ->Arg(static_cast<int>(Mix::SsdMix))
+    ->Arg(static_cast<int>(Mix::DriveReplay));
 
 void
 BM_ReferenceEventQueue(benchmark::State &state)
@@ -105,7 +163,8 @@ BM_ReferenceEventQueue(benchmark::State &state)
 }
 BENCHMARK(BM_ReferenceEventQueue)
     ->Arg(static_cast<int>(Mix::Uniform))
-    ->Arg(static_cast<int>(Mix::SsdMix));
+    ->Arg(static_cast<int>(Mix::SsdMix))
+    ->Arg(static_cast<int>(Mix::DriveReplay));
 
 /**
  * The same-tick share of a drive: `n` events in all, half seeded at

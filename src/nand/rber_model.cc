@@ -40,7 +40,6 @@ cellRberParams(CellType cell)
         p.retExp = 0.72;
         p.retPeScale = 0.90;
         p.blockSigma = 0.12;
-        p.optimalVrefFactor = 0.35;
         return p;
       }
     }
@@ -61,7 +60,6 @@ hashRberParams(Hasher &h, const RberParams &r)
     for (double f : r.typeFactor)
         h.add(f);
     h.add(r.capability);
-    h.add(r.optimalVrefFactor);
 }
 
 RberModel::RberModel(const RberParams &params)

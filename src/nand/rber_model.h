@@ -50,12 +50,6 @@ struct RberParams
 
     /** ECC correction capability in RBER (measured from our QC-LDPC). */
     double capability = 0.0085;
-
-    /**
-     * RBER multiplier after a near-optimal VREF re-read: retries land
-     * well below the capability (paper §IV-B / [46]).
-     */
-    double optimalVrefFactor = 0.30;
 };
 
 /**

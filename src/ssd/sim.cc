@@ -18,14 +18,39 @@ Simulator::growSlab()
 }
 
 void
-Simulator::growFifo()
+Simulator::growRing(Ring &ring)
 {
-    // Unroll the ring into twice the room (a power of two).
-    std::vector<Action *> grown(std::max<std::size_t>(16, 2 * fifo_.size()));
-    for (std::size_t i = 0; i < fifoSize_; ++i)
-        grown[i] = fifo_[(fifoHead_ + i) & (fifo_.size() - 1)];
-    fifo_.swap(grown);
-    fifoHead_ = 0;
+    // Unroll the buffer into twice the room (a power of two).
+    std::vector<Key> grown(std::max<std::size_t>(16, 2 * ring.keys.size()));
+    for (std::size_t i = 0; i < ring.size; ++i)
+        grown[i] = ring.keys[(ring.head + i) & (ring.keys.size() - 1)];
+    ring.keys.swap(grown);
+    ring.head = 0;
+}
+
+std::uint32_t
+Simulator::ringFor(Tick delay)
+{
+    if (delay == 0)
+        return 0;
+    // Two choices among rings 1..8: the top three bits of a Fibonacci
+    // hash, then the next three.
+    const std::uint64_t h = delay * 0x9E3779B97F4A7C15ull;
+    const auto a = static_cast<std::uint32_t>(1 + (h >> 61));
+    const auto b = static_cast<std::uint32_t>(1 + ((h >> 58) & 7));
+    if (rings_[a].delay == delay)
+        return a;
+    if (rings_[b].delay == delay)
+        return b;
+    // Only an empty ring may rebind: a ring's keys share one delay,
+    // which is what keeps it sorted.
+    for (const std::uint32_t r : {a, b}) {
+        if (rings_[r].size == 0) {
+            rings_[r].delay = delay;
+            return r;
+        }
+    }
+    return kStray;
 }
 
 void
@@ -39,19 +64,21 @@ Simulator::enqueue(Tick when, Action *slot)
         cacheExact_ = when - windowBase_ < kWindowTicks;
     }
 
-    if (when == now_) {
-        // Same tick: later than every pending key at now_ in (when,
-        // seq) order, so the FIFO needs no seq.
-        if (fifoSize_ == fifo_.size())
-            growFifo();
-        fifo_[(fifoHead_ + fifoSize_) & (fifo_.size() - 1)] = slot;
-        ++fifoSize_;
+    const Key key{when, nextSeq_++, slot, ringFor(when - now_)};
+    if (key.ring == kStray) {
+        pushHeap(key);
     } else {
-        pushHeap(Key{when, nextSeq_++, slot});
+        // The clock never goes back and seq only grows, so the key is
+        // the ring's latest; only a ring's head sits in the heap.
+        Ring &ring = rings_[key.ring];
+        if (ring.size == ring.keys.size())
+            growRing(ring);
+        ring.keys[(ring.head + ring.size) & (ring.keys.size() - 1)] = key;
+        if (ring.size++ == 0)
+            pushHeap(key);
     }
-    const std::size_t pending = heap_.size() + fifoSize_;
-    if (pending > peakSize_)
-        peakSize_ = pending;
+    if (++pending_ > peakSize_)
+        peakSize_ = pending_;
 }
 
 void
@@ -94,65 +121,67 @@ Simulator::reposition(Tick m)
     cacheValid_ = false;
 }
 
-Simulator::Key
-Simulator::popHeap()
+void
+Simulator::siftDown(const Key &key)
 {
-    const Key top = heap_.front();
-    const Key last = heap_.back();
-    heap_.pop_back();
+    // Full families pick their least child as a two-round tournament.
+    static_assert(kArity == 4, "the tournament below is 4-way");
+    Key *h = heap_.data();
     const std::size_t n = heap_.size();
-    if (n > 0) {
-        // Sift the former last key down from the root. Full families
-        // pick their least child as a two-round tournament.
-        static_assert(kArity == 4, "the tournament below is 4-way");
-        Key *h = heap_.data();
-        std::size_t hole = 0;
-        while (true) {
-            const std::size_t first = hole * kArity + 1;
-            std::size_t child;
-            if (first + kArity <= n) {
-                const std::size_t a = first + before(h[first + 1], h[first]);
-                const std::size_t b =
-                    first + 2 + before(h[first + 3], h[first + 2]);
-                child = before(h[b], h[a]) ? b : a;
-            } else if (first < n) {
-                child = first;
-                for (std::size_t c = first + 1; c < n; ++c) {
-                    if (before(h[c], h[child]))
-                        child = c;
-                }
-            } else {
-                break;
+    std::size_t hole = 0;
+    while (true) {
+        const std::size_t first = hole * kArity + 1;
+        std::size_t child;
+        if (first + kArity <= n) {
+            const std::size_t a = first + before(h[first + 1], h[first]);
+            const std::size_t b =
+                first + 2 + before(h[first + 3], h[first + 2]);
+            child = before(h[b], h[a]) ? b : a;
+        } else if (first < n) {
+            child = first;
+            for (std::size_t c = first + 1; c < n; ++c) {
+                if (before(h[c], h[child]))
+                    child = c;
             }
-            if (!before(h[child], last))
-                break;
-            h[hole] = h[child];
-            hole = child;
+        } else {
+            break;
         }
-        heap_[hole] = last;
+        if (!before(h[child], key))
+            break;
+        h[hole] = h[child];
+        hole = child;
     }
-    return top;
+    h[hole] = key;
 }
 
 void
 Simulator::executeTop()
 {
-    Action *action;
-    // Heap keys at now_ predate every FIFO entry (see sim.h).
-    if (fifoSize_ != 0 && (heap_.empty() || heap_.front().when != now_)) {
-        action = fifo_[fifoHead_];
-        fifoHead_ = (fifoHead_ + 1) & (fifo_.size() - 1);
-        --fifoSize_;
-    } else {
-        const Key top = popHeap();
-        now_ = top.when;
-        action = top.action;
+    const Key top = heap_.front();
+    now_ = top.when;
+    bool replaced = false;
+    if (top.ring != kStray) {
+        Ring &ring = rings_[top.ring];
+        ring.head = (ring.head + 1) & (ring.keys.size() - 1);
+        // The ring's next key takes its head's place in the heap.
+        if (--ring.size != 0) {
+            siftDown(ring.keys[ring.head]);
+            replaced = true;
+        }
     }
+    if (!replaced) {
+        const Key last = heap_.back();
+        heap_.pop_back();
+        if (!heap_.empty())
+            siftDown(last);
+    }
+    --pending_;
     ++executed_;
     cacheValid_ = false;
     // Run in place: the slot stays off the free list until the action
     // returns, and chunks never move, so the events it schedules can
     // neither reuse nor relocate it.
+    Action *action = top.action;
     (*action)();
     action->reset();
     freeSlots_.push_back(action);

@@ -11,16 +11,20 @@
  *    bytes), constructed directly in a slot of a slab of fixed-size
  *    chunks. A chunk never moves, so an action runs where it lies and
  *    its slot is freed only after it returns, even if it schedules
- *    enough events to grow the slab. Future events are keyed in a
- *    4-ary min-heap of 24-byte (when, seq, action) keys, so each costs
- *    O(log pending) key moves and no empty tick is ever visited.
- *    Events scheduled at the current tick (about a fifth of a drive's,
- *    mostly die batch pokes) skip the heap: they go to a same-tick
- *    FIFO. Every heap key at the current tick was scheduled before the
- *    clock reached it, so its seq is below every FIFO entry's; running
- *    those keys first and then the FIFO is exactly (when, seq) order,
- *    and seq is the schedule order. One drive runs on one kernel on
- *    one thread.
+ *    enough events to grow the slab. Pending events are 32-byte
+ *    (when, seq, action, ring) keys. A drive schedules almost all of
+ *    them at a few exact delays (fixed flash timings), so the kernel
+ *    keeps a few delay rings: FIFOs of keys that share one delay.
+ *    Because the clock never goes back and seq only grows, every ring
+ *    is already in (when, seq) order, and a 4-ary min-heap merges the
+ *    head key of each non-empty ring with the "stray" keys whose delay
+ *    has no ring. A push to a non-empty ring is an append; running a
+ *    ring head replaces it in the heap by the ring's next key. Ring 0
+ *    holds delay 0 (same-tick events, mostly die batch pokes); the
+ *    others are picked by a two-choice hash of the delay, and an empty
+ *    ring rebinds to a new delay. The merge is exact (when, seq)
+ *    order, and seq is the schedule order. One drive runs on one
+ *    kernel on one thread.
  *
  *    nextEventBound() reports the earliest pending tick through a
  *    fixed quantization (a 2^14-tick window inside a 2^24-tick span,
@@ -35,6 +39,7 @@
 #ifndef RIF_SSD_SIM_H
 #define RIF_SSD_SIM_H
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -48,7 +53,7 @@
 namespace rif {
 namespace ssd {
 
-/** Event-driven simulator kernel (4-ary heap + same-tick FIFO). */
+/** Event-driven simulator kernel (delay rings merged by a 4-ary heap). */
 class Simulator
 {
   public:
@@ -105,32 +110,44 @@ class Simulator
     /**
      * Earliest pending tick, or a lower bound no later than it;
      * ~Tick(0) when the queue is empty. With m the earliest pending
-     * tick (now() while the same-tick FIFO holds events), the value is
-     * m when m lies inside the current 2^14-tick window (the bound is
-     * then exact), m floored to a multiple of 2^14 when m lies beyond
-     * the window but inside the current 2^24-tick span, and m beyond
-     * the span. Both start at tick 0; run() and runUntil() move them
-     * onto m whenever they are about to act on an inexact bound. The
-     * value is cached until an event executes or the window moves; a
-     * schedule below the cached value replaces it with its own tick.
+     * tick, the value is m when m lies inside the current 2^14-tick
+     * window (the bound is then exact), m floored to a multiple of 2^14
+     * when m lies beyond the window but inside the current 2^24-tick
+     * span, and m beyond the span. Both start at tick 0; run() and
+     * runUntil() move them onto m whenever they are about to act on an
+     * inexact bound. The value is cached until an event executes or the
+     * window moves; a schedule below the cached value replaces it with
+     * its own tick.
      */
     Tick nextEventBound();
 
     /** Number of events executed so far. */
     std::uint64_t eventsExecuted() const { return executed_; }
 
-    /** High-water mark of pending events (heap and FIFO together). */
+    /** High-water mark of pending events (rings and heap together). */
     std::uint64_t peakQueueSize() const { return peakSize_; }
 
-    bool empty() const { return heap_.empty() && fifoSize_ == 0; }
+    /** No event pending (a non-empty ring has its head in the heap). */
+    bool empty() const { return heap_.empty(); }
 
   private:
-    /** Heap entry; the action lives in its slab slot. */
+    /** A pending event; the action lives in its slab slot. */
     struct Key
     {
         Tick when;
         std::uint64_t seq;
         Action *action;
+        /** Ring holding the key, or kStray for a heap-only key. */
+        std::uint32_t ring;
+    };
+
+    /** FIFO of keys at one delay: a power-of-two circular buffer. */
+    struct Ring
+    {
+        std::vector<Key> keys;
+        std::size_t head = 0;
+        std::size_t size = 0;
+        Tick delay = 0;
     };
 
     /** (when, seq) order, branch-free: heap sifts compare
@@ -142,6 +159,9 @@ class Simulator
     }
 
     static constexpr std::size_t kArity = 4;
+    /** Ring 0 (delay 0) plus eight hashed rings. */
+    static constexpr std::uint32_t kRings = 9;
+    static constexpr std::uint32_t kStray = kRings;
     static constexpr std::size_t kChunkSlots = 256;
     static constexpr Tick kWindowTicks = Tick(1) << 14;
     static constexpr Tick kSpanTicks = Tick(1) << 24;
@@ -160,21 +180,20 @@ class Simulator
     /** Queue the constructed action in `slot` for tick `when`. */
     void enqueue(Tick when, Action *slot);
     /** Earliest pending tick of a non-empty queue. */
-    Tick
-    earliest() const
-    {
-        return fifoSize_ != 0 ? now_ : heap_.front().when;
-    }
+    Tick earliest() const { return heap_.front().when; }
+    /** Ring for a key `delay` ticks out, binding an empty one to it;
+     *  kStray when both hashed choices hold other delays. */
+    std::uint32_t ringFor(Tick delay);
     /** Cached nextEventBound() of a non-empty queue; sets `exact`. */
     Tick bound(bool &exact);
     /** Move the window and the span onto tick `m`. */
     void reposition(Tick m);
-    /** Double the same-tick FIFO's ring. */
-    void growFifo();
+    /** Double a ring's buffer. */
+    static void growRing(Ring &ring);
     /** Insert a key into the heap. */
     void pushHeap(const Key &key);
-    /** Remove and return the heap's least key. */
-    Key popHeap();
+    /** Fill the root's hole with `key`, sifting it down. */
+    void siftDown(const Key &key);
     /** Take the earliest event off the queue and run it in place. */
     void executeTop();
 
@@ -182,13 +201,12 @@ class Simulator
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t peakSize_ = 0;
+    /** Pending events, in the rings and the heap. */
+    std::uint64_t pending_ = 0;
 
+    /** Ring heads and stray keys. */
     std::vector<Key> heap_;
-    /** Same-tick FIFO: a ring of actions due at now_, in schedule
-     *  order. */
-    std::vector<Action *> fifo_;
-    std::size_t fifoHead_ = 0;
-    std::size_t fifoSize_ = 0;
+    Ring rings_[kRings];
     /** Action slab: chunks of kChunkSlots that never move. */
     std::vector<std::unique_ptr<Action[]>> chunks_;
     std::vector<Action *> freeSlots_;

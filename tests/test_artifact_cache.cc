@@ -200,7 +200,7 @@ TEST(ArtifactCache, PreconditionKeyIsPinned)
     Hasher h;
     ASSERT_TRUE(ssd::preconditionCacheKey(h, ssd::SsdConfig{},
                                           src.footprintPages(), sources));
-    EXPECT_EQ(h.finish().hex(), "c879e0ab552c434a5840a93e9ab31432");
+    EXPECT_EQ(h.finish().hex(), "e3d1f19ddfc31106826302a3d47b3653");
 }
 
 // ---------------------------------------------------------------------

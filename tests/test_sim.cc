@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the discrete-event kernel: time ordering, FIFO tie-breaking
- * (including the same-tick FIFO beside the heap), reentrancy (events
+ * (including the delay rings merged by the heap), reentrancy (events
  * scheduling events), in-place execution in the action slab, the
  * watchdog run bound and the exact nextEventBound() values the fleet's
  * rounds depend on.
@@ -428,70 +428,181 @@ class BoundModel
     bool cacheValid_ = false;
 };
 
+/**
+ * Drive `sim` and a BoundModel through the same random mix of pushes
+ * at `steps` delays, bound queries, runUntil horizons and
+ * watchdog-limited runs, then drain both; bounds, clocks and execution
+ * order must agree throughout. Every fourth top-level event spawns one
+ * child. With `bursts`, some pushes come as 80 keys at one delay.
+ */
+void
+expectMatchesBoundModel(Simulator &sim, const std::vector<Tick> &steps,
+                        std::uint64_t seed, bool bursts)
+{
+    const std::size_t numSteps = steps.size();
+    BoundModel model;
+    std::vector<int> simLog, modelLog;
+    int next_id = 0;
+    const auto childDelay = [&](int id) {
+        return steps[static_cast<std::size_t>(id) % numSteps];
+    };
+    std::function<void(int)> simEvent = [&](int id) {
+        simLog.push_back(id);
+        if (id < 1000000 && id % 4 == 0) {
+            const int cid = id + 1000000;
+            sim.schedule(childDelay(id), [&simEvent, cid] { simEvent(cid); });
+        }
+    };
+    std::function<void(int)> modelEvent = [&](int id) {
+        modelLog.push_back(id);
+        if (id < 1000000 && id % 4 == 0)
+            model.push(model.now() + childDelay(id), id + 1000000);
+    };
+    Rng rng(seed);
+    for (int op = 0; op < 3000; ++op) {
+        const std::uint64_t kind = rng.below(10);
+        if (kind < 5) {
+            const Tick when = sim.now() + steps[rng.below(numSteps)];
+            const int n = bursts && rng.below(40) == 0 ? 80 : 1;
+            for (int k = 0; k < n; ++k) {
+                const int id = next_id++;
+                sim.scheduleAt(when, [&simEvent, id] { simEvent(id); });
+                model.push(when, id);
+            }
+        } else if (kind < 9) {
+            // Fleet-style horizon: bound + lookahead, or a plain step
+            // from the current clock.
+            const Tick b = sim.nextEventBound();
+            ASSERT_EQ(b, model.bound()) << "seed=" << seed << " op=" << op;
+            Tick limit = sim.now() + steps[rng.below(numSteps)];
+            if (b != ~Tick(0) && rng.below(2) == 0)
+                limit = std::max(b, sim.now()) + 10000 - 1;
+            sim.runUntil(limit);
+            model.runUntil(limit, modelEvent);
+        } else {
+            const std::uint64_t budget = rng.below(6);
+            sim.run(budget);
+            model.run(budget, modelEvent);
+        }
+        ASSERT_EQ(sim.now(), model.now()) << "seed=" << seed << " op=" << op;
+        ASSERT_EQ(sim.nextEventBound(), model.bound())
+            << "seed=" << seed << " op=" << op;
+    }
+    sim.run();
+    model.run(~std::uint64_t(0), modelEvent);
+    EXPECT_EQ(simLog, modelLog) << "seed=" << seed;
+    EXPECT_EQ(sim.now(), model.now()) << "seed=" << seed;
+}
+
 TEST(Simulator, NextEventBoundMatchesContractModel)
 {
-    constexpr Tick kSteps[] = {
+    const std::vector<Tick> steps = {
         0,      1,      700,      16383,    16384,    16385,
         40000,  100000, 1500000,  16777215, 16777216, 20000000,
         90000000,
     };
-    constexpr std::size_t kNumSteps = sizeof(kSteps) / sizeof(kSteps[0]);
     for (std::uint64_t seed : {3u, 11u, 2024u, 99991u}) {
         Simulator sim;
-        BoundModel model;
-        std::vector<int> simLog, modelLog;
-        int next_id = 0;
-        // Every fourth top-level event spawns one child at a delay
-        // derived from its id, identically on both sides.
-        const auto childDelay = [&](int id) {
-            return kSteps[static_cast<std::size_t>(id) % kNumSteps];
-        };
-        std::function<void(int)> simEvent = [&](int id) {
-            simLog.push_back(id);
-            if (id < 1000000 && id % 4 == 0) {
-                const int cid = id + 1000000;
-                sim.schedule(childDelay(id),
-                             [&simEvent, cid] { simEvent(cid); });
-            }
-        };
-        std::function<void(int)> modelEvent = [&](int id) {
-            modelLog.push_back(id);
-            if (id < 1000000 && id % 4 == 0)
-                model.push(model.now() + childDelay(id), id + 1000000);
-        };
-        Rng rng(seed);
-        for (int op = 0; op < 3000; ++op) {
-            const std::uint64_t kind = rng.below(10);
-            if (kind < 5) {
-                const Tick when = sim.now() + kSteps[rng.below(kNumSteps)];
-                const int id = next_id++;
-                sim.scheduleAt(when, [&simEvent, id] { simEvent(id); });
-                model.push(when, id);
-            } else if (kind < 9) {
-                // Fleet-style horizon: bound + lookahead, or a plain
-                // step from the current clock.
-                const Tick b = sim.nextEventBound();
-                ASSERT_EQ(b, model.bound()) << "seed=" << seed
-                                            << " op=" << op;
-                Tick limit = sim.now() + kSteps[rng.below(kNumSteps)];
-                if (b != ~Tick(0) && rng.below(2) == 0)
-                    limit = std::max(b, sim.now()) + 10000 - 1;
-                sim.runUntil(limit);
-                model.runUntil(limit, modelEvent);
-            } else {
-                const std::uint64_t budget = rng.below(6);
-                sim.run(budget);
-                model.run(budget, modelEvent);
-            }
-            ASSERT_EQ(sim.now(), model.now())
-                << "seed=" << seed << " op=" << op;
-            ASSERT_EQ(sim.nextEventBound(), model.bound())
-                << "seed=" << seed << " op=" << op;
+        expectMatchesBoundModel(sim, steps, seed, false);
+    }
+}
+
+/**
+ * A small fixed delay alphabet for the delay rings: 0 (the same-tick
+ * ring), 9, 13 000 and 42 500, whose two hashed ring choices are the
+ * same pair (so with two of them pending the third has no ring and
+ * goes to the heap alone), 400 000 and 7, which share one choice with
+ * them, and bursts of 80 keys at one delay, more than a fresh ring
+ * holds, so rings grow while keys wait in them.
+ */
+constexpr Tick kRingDelays[] = {0, 9, 13000, 42500, 400000, 7};
+
+/** The two hashed ring choices of a non-zero delay (as in sim.cc),
+ *  lower first. */
+std::pair<unsigned, unsigned>
+ringChoices(Tick delay)
+{
+    const std::uint64_t h = delay * 0x9E3779B97F4A7C15ull;
+    return std::minmax(static_cast<unsigned>(h >> 61),
+                       static_cast<unsigned>((h >> 58) & 7));
+}
+
+TEST(Simulator, RingAlphabetCollidesOnBothChoices)
+{
+    // Guards the alphabet above: if the hash changes, pick new
+    // colliders so the heap fallback stays exercised.
+    const auto pair = ringChoices(13000);
+    EXPECT_NE(pair.first, pair.second);
+    EXPECT_EQ(ringChoices(42500), pair);
+    EXPECT_EQ(ringChoices(9), pair);
+}
+
+/**
+ * Drive a kernel through a random script over kRingDelays: outside
+ * schedule() and scheduleAt() pushes, bursts, watchdog-limited runs,
+ * and events that schedule children at alphabet delays.
+ */
+template <typename Kernel>
+std::vector<std::pair<Tick, int>>
+runRingScript(std::uint64_t seed)
+{
+    constexpr std::size_t kNum = sizeof(kRingDelays) / sizeof(kRingDelays[0]);
+    Kernel sim;
+    std::vector<std::pair<Tick, int>> log;
+    Rng rng(seed);
+    int next_id = 0;
+    std::function<void(int)> event = [&](int id) {
+        log.emplace_back(sim.now(), id);
+        // Children: none, one or two, at delays derived from the id.
+        for (int c = 0; c < id % 3; ++c) {
+            const int cid = 1000000 + id * 2 + c;
+            if (cid >= 8000000)
+                break;
+            sim.schedule(kRingDelays[static_cast<std::size_t>(cid) % kNum],
+                         [&event, cid] { event(cid); });
         }
-        sim.run();
-        model.run(~std::uint64_t(0), modelEvent);
-        EXPECT_EQ(simLog, modelLog) << "seed=" << seed;
-        EXPECT_EQ(sim.now(), model.now()) << "seed=" << seed;
+    };
+    for (int op = 0; op < 2000; ++op) {
+        const std::uint64_t kind = rng.below(10);
+        const Tick d = kRingDelays[rng.below(kNum)];
+        if (kind < 3) {
+            const int id = next_id++;
+            sim.schedule(d, [&event, id] { event(id); });
+        } else if (kind < 6) {
+            const int id = next_id++;
+            sim.scheduleAt(sim.now() + d, [&event, id] { event(id); });
+        } else if (kind < 7) {
+            for (int k = 0; k < 80; ++k) {
+                const int id = next_id++;
+                sim.schedule(d, [&event, id] { event(id); });
+            }
+        } else {
+            sim.run(rng.below(40));
+        }
+    }
+    sim.run();
+    return log;
+}
+
+TEST(Simulator, DelayRingsMatchReferenceKernel)
+{
+    for (std::uint64_t seed : {2u, 19u, 777u, 31337u}) {
+        const auto production = runRingScript<Simulator>(seed);
+        const auto reference = runRingScript<ReferenceSimulator>(seed);
+        ASSERT_EQ(production.size(), reference.size()) << "seed=" << seed;
+        EXPECT_EQ(production, reference) << "seed=" << seed;
+    }
+}
+
+TEST(Simulator, DelayRingsMatchContractModel)
+{
+    const std::vector<Tick> steps(std::begin(kRingDelays),
+                                  std::end(kRingDelays));
+    for (std::uint64_t seed : {4u, 23u, 4096u, 65521u}) {
+        Simulator sim;
+        expectMatchesBoundModel(sim, steps, seed, true);
+        // Bursts left more than 64 keys waiting at one delay.
+        EXPECT_GT(sim.peakQueueSize(), 80u) << "seed=" << seed;
     }
 }
 
@@ -506,7 +617,7 @@ TEST(Simulator, MatchesReferenceKernelOnRandomScripts)
 }
 
 /**
- * Drive a kernel through a script built for the same-tick FIFO: outside
+ * Drive a kernel through a script built for the same-tick ring: outside
  * pushes at the current tick beside future ones, watchdog-limited runs
  * that stop mid-tick, zero-delay chains of random length and events
  * that fan out into mixed zero and non-zero delays.
@@ -530,7 +641,8 @@ runSameTickScript(std::uint64_t seed)
     const auto fanOut = [&](int id) {
         log.emplace_back(sim.now(), id);
         // Children alternate between the current tick and the near
-        // future, so same-tick heap keys and FIFO entries interleave.
+        // future, so keys at the current tick that were scheduled
+        // before it and same-tick ring entries interleave.
         for (int c = 0; c < 3; ++c) {
             const int cid = 2000000 + id * 4 + c;
             const Tick d = (id + c) % 2 == 0 ? 0 : Tick(1 + c);
@@ -663,7 +775,7 @@ TEST(Simulator, SlabGrowsWhileAnActionRuns)
     sim.run();
     EXPECT_EQ(sum, 3 * 63 * 64 / 2);
     ASSERT_EQ(order.size(), 1500u);
-    // Delay 0 first (FIFO at tick 1), then ticks 2 and 3, each in
+    // Delay 0 first (ring 0 at tick 1), then ticks 2 and 3, each in
     // schedule order.
     std::vector<int> expected;
     for (int r = 0; r < 3; ++r)
@@ -688,7 +800,7 @@ TEST(Simulator, CapturesAreReleasedRightAfterTheirEvent)
     EXPECT_TRUE(aliveDuring);
     EXPECT_FALSE(aliveAfter);
 
-    // A zero-delay (same-tick FIFO) event likewise.
+    // A zero-delay (same-tick ring) event likewise.
     auto owned2 = std::make_shared<int>(8);
     const std::weak_ptr<int> watch2 = owned2;
     sim.schedule(0, [p = std::move(owned2)] { (void)p; });
@@ -718,6 +830,20 @@ TEST(Simulator, PeakQueueSizeCountsSameTickEvents)
     EXPECT_EQ(fan.peakQueueSize(), 2u);
     fan.run();
     EXPECT_EQ(fan.peakQueueSize(), 11u);
+
+    // Keys waiting behind a ring's head count too: five at one delay
+    // (one head in the heap, four in its ring) and three same-tick.
+    Simulator ring;
+    for (int i = 0; i < 5; ++i)
+        ring.schedule(13000, [] {});
+    EXPECT_EQ(ring.peakQueueSize(), 5u);
+    ring.schedule(2, [&ring] {
+        for (int i = 0; i < 3; ++i)
+            ring.schedule(0, [] {});
+    });
+    EXPECT_EQ(ring.peakQueueSize(), 6u);
+    ring.run();
+    EXPECT_EQ(ring.peakQueueSize(), 8u);
 }
 
 } // namespace
