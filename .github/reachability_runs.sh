@@ -98,7 +98,7 @@ quiet "$rif" run trace_replay "${tiny[@]}" --set workload.arrival=poisson \
     --set workload.arrivalSeed=5
 quiet "$rif" run fig19_latency_cdf "${tiny[@]}" --workload Ali124 \
     --set ssd.policy=CONV --set ssd.seed=7 --set ssd.queueDepth=16 \
-    --set run.requests=2000 --set run.seed=3
+    --set timing.tR=45 --set run.requests=2000 --set run.seed=3
 
 # Bad inputs: an invalid RIF_THREADS warns and falls back to the
 # hardware thread count; a missing command and an unknown format fail.

@@ -56,6 +56,12 @@ operator new[](std::size_t n)
     return ::operator new(n);
 }
 
+// The allocation audit replaces the global operator new with malloc, so
+// these deletes must free(). GCC pairs each `new` call it sees with the
+// inlined body below without knowing that, and flags the free() as
+// -Wmismatched-new-delete.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void
 operator delete(void *p) noexcept
 {
@@ -79,6 +85,7 @@ operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
 }
+#pragma GCC diagnostic pop
 
 namespace {
 

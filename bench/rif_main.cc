@@ -30,7 +30,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -123,23 +122,21 @@ cmdHelp(const std::vector<std::string> &args)
 double
 parseScale(const std::string &value)
 {
-    char *end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (end == nullptr || *end != '\0' || !std::isfinite(v) || !(v > 0.0))
+    const auto v = parseNumber<double>(value);
+    if (!v || !std::isfinite(*v) || !(*v > 0.0))
         fatal("--scale expects a finite positive number, got '", value,
               "'");
-    return v;
+    return *v;
 }
 
 int
 parseJobs(const std::string &value)
 {
-    char *end = nullptr;
-    const long v = std::strtol(value.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v < 1 || v > 256)
+    const auto v = parseNumber<int>(value);
+    if (!v || *v < 1 || *v > 256)
         fatal("--jobs expects an integer in [1, 256], got '", value,
               "'");
-    return static_cast<int>(v);
+    return *v;
 }
 
 /** Everything `rif run` / `rif metrics` parse from their arguments. */

@@ -26,7 +26,7 @@ run(core::ScenarioContext &ctx)
 
     RunScale rs;
     rs.requests = ctx.scaled(5000);
-    ctx.apply(rs);
+    ctx.opts.applyTo(rs);
 
     Table t("Chunk size vs tPRED, miss rate and RiFSSD bandwidth "
             "(" + wl + " @ 2K P/E)");
@@ -41,7 +41,7 @@ run(core::ScenarioContext &ctx)
             static_cast<double>(chunk) * 8.0 * (1024.0 * 33.0) /
             (4096.0 * 8.0);
         e.config().timing.tPred = rp.predictionLatency(chunk);
-        ctx.apply(e.config());
+        ctx.opts.applyTo(e.config());
         return e;
     };
     const auto results = parallelRuns(chunks.size(), [&](std::size_t i) {

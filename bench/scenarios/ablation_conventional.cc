@@ -21,7 +21,7 @@ run(core::ScenarioContext &ctx)
 
     RunScale rs;
     rs.requests = ctx.scaled(5000);
-    ctx.apply(rs);
+    ctx.opts.applyTo(rs);
 
     Table t("Conventional retry vs modern solutions (" + wl +
             " @ 2K P/E)");
@@ -47,7 +47,7 @@ run(core::ScenarioContext &ctx)
         Experiment e;
         e.withPolicy(points[i].policy).withPeCycles(2000.0);
         e.config().seqStepFactor = points[i].stepFactor;
-        ctx.apply(e.config());
+        ctx.opts.applyTo(e.config());
         return e.run(wl, rs);
     });
 

@@ -22,7 +22,7 @@ run(core::ScenarioContext &ctx)
 
     RunScale rs;
     rs.requests = ctx.scaled(5000);
-    ctx.apply(rs);
+    ctx.opts.applyTo(rs);
 
     Table t("SSDone and RiFSSD vs ECC buffer depth (" + wl +
             " @ 2K P/E)");
@@ -42,7 +42,7 @@ run(core::ScenarioContext &ctx)
         Experiment e;
         e.withPolicy(points[i].policy).withPeCycles(2000.0);
         e.config().eccBufferPages = points[i].depth;
-        ctx.apply(e.config());
+        ctx.opts.applyTo(e.config());
         return e.run(wl, rs);
     });
 

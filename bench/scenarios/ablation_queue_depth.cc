@@ -21,7 +21,7 @@ run(core::ScenarioContext &ctx)
 
     RunScale rs;
     rs.requests = ctx.scaled(4000);
-    ctx.apply(rs);
+    ctx.opts.applyTo(rs);
 
     Table t("Bandwidth (MB/s) and read p99 (us) vs QD, " + wl +
             " @ 1K P/E");
@@ -43,7 +43,7 @@ run(core::ScenarioContext &ctx)
         Experiment e;
         e.withPolicy(points[i].policy).withPeCycles(1000.0);
         e.config().queueDepth = points[i].qd;
-        ctx.apply(e.config());
+        ctx.opts.applyTo(e.config());
         return e.run(wl, rs);
     });
 

@@ -21,7 +21,7 @@ run(core::ScenarioContext &ctx)
 
     RunScale rs;
     rs.requests = ctx.scaled(5000);
-    ctx.apply(rs);
+    ctx.opts.applyTo(rs);
 
     // Run the SENC baseline and every tPRED point concurrently; job 0
     // is the baseline, jobs 1..n the sweep.
@@ -36,7 +36,7 @@ run(core::ScenarioContext &ctx)
                 e.withPolicy(PolicyKind::Rif).withPeCycles(2000.0);
                 e.config().timing.tPred = usToTicks(tpreds[i - 1]);
             }
-            ctx.apply(e.config());
+            ctx.opts.applyTo(e.config());
             return e.run(wl, rs);
         });
     const double senc_bw = results[0].bandwidthMBps();

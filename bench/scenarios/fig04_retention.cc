@@ -32,7 +32,7 @@ run(core::ScenarioContext &ctx)
             "each retention-day bin");
     std::vector<std::string> head{"P/E"};
     for (int day = 2; day <= 30; day += 2)
-        head.push_back("d" + std::to_string(day));
+        head.push_back(std::string("d").append(std::to_string(day)));
     head.push_back("median(d)");
     t.setHeader(head);
 

@@ -20,7 +20,7 @@ run(core::ScenarioContext &ctx)
 {
     RunScale rs;
     rs.requests = ctx.scaled(6000);
-    ctx.apply(rs);
+    ctx.opts.applyTo(rs);
 
     const char *workloads[] = {"Ali121", "Ali124", "Sys0", "Sys1"};
     const double pes[] = {0.0, 1000.0, 2000.0};
@@ -35,8 +35,8 @@ run(core::ScenarioContext &ctx)
             Experiment zero, one;
             zero.withPolicy(ssd::PolicyKind::Zero).withPeCycles(pe);
             one.withPolicy(ssd::PolicyKind::IdealOffChip).withPeCycles(pe);
-            ctx.apply(zero.config());
-            ctx.apply(one.config());
+            ctx.opts.applyTo(zero.config());
+            ctx.opts.applyTo(one.config());
             const double bw_zero = zero.run(w, rs).bandwidthMBps();
             const double bw_one = one.run(w, rs).bandwidthMBps();
             const double drop = 100.0 * (1.0 - bw_one / bw_zero);

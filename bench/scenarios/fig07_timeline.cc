@@ -62,7 +62,7 @@ runTimeline(const core::ScenarioContext &ctx, PolicyKind p, bool retries)
     recs.push_back({true, 8, 8});
     trace::VectorTrace tr(recs, 24, retries ? 16 : 24);
     cfg.queueDepth = 2;
-    ctx.apply(cfg);
+    ctx.opts.applyTo(cfg);
     // The makespan is read back from the metric registry
     // (ssd.makespan_ticks) published by the drive at end of run.
     metrics::MetricsScope scope;

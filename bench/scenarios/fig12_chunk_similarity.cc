@@ -34,7 +34,7 @@ run(core::ScenarioContext &ctx)
                 std::to_string(pages) + " pages/point");
         std::vector<std::string> head{"P/E"};
         for (double r : rets)
-            head.push_back("d" + Table::num(r, 0));
+            head.push_back(std::string("d").append(Table::num(r, 0)));
         t.setHeader(head);
         for (double pe : pes) {
             std::vector<std::string> row{Table::num(pe, 0)};

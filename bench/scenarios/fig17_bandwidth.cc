@@ -37,7 +37,7 @@ run(core::ScenarioContext &ctx)
 {
     RunScale rs;
     rs.requests = ctx.scaled(5000);
-    ctx.apply(rs);
+    ctx.opts.applyTo(rs);
 
     const std::vector<PolicyKind> policies(std::begin(kAllPolicies),
                                            std::end(kAllPolicies));
@@ -62,7 +62,7 @@ run(core::ScenarioContext &ctx)
     const auto results = parallelRuns(points.size(), [&](std::size_t i) {
         Experiment e;
         e.withPolicy(points[i].policy).withPeCycles(points[i].pe);
-        ctx.apply(e.config());
+        ctx.opts.applyTo(e.config());
         return e.run(points[i].workload, rs);
     });
 

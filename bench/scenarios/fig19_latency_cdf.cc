@@ -22,7 +22,7 @@ run(core::ScenarioContext &ctx)
 
     RunScale rs;
     rs.requests = ctx.scaled(8000);
-    ctx.apply(rs);
+    ctx.opts.applyTo(rs);
 
     const PolicyKind policies[] = {
         PolicyKind::Sentinel, PolicyKind::SwiftRead,
@@ -45,7 +45,7 @@ run(core::ScenarioContext &ctx)
     const auto results = parallelRuns(points.size(), [&](std::size_t i) {
         Experiment e;
         e.withPolicy(points[i].policy).withPeCycles(points[i].pe);
-        ctx.apply(e.config());
+        ctx.opts.applyTo(e.config());
         return e.run(wl, rs);
     });
 

@@ -30,17 +30,17 @@ run(core::ScenarioContext &ctx)
 
     RunScale rs;
     rs.requests = ctx.scaled(6000);
-    ctx.apply(rs);
+    ctx.opts.applyTo(rs);
 
     fabric::FleetConfig fc;
     fc.drives = 4;
     fc.qd = 64;
-    ctx.apply(fc);
+    ctx.opts.applyTo(fc);
 
     trace::WorkloadConfig base;
     base.arrival = "poisson";
     base.queueCap = 256;
-    ctx.apply(base);
+    ctx.opts.applyTo(base);
 
     const std::vector<double> rates_kiops = {25, 50, 100, 200, 400};
 
@@ -57,7 +57,7 @@ run(core::ScenarioContext &ctx)
             ssd::SsdConfig cfg;
             cfg.policy = policy;
             cfg.peCycles = 3000.0;
-            ctx.apply(cfg);
+            ctx.opts.applyTo(cfg);
 
             trace::WorkloadConfig wc = base;
             wc.rateKiops = rate;

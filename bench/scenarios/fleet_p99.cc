@@ -26,12 +26,12 @@ run(core::ScenarioContext &ctx)
 
     RunScale rs;
     rs.requests = ctx.scaled(20000);
-    ctx.apply(rs);
+    ctx.opts.applyTo(rs);
 
     fabric::FleetConfig fc;
     fc.drives = 4;
     fc.qd = 256;
-    ctx.apply(fc);
+    ctx.opts.applyTo(fc);
 
     Table t("Fleet read tail latency (" + wl + ", " +
             std::to_string(fc.drives) + " drives, " +
@@ -45,7 +45,7 @@ run(core::ScenarioContext &ctx)
         ssd::SsdConfig cfg;
         cfg.policy = policy;
         cfg.peCycles = 3000.0;
-        ctx.apply(cfg);
+        ctx.opts.applyTo(cfg);
 
         trace::SyntheticWorkload source(trace::workloadByName(wl),
                                         rs.requests, rs.seed);

@@ -26,7 +26,7 @@ run(core::ScenarioContext &ctx)
 
     RunScale rs;
     rs.requests = ctx.scaled(16000);
-    ctx.apply(rs);
+    ctx.opts.applyTo(rs);
 
     Table t("Fleet retry storm: one aged drive, striped vs replicated "
             "(" + wl + ", RiFSSD)");
@@ -43,12 +43,12 @@ run(core::ScenarioContext &ctx)
         fc.replicas = 2;
         fc.agedDrives = 1;
         fc.agedPeCycles = 5000.0;
-        ctx.apply(fc);
+        ctx.opts.applyTo(fc);
 
         ssd::SsdConfig cfg;
         cfg.policy = ssd::PolicyKind::Rif;
         cfg.peCycles = 500.0;
-        ctx.apply(cfg);
+        ctx.opts.applyTo(cfg);
 
         trace::SyntheticWorkload source(trace::workloadByName(wl),
                                         rs.requests, rs.seed);

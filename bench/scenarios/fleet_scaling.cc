@@ -27,7 +27,7 @@ run(core::ScenarioContext &ctx)
 
     RunScale rs;
     rs.requests = ctx.scaled(20000);
-    ctx.apply(rs);
+    ctx.opts.applyTo(rs);
 
     Table t("Fleet scaling (" + wl + ", RiFSSD @ 2K P/E, striped)");
     t.setHeader({"drives", "commands", "sub_ios", "sync_rounds",
@@ -36,7 +36,7 @@ run(core::ScenarioContext &ctx)
     for (const int drives : {1, 4, 16}) {
         fabric::FleetConfig fc;
         fc.qd = 256;
-        ctx.apply(fc);
+        ctx.opts.applyTo(fc);
         // The drive count is the sweep variable, not an override knob
         // (Fleet re-validates the combination).
         fc.drives = drives;
@@ -44,7 +44,7 @@ run(core::ScenarioContext &ctx)
         ssd::SsdConfig cfg;
         cfg.policy = ssd::PolicyKind::Rif;
         cfg.peCycles = 2000.0;
-        ctx.apply(cfg);
+        ctx.opts.applyTo(cfg);
 
         trace::SyntheticWorkload source(trace::workloadByName(wl),
                                         rs.requests, rs.seed);

@@ -46,14 +46,14 @@ run(core::ScenarioContext &ctx)
     // Workload-level energy balance measured on the simulator.
     RunScale rs;
     rs.requests = ctx.scaled(4000);
-    ctx.apply(rs);
+    ctx.opts.applyTo(rs);
     Table w("Net RP energy on " + wl + " (negative = RiF saves energy)");
     w.setHeader({"P/E", "predictions", "avoided_transfers",
                  "net_energy(uJ)"});
     for (double pe : {0.0, 1000.0, 2000.0}) {
         Experiment e;
         e.withPolicy(ssd::PolicyKind::Rif).withPeCycles(pe);
-        ctx.apply(e.config());
+        ctx.opts.applyTo(e.config());
         const auto r = e.run(wl, rs);
         const double net = model.netEnergyNj(r.stats.rpPredictions,
                                              r.stats.avoidedTransfers) /

@@ -32,7 +32,7 @@ run(core::ScenarioContext &ctx)
 {
     ssd::SsdConfig cfg;
     cfg.peCycles = 1000.0;
-    ctx.apply(cfg);
+    ctx.opts.applyTo(cfg);
 
     const double ages[] = {0.5, 1.0, 2.0, 4.0, 8.0, 16.0};
     const int trials = ctx.scaled(200);

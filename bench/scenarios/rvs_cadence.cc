@@ -35,7 +35,7 @@ run(core::ScenarioContext &ctx)
     // QLC is where staleness bites within a day; `--set
     // nand.cellType=tlc` reads the same trade on the paper's device.
     cfg.cellType = CellType::Qlc;
-    ctx.apply(cfg);
+    ctx.opts.applyTo(cfg);
 
     const VthModel model(cfg.cellType);
     const odear::RvsModule rvs(model);

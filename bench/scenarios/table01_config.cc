@@ -18,7 +18,7 @@ void
 run(core::ScenarioContext &ctx)
 {
     SsdConfig cfg;
-    ctx.apply(cfg);
+    ctx.opts.applyTo(cfg);
     const nand::Geometry paper = SsdConfig::paperGeometry();
     const nand::Geometry sim = cfg.geometry;
 

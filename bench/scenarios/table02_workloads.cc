@@ -19,7 +19,7 @@ run(core::ScenarioContext &ctx)
 {
     RunScale rs;
     rs.requests = ctx.scaled(40000);
-    ctx.apply(rs);
+    ctx.opts.applyTo(rs);
     const std::uint64_t requests = rs.requests;
 
     Table t("Table II: read ratio and cold-read ratio per workload");

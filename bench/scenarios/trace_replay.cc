@@ -65,11 +65,11 @@ run(core::ScenarioContext &ctx)
 {
     RunScale rs;
     rs.requests = ctx.scaled(12000);
-    ctx.apply(rs);
+    ctx.opts.applyTo(rs);
 
     trace::WorkloadConfig wc;
     wc.arrival = "timestamp";
-    ctx.apply(wc);
+    ctx.opts.applyTo(wc);
 
     std::string temp_path;
     if (wc.trace.empty())
@@ -97,7 +97,7 @@ run(core::ScenarioContext &ctx)
         ssd::SsdConfig cfg;
         cfg.policy = policy;
         cfg.peCycles = 3000.0;
-        ctx.apply(cfg);
+        ctx.opts.applyTo(cfg);
 
         const auto source = trace::openWorkload(
             wc, trace::workloadByName(ctx.workload("Ali124")),

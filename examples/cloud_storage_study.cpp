@@ -55,7 +55,7 @@ main(int argc, char **argv)
             const double avg = sum / static_cast<double>(fleet.size());
             row.push_back(Table::num(avg, 0));
             if (!slo_found && avg < slo_mbps) {
-                slo_age = "<" + Table::num(pe, 0);
+                slo_age = std::string("<").append(Table::num(pe, 0));
                 slo_found = true;
             }
         }

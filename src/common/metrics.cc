@@ -7,6 +7,7 @@
 #include <ostream>
 #include <unordered_map>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/table.h"
@@ -40,29 +41,6 @@ formatDouble(double v)
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
-}
-
-void
-writeJsonString(std::ostream &os, std::string_view s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
 }
 
 /** Nearest-rank percentile over sorted samples (PercentileTracker's math). */
@@ -346,15 +324,13 @@ Snapshot::writeJson(std::ostream &os) const
             os << ",";
         first = false;
         os << "\n  ";
-        writeJsonString(os, e.name);
-        os << ": {\"kind\": ";
+        os << '"' << jsonEscape(e.name) << "\": {\"kind\": ";
         switch (e.kind) {
           case Kind::Counter: os << "\"counter\""; break;
           case Kind::Gauge: os << "\"gauge\""; break;
           case Kind::Distribution: os << "\"distribution\""; break;
         }
-        os << ", \"unit\": ";
-        writeJsonString(os, e.unit);
+        os << ", \"unit\": \"" << jsonEscape(e.unit) << '"';
         if (e.kind == Kind::Distribution) {
             os << ", \"count\": " << e.samples.size();
             os << ", \"min\": "

@@ -1,8 +1,8 @@
 #include "core/options.h"
 
-#include <charconv>
-#include <cmath>
-#include <cstdlib>
+#include <functional>
+#include <type_traits>
+#include <variant>
 
 #include "common/logging.h"
 #include "fabric/config.h"
@@ -15,6 +15,14 @@ namespace core {
 
 namespace {
 
+using Ssd = ssd::SsdConfig;
+using Fleet = fabric::FleetConfig;
+using Workload = trace::WorkloadConfig;
+
+/** Parses a `--set` value (fatal on error) and writes it into a Cfg. */
+template <class Cfg>
+using Setter = std::function<void(Cfg &, const std::string &)>;
+
 [[noreturn]] void
 badValue(const std::string &key, const std::string &value,
          const std::string &expected)
@@ -23,131 +31,73 @@ badValue(const std::string &key, const std::string &value,
           expected, ")");
 }
 
-long long
-parseIntValue(const std::string &key, const std::string &value,
-              long long min, long long max)
+/** `value` as a T in [lo, hi] — (lo, hi] when openLo — or fatal. */
+template <class T>
+T
+parseIn(const char *key, const std::string &value, T lo, T hi,
+        bool openLo)
 {
-    long long out = 0;
-    const auto *begin = value.data();
-    const auto *end = value.data() + value.size();
-    const auto res = std::from_chars(begin, end, out);
-    if (res.ec != std::errc{} || res.ptr != end || out < min || out > max)
+    const std::optional<T> v = parseNumber<T>(value);
+    if (!v || !(openLo ? *v > lo : *v >= lo) || !(*v <= hi))
         badValue(key, value,
-                 "integer in [" + std::to_string(min) + ", " +
-                     std::to_string(max) + "]");
-    return out;
+                 std::string(std::is_integral_v<T> ? "integer in "
+                                                   : "finite number in ") +
+                     (openLo ? "(" : "[") + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]");
+    return *v;
 }
 
-std::uint64_t
-parseU64Value(const std::string &key, const std::string &value,
-              std::uint64_t min, std::uint64_t max)
-{
-    std::uint64_t out = 0;
-    const auto *begin = value.data();
-    const auto *end = value.data() + value.size();
-    const auto res = std::from_chars(begin, end, out);
-    if (res.ec != std::errc{} || res.ptr != end || out < min || out > max)
-        badValue(key, value,
-                 "integer in [" + std::to_string(min) + ", " +
-                     std::to_string(max) + "]");
-    return out;
-}
+} // namespace
 
-double
-parseDoubleValue(const std::string &key, const std::string &value,
-                 double min, double max, bool min_exclusive = false)
-{
-    char *end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    const bool consumed = end != nullptr && *end == '\0' &&
-                          end != value.c_str();
-    const bool in_range = std::isfinite(v) && v <= max &&
-                          (min_exclusive ? v > min : v >= min);
-    if (!consumed || !in_range)
-        badValue(key, value,
-                 std::string("finite number in ") +
-                     (min_exclusive ? "(" : "[") + std::to_string(min) +
-                     ", " + std::to_string(max) + "]");
-    return v;
-}
-
-/**
- * One settable field: `make*(value)` parses eagerly (fatal on error)
- * and returns the closure that applies the parsed value later, so a
- * bad `--set` fails before any simulation starts.
- */
-struct Field
+/** One `--set` key: its help line and the setter of its one field. */
+struct OptionField
 {
     const char *key;
     const char *help;
-    std::function<std::function<void(ssd::SsdConfig &)>(
-        const std::string &)>
-        makeSsd;
-    std::function<std::function<void(RunScale &)>(const std::string &)>
-        makeRun;
-    std::function<
-        std::function<void(fabric::FleetConfig &)>(const std::string &)>
-        makeFleet;
-    std::function<std::function<void(trace::WorkloadConfig &)>(
-        const std::string &)>
-        makeWorkload;
+    std::variant<Setter<Ssd>, Setter<RunScale>, Setter<Fleet>,
+                 Setter<Workload>>
+        set;
 };
 
-std::vector<Field>
-makeFields()
+namespace {
+
+/**
+ * A numeric key writing the Cfg field `ref(cfg)` returns, parsed as
+ * that field's own type and checked against [lo, hi] ((lo, hi] when
+ * openLo).
+ */
+template <class Cfg, class Ref,
+          class T = std::remove_reference_t<std::invoke_result_t<Ref, Cfg &>>>
+OptionField
+number(const char *key, const char *help, Ref ref,
+       std::type_identity_t<T> lo, std::type_identity_t<T> hi,
+       bool openLo = false)
 {
-    std::vector<Field> f;
+    return {key, help,
+            Setter<Cfg>([=](Cfg &c, const std::string &v) {
+                ref(c) = parseIn<T>(key, v, lo, hi, openLo);
+            })};
+}
 
-    auto addInt = [&f](const char *key, const char *help,
-                       void (*set)(ssd::SsdConfig &, long long),
-                       long long min, long long max) {
-        f.push_back(
-            {key, help,
-             [key, set, min, max](const std::string &v) {
-                 const long long parsed =
-                     parseIntValue(key, v, min, max);
-                 return [set, parsed](ssd::SsdConfig &c) {
-                     set(c, parsed);
-                 };
-             },
-             nullptr});
-    };
-    auto addU64 = [&f](const char *key, const char *help,
-                       void (*set)(ssd::SsdConfig &, std::uint64_t),
-                       std::uint64_t min, std::uint64_t max) {
-        f.push_back(
-            {key, help,
-             [key, set, min, max](const std::string &v) {
-                 const std::uint64_t parsed =
-                     parseU64Value(key, v, min, max);
-                 return [set, parsed](ssd::SsdConfig &c) {
-                     set(c, parsed);
-                 };
-             },
-             nullptr});
-    };
-    auto addDouble = [&f](const char *key, const char *help,
-                          void (*set)(ssd::SsdConfig &, double),
-                          double min, double max,
-                          bool min_exclusive = false) {
-        f.push_back(
-            {key, help,
-             [key, set, min, max, min_exclusive](const std::string &v) {
-                 const double parsed =
-                     parseDoubleValue(key, v, min, max, min_exclusive);
-                 return [set, parsed](ssd::SsdConfig &c) {
-                     set(c, parsed);
-                 };
-             },
-             nullptr});
-    };
+/** A latency key: microseconds in [0, 1e6] in, ticks stored. */
+template <class Ref>
+OptionField
+latencyUs(const char *key, const char *help, Ref ref)
+{
+    return {key, help, Setter<Ssd>([=](Ssd &c, const std::string &v) {
+                ref(c) = usToTicks(parseIn(key, v, 0.0, 1e6, false));
+            })};
+}
 
-    // --- ssd.* ---------------------------------------------------------
-    f.push_back(
+const std::vector<OptionField> &
+fields()
+{
+    static const std::vector<OptionField> f = {
+        // --- ssd.* -----------------------------------------------------
         {"ssd.policy",
          "read-retry policy: SSDzero|CONV|SSDone|SENC|SWR|SWR+|RPSSD|"
          "RiFSSD",
-         [](const std::string &v) {
+         Setter<Ssd>([](Ssd &c, const std::string &v) {
              const auto parsed = ssd::parsePolicy(v);
              if (!parsed) {
                  std::string valid;
@@ -158,385 +108,254 @@ makeFields()
                  }
                  badValue("ssd.policy", v, valid);
              }
-             return [kind = *parsed](ssd::SsdConfig &c) {
-                 c.policy = kind;
-             };
-         },
-         nullptr});
-    addDouble("ssd.hostGBps", "host interface peak bandwidth (GB/s)",
-              [](ssd::SsdConfig &c, double v) { c.hostGBps = v; }, 0.0,
-              1e4, true);
-    addInt("ssd.queueDepth", "closed-loop outstanding host requests",
-           [](ssd::SsdConfig &c, long long v) {
-               c.queueDepth = static_cast<int>(v);
-           },
-           1, 65536);
-    addInt("ssd.eccBufferPages",
-           "pages buffered ahead of the ECC engine per channel",
-           [](ssd::SsdConfig &c, long long v) {
-               c.eccBufferPages = static_cast<int>(v);
-           },
-           1, 4096);
-    addDouble("ssd.peCycles", "P/E cycles experienced by every block",
-              [](ssd::SsdConfig &c, double v) { c.peCycles = v; }, 0.0,
-              1e7);
-    addDouble("ssd.refreshDays", "periodic refresh window (days)",
-              [](ssd::SsdConfig &c, double v) { c.refreshDays = v; },
-              0.0, 1e5, true);
-    addDouble("ssd.coldAgeMinDays", "lower bound of cold-data age (days)",
-              [](ssd::SsdConfig &c, double v) { c.coldAgeMinDays = v; },
-              0.0, 1e5);
-    addDouble("ssd.hotAgeDays", "initial age bound of hot data (days)",
-              [](ssd::SsdConfig &c, double v) { c.hotAgeDays = v; }, 0.0,
-              1e5);
-    addDouble("ssd.sentinelExtraReadProb",
-              "SENC extra sentinel-read probability",
-              [](ssd::SsdConfig &c, double v) {
-                  c.sentinelExtraReadProb = v;
-              },
-              0.0, 1.0);
-    addDouble("ssd.vrefTrackedFraction",
-              "SWR+ fraction of reads with pre-optimized VREF",
-              [](ssd::SsdConfig &c, double v) {
-                  c.vrefTrackedFraction = v;
-              },
-              0.0, 1.0);
-    addDouble("ssd.tPredController",
-              "controller-side RP latency (us, RPSSD)",
-              [](ssd::SsdConfig &c, double v) {
-                  c.tPredController = usToTicks(v);
-              },
-              0.0, 1e6);
-    addDouble("ssd.seqStepFactor",
-              "RBER multiplier per conventional VREF step",
-              [](ssd::SsdConfig &c, double v) { c.seqStepFactor = v; },
-              0.0, 1.0, true);
-    addInt("ssd.maxRetrySteps",
-           "max VREF steps of the conventional sequence",
-           [](ssd::SsdConfig &c, long long v) {
-               c.maxRetrySteps = static_cast<int>(v);
-           },
-           1, 64);
-    addDouble("ssd.rpObservedBits",
-              "effective bits observed by the RP predictor",
-              [](ssd::SsdConfig &c, double v) { c.rpObservedBits = v; },
-              0.0, 1e9, true);
-    addDouble("ssd.codewordBits", "bits per codeword seen by the decoder",
-              [](ssd::SsdConfig &c, double v) { c.codewordBits = v; },
-              0.0, 1e9, true);
-    addInt("ssd.gcFreeBlockThreshold", "GC low watermark per plane",
-           [](ssd::SsdConfig &c, long long v) {
-               c.gcFreeBlockThreshold = static_cast<int>(v);
-           },
-           1, 1 << 20);
-    addU64("ssd.readDisturbThreshold",
-           "reads since program before relocation (0 disables)",
-           [](ssd::SsdConfig &c, std::uint64_t v) {
-               c.readDisturbThreshold = static_cast<std::uint32_t>(v);
-           },
-           0, 0xffffffffull);
-    addDouble("ssd.preconditionFill",
-              "fraction of the footprint preconditioned valid",
-              [](ssd::SsdConfig &c, double v) {
-                  c.preconditionFill = v;
-              },
-              0.0, 1.0);
-    addU64("ssd.seed", "simulation seed",
-           [](ssd::SsdConfig &c, std::uint64_t v) { c.seed = v; }, 0,
-           ~0ull);
+             c.policy = *parsed;
+         })},
+        number<Ssd>("ssd.hostGBps", "host interface peak bandwidth (GB/s)",
+                    [](Ssd &c) -> auto & { return c.hostGBps; }, 0.0, 1e4,
+                    true),
+        number<Ssd>("ssd.queueDepth", "closed-loop outstanding host requests",
+                    [](Ssd &c) -> auto & { return c.queueDepth; }, 1, 65536),
+        number<Ssd>("ssd.eccBufferPages",
+                    "pages buffered ahead of the ECC engine per channel",
+                    [](Ssd &c) -> auto & { return c.eccBufferPages; }, 1,
+                    4096),
+        number<Ssd>("ssd.peCycles", "P/E cycles experienced by every block",
+                    [](Ssd &c) -> auto & { return c.peCycles; }, 0.0, 1e7),
+        number<Ssd>("ssd.refreshDays", "periodic refresh window (days)",
+                    [](Ssd &c) -> auto & { return c.refreshDays; }, 0.0,
+                    1e5, true),
+        number<Ssd>("ssd.coldAgeMinDays",
+                    "lower bound of cold-data age (days)",
+                    [](Ssd &c) -> auto & { return c.coldAgeMinDays; }, 0.0,
+                    1e5),
+        number<Ssd>("ssd.hotAgeDays", "initial age bound of hot data (days)",
+                    [](Ssd &c) -> auto & { return c.hotAgeDays; }, 0.0,
+                    1e5),
+        number<Ssd>("ssd.sentinelExtraReadProb",
+                    "SENC extra sentinel-read probability",
+                    [](Ssd &c) -> auto & { return c.sentinelExtraReadProb; },
+                    0.0, 1.0),
+        number<Ssd>("ssd.vrefTrackedFraction",
+                    "SWR+ fraction of reads with pre-optimized VREF",
+                    [](Ssd &c) -> auto & { return c.vrefTrackedFraction; },
+                    0.0, 1.0),
+        latencyUs("ssd.tPredController",
+                  "controller-side RP latency (us, RPSSD)",
+                  [](Ssd &c) -> auto & { return c.tPredController; }),
+        number<Ssd>("ssd.seqStepFactor",
+                    "RBER multiplier per conventional VREF step",
+                    [](Ssd &c) -> auto & { return c.seqStepFactor; }, 0.0,
+                    1.0, true),
+        number<Ssd>("ssd.maxRetrySteps",
+                    "max VREF steps of the conventional sequence",
+                    [](Ssd &c) -> auto & { return c.maxRetrySteps; }, 1, 64),
+        number<Ssd>("ssd.rpObservedBits",
+                    "effective bits observed by the RP predictor",
+                    [](Ssd &c) -> auto & { return c.rpObservedBits; }, 0.0,
+                    1e9, true),
+        number<Ssd>("ssd.codewordBits",
+                    "bits per codeword seen by the decoder",
+                    [](Ssd &c) -> auto & { return c.codewordBits; }, 0.0,
+                    1e9, true),
+        number<Ssd>("ssd.gcFreeBlockThreshold", "GC low watermark per plane",
+                    [](Ssd &c) -> auto & { return c.gcFreeBlockThreshold; },
+                    1, 1 << 20),
+        number<Ssd>("ssd.readDisturbThreshold",
+                    "reads since program before relocation (0 disables)",
+                    [](Ssd &c) -> auto & { return c.readDisturbThreshold; },
+                    0, 0xffffffffu),
+        number<Ssd>("ssd.preconditionFill",
+                    "fraction of the footprint preconditioned valid",
+                    [](Ssd &c) -> auto & { return c.preconditionFill; }, 0.0,
+                    1.0),
+        number<Ssd>("ssd.seed", "simulation seed",
+                    [](Ssd &c) -> auto & { return c.seed; }, 0, ~0ull),
 
-    // --- geometry.* ----------------------------------------------------
-    addInt("geometry.channels", "flash channels",
-           [](ssd::SsdConfig &c, long long v) {
-               c.geometry.channels = static_cast<int>(v);
-           },
-           1, 1 << 20);
-    addInt("geometry.diesPerChannel", "dies per channel",
-           [](ssd::SsdConfig &c, long long v) {
-               c.geometry.diesPerChannel = static_cast<int>(v);
-           },
-           1, 1 << 20);
-    addInt("geometry.planesPerDie", "planes per die",
-           [](ssd::SsdConfig &c, long long v) {
-               c.geometry.planesPerDie = static_cast<int>(v);
-           },
-           1, 1 << 20);
-    addInt("geometry.blocksPerPlane", "blocks per plane",
-           [](ssd::SsdConfig &c, long long v) {
-               c.geometry.blocksPerPlane = static_cast<int>(v);
-           },
-           1, 1 << 20);
-    addInt("geometry.pagesPerBlock", "pages per block",
-           [](ssd::SsdConfig &c, long long v) {
-               c.geometry.pagesPerBlock = static_cast<int>(v);
-           },
-           1, 1 << 20);
-    addU64("geometry.pageBytes", "page size in bytes",
-           [](ssd::SsdConfig &c, std::uint64_t v) {
-               c.geometry.pageBytes = v;
-           },
-           512, 16 * kMiB);
-    addInt("geometry.codewordsPerPage", "ECC codewords per page",
-           [](ssd::SsdConfig &c, long long v) {
-               c.geometry.codewordsPerPage = static_cast<int>(v);
-           },
-           1, 64);
+        // --- geometry.* ------------------------------------------------
+        number<Ssd>("geometry.channels", "flash channels",
+                    [](Ssd &c) -> auto & { return c.geometry.channels; }, 1,
+                    1 << 20),
+        number<Ssd>("geometry.diesPerChannel", "dies per channel",
+                    [](Ssd &c) -> auto & {
+                        return c.geometry.diesPerChannel;
+                    },
+                    1, 1 << 20),
+        number<Ssd>("geometry.planesPerDie", "planes per die",
+                    [](Ssd &c) -> auto & { return c.geometry.planesPerDie; },
+                    1, 1 << 20),
+        number<Ssd>("geometry.blocksPerPlane", "blocks per plane",
+                    [](Ssd &c) -> auto & {
+                        return c.geometry.blocksPerPlane;
+                    },
+                    1, 1 << 20),
+        number<Ssd>("geometry.pagesPerBlock", "pages per block",
+                    [](Ssd &c) -> auto & { return c.geometry.pagesPerBlock; },
+                    1, 1 << 20),
+        number<Ssd>("geometry.pageBytes", "page size in bytes",
+                    [](Ssd &c) -> auto & { return c.geometry.pageBytes; },
+                    512, 16 * kMiB),
+        number<Ssd>("geometry.codewordsPerPage", "ECC codewords per page",
+                    [](Ssd &c) -> auto & {
+                        return c.geometry.codewordsPerPage;
+                    },
+                    1, 64),
 
-    // --- nand.* --------------------------------------------------------
-    f.push_back(
+        // --- nand.* ----------------------------------------------------
         {"nand.cellType",
          "NAND cell type: slc|tlc|qlc (also re-bases the parametric "
          "RBER calibration to the cell's, see cellRberParams)",
-         [](const std::string &v) {
+         Setter<Ssd>([](Ssd &c, const std::string &v) {
              const auto parsed = nand::parseCellType(v);
              if (!parsed)
                  badValue("nand.cellType", v, "slc|tlc|qlc");
-             return [cell = *parsed](ssd::SsdConfig &c) {
-                 c.cellType = cell;
-                 c.rber = nand::cellRberParams(cell);
-             };
-         },
-         nullptr});
-    addDouble("nand.slcBlockFraction",
-              "fraction of each plane's blocks operated in SLC mode",
-              [](ssd::SsdConfig &c, double v) {
-                  c.slcBlockFraction = v;
-              },
-              0.0, 1.0);
-    addDouble("nand.slcRberFactor",
-              "RBER multiplier of SLC-mode blocks vs the native cell",
-              [](ssd::SsdConfig &c, double v) { c.slcRberFactor = v; },
-              0.0, 1.0, true);
+             c.cellType = *parsed;
+             c.rber = nand::cellRberParams(*parsed);
+         })},
+        number<Ssd>("nand.slcBlockFraction",
+                    "fraction of each plane's blocks operated in SLC mode",
+                    [](Ssd &c) -> auto & { return c.slcBlockFraction; }, 0.0,
+                    1.0),
+        number<Ssd>("nand.slcRberFactor",
+                    "RBER multiplier of SLC-mode blocks vs the native cell",
+                    [](Ssd &c) -> auto & { return c.slcRberFactor; }, 0.0,
+                    1.0, true),
 
-    // --- rvs.* (host-side VREF-tracking cost model) --------------------
-    addDouble("rvs.recharacterizeDays",
-              "days between host VREF re-characterizations",
-              [](ssd::SsdConfig &c, double v) {
-                  c.rvsCost.recharacterizeDays = v;
-              },
-              0.0, 1e5, true);
-    addInt("rvs.samplesPerThreshold",
-           "calibration sample reads per threshold per characterization",
-           [](ssd::SsdConfig &c, long long v) {
-               c.rvsCost.samplesPerThreshold = static_cast<int>(v);
-           },
-           1, 1 << 20);
-    addDouble("rvs.sampleReadUs",
-              "cost of one calibration sample read (us)",
-              [](ssd::SsdConfig &c, double v) {
-                  c.rvsCost.sampleReadUs = v;
-              },
-              0.0, 1e6, true);
+        // --- rvs.* (host-side VREF-tracking cost model) ----------------
+        number<Ssd>("rvs.recharacterizeDays",
+                    "days between host VREF re-characterizations",
+                    [](Ssd &c) -> auto & {
+                        return c.rvsCost.recharacterizeDays;
+                    },
+                    0.0, 1e5, true),
+        number<Ssd>("rvs.samplesPerThreshold",
+                    "calibration sample reads per threshold per "
+                    "characterization",
+                    [](Ssd &c) -> auto & {
+                        return c.rvsCost.samplesPerThreshold;
+                    },
+                    1, 1 << 20),
+        number<Ssd>("rvs.sampleReadUs",
+                    "cost of one calibration sample read (us)",
+                    [](Ssd &c) -> auto & { return c.rvsCost.sampleReadUs; },
+                    0.0, 1e6, true),
 
-    // --- timing.* (all in microseconds) --------------------------------
-    auto addTiming = [&addDouble](const char *key, const char *help,
-                                  void (*set)(ssd::SsdConfig &, double)) {
-        addDouble(key, help, set, 0.0, 1e6);
+        // --- timing.* (all in microseconds) ----------------------------
+        latencyUs("timing.tR", "page sense latency (us)",
+                  [](Ssd &c) -> auto & { return c.timing.tR; }),
+        latencyUs("timing.tProg", "page program latency (us)",
+                  [](Ssd &c) -> auto & { return c.timing.tProg; }),
+        latencyUs("timing.tErase", "block erase latency (us)",
+                  [](Ssd &c) -> auto & { return c.timing.tErase; }),
+        latencyUs("timing.tDmaPage", "page transfer latency (us)",
+                  [](Ssd &c) -> auto & { return c.timing.tDmaPage; }),
+        latencyUs("timing.tPred", "on-die RP prediction latency (us)",
+                  [](Ssd &c) -> auto & { return c.timing.tPred; }),
+        latencyUs("timing.tEccMin", "best-case page decode latency (us)",
+                  [](Ssd &c) -> auto & { return c.timing.tEccMin; }),
+        latencyUs("timing.tEccMax", "failed decode latency (us)",
+                  [](Ssd &c) -> auto & { return c.timing.tEccMax; }),
+
+        // --- run.* -----------------------------------------------------
+        number<RunScale>("run.requests", "trace length per run",
+                         [](RunScale &s) -> auto & { return s.requests; },
+                         1, 1000000000000ull),
+        number<RunScale>("run.seed", "trace generator seed",
+                         [](RunScale &s) -> auto & { return s.seed; }, 0,
+                         ~0ull),
+
+        // --- fleet.* ---------------------------------------------------
+        number<Fleet>("fleet.drives", "drives in the fleet",
+                      [](Fleet &c) -> auto & { return c.drives; }, 1, 4096),
+        {"fleet.placement",
+         "page placement across drives: striped|replicated",
+         Setter<Fleet>([](Fleet &c, const std::string &v) {
+             const auto parsed = fabric::parsePlacement(v);
+             if (!parsed)
+                 badValue("fleet.placement", v, "striped|replicated");
+             c.placement = *parsed;
+         })},
+        number<Fleet>("fleet.replicas",
+                      "copies per chunk under replicated placement",
+                      [](Fleet &c) -> auto & { return c.replicas; }, 1, 64),
+        number<Fleet>("fleet.stripePages", "placement chunk size in pages",
+                      [](Fleet &c) -> auto & { return c.stripePages; }, 1,
+                      1 << 20),
+        number<Fleet>("fleet.qd", "fleet-wide outstanding host commands",
+                      [](Fleet &c) -> auto & { return c.qd; }, 1, 1 << 20),
+        number<Fleet>("fleet.linkUs",
+                      "one-way interconnect latency per drive (us)",
+                      [](Fleet &c) -> auto & { return c.linkUs; }, 0.0, 1e6),
+        number<Fleet>("fleet.linkGBps",
+                      "per-direction link bandwidth per drive (GB/s)",
+                      [](Fleet &c) -> auto & { return c.linkGBps; }, 0.0,
+                      1e4, true),
+        number<Fleet>("fleet.agedDrives",
+                      "drives pinned at fleet.agedPeCycles wear",
+                      [](Fleet &c) -> auto & { return c.agedDrives; }, 0,
+                      4096),
+        number<Fleet>("fleet.agedPeCycles", "P/E cycles of the aged drives",
+                      [](Fleet &c) -> auto & { return c.agedPeCycles; }, 0.0,
+                      1e7),
+
+        // --- workload.* ------------------------------------------------
+        {"workload.trace",
+         "block-trace file to replay (empty: synthetic generator)",
+         Setter<Workload>(
+             [](Workload &c, const std::string &v) { c.trace = v; })},
+        {"workload.format", "trace dialect: auto|csv|msr|alibaba",
+         Setter<Workload>([](Workload &c, const std::string &v) {
+             trace::TraceFormat parsed;
+             if (v != "auto" && !trace::parseTraceFormat(v, parsed))
+                 badValue("workload.format", v, "auto|csv|msr|alibaba");
+             c.format = v;
+         })},
+        {"workload.arrival", "injection mode: closed|timestamp|poisson",
+         Setter<Workload>([](Workload &c, const std::string &v) {
+             trace::ArrivalMode parsed;
+             if (!trace::parseArrivalMode(v, parsed))
+                 badValue("workload.arrival", v,
+                          "closed|timestamp|poisson");
+             c.arrival = v;
+         })},
+        number<Workload>("workload.rateKiops",
+                         "offered load of the Poisson open loop (kIOPS)",
+                         [](Workload &c) -> auto & { return c.rateKiops; },
+                         0.0, 1e6, true),
+        number<Workload>("workload.queueCap",
+                         "bounded host-queue capacity (open loop)",
+                         [](Workload &c) -> auto & { return c.queueCap; }, 1,
+                         1 << 24),
+        number<Workload>("workload.arrivalSeed",
+                         "seed of the Poisson arrival process",
+                         [](Workload &c) -> auto & { return c.arrivalSeed; },
+                         0, ~0ull),
     };
-    addTiming("timing.tR", "page sense latency (us)",
-              [](ssd::SsdConfig &c, double v) {
-                  c.timing.tR = usToTicks(v);
-              });
-    addTiming("timing.tProg", "page program latency (us)",
-              [](ssd::SsdConfig &c, double v) {
-                  c.timing.tProg = usToTicks(v);
-              });
-    addTiming("timing.tErase", "block erase latency (us)",
-              [](ssd::SsdConfig &c, double v) {
-                  c.timing.tErase = usToTicks(v);
-              });
-    addTiming("timing.tDmaPage", "page transfer latency (us)",
-              [](ssd::SsdConfig &c, double v) {
-                  c.timing.tDmaPage = usToTicks(v);
-              });
-    addTiming("timing.tPred", "on-die RP prediction latency (us)",
-              [](ssd::SsdConfig &c, double v) {
-                  c.timing.tPred = usToTicks(v);
-              });
-    addTiming("timing.tEccMin", "best-case page decode latency (us)",
-              [](ssd::SsdConfig &c, double v) {
-                  c.timing.tEccMin = usToTicks(v);
-              });
-    addTiming("timing.tEccMax", "failed decode latency (us)",
-              [](ssd::SsdConfig &c, double v) {
-                  c.timing.tEccMax = usToTicks(v);
-              });
-
-    // --- run.* ---------------------------------------------------------
-    f.push_back({"run.requests", "trace length per run",
-                 nullptr,
-                 [](const std::string &v) {
-                     const std::uint64_t parsed = parseU64Value(
-                         "run.requests", v, 1, 1000000000000ull);
-                     return [parsed](RunScale &s) {
-                         s.requests = parsed;
-                     };
-                 }});
-    f.push_back({"run.seed", "trace generator seed",
-                 nullptr,
-                 [](const std::string &v) {
-                     const std::uint64_t parsed =
-                         parseU64Value("run.seed", v, 0, ~0ull);
-                     return [parsed](RunScale &s) { s.seed = parsed; };
-                 }});
-
-    // --- fleet.* -------------------------------------------------------
-    auto addFleetInt = [&f](const char *key, const char *help,
-                            void (*set)(fabric::FleetConfig &, long long),
-                            long long min, long long max) {
-        f.push_back({key, help, nullptr, nullptr,
-                     [key, set, min, max](const std::string &v) {
-                         const long long parsed =
-                             parseIntValue(key, v, min, max);
-                         return [set, parsed](fabric::FleetConfig &c) {
-                             set(c, parsed);
-                         };
-                     }});
-    };
-    auto addFleetDouble = [&f](const char *key, const char *help,
-                               void (*set)(fabric::FleetConfig &, double),
-                               double min, double max,
-                               bool min_exclusive = false) {
-        f.push_back(
-            {key, help, nullptr, nullptr,
-             [key, set, min, max, min_exclusive](const std::string &v) {
-                 const double parsed =
-                     parseDoubleValue(key, v, min, max, min_exclusive);
-                 return [set, parsed](fabric::FleetConfig &c) {
-                     set(c, parsed);
-                 };
-             }});
-    };
-    addFleetInt("fleet.drives", "drives in the fleet",
-                [](fabric::FleetConfig &c, long long v) {
-                    c.drives = static_cast<int>(v);
-                },
-                1, 4096);
-    f.push_back({"fleet.placement",
-                 "page placement across drives: striped|replicated",
-                 nullptr, nullptr,
-                 [](const std::string &v) {
-                     const auto parsed = fabric::parsePlacement(v);
-                     if (!parsed)
-                         badValue("fleet.placement", v,
-                                  "striped|replicated");
-                     return [kind = *parsed](fabric::FleetConfig &c) {
-                         c.placement = kind;
-                     };
-                 }});
-    addFleetInt("fleet.replicas",
-                "copies per chunk under replicated placement",
-                [](fabric::FleetConfig &c, long long v) {
-                    c.replicas = static_cast<int>(v);
-                },
-                1, 64);
-    addFleetInt("fleet.stripePages", "placement chunk size in pages",
-                [](fabric::FleetConfig &c, long long v) {
-                    c.stripePages = static_cast<std::uint32_t>(v);
-                },
-                1, 1 << 20);
-    addFleetInt("fleet.qd", "fleet-wide outstanding host commands",
-                [](fabric::FleetConfig &c, long long v) {
-                    c.qd = static_cast<int>(v);
-                },
-                1, 1 << 20);
-    addFleetDouble("fleet.linkUs",
-                   "one-way interconnect latency per drive (us)",
-                   [](fabric::FleetConfig &c, double v) { c.linkUs = v; },
-                   0.0, 1e6);
-    addFleetDouble("fleet.linkGBps",
-                   "per-direction link bandwidth per drive (GB/s)",
-                   [](fabric::FleetConfig &c, double v) {
-                       c.linkGBps = v;
-                   },
-                   0.0, 1e4, true);
-    addFleetInt("fleet.agedDrives",
-                "drives pinned at fleet.agedPeCycles wear",
-                [](fabric::FleetConfig &c, long long v) {
-                    c.agedDrives = static_cast<int>(v);
-                },
-                0, 4096);
-    addFleetDouble("fleet.agedPeCycles",
-                   "P/E cycles of the aged drives",
-                   [](fabric::FleetConfig &c, double v) {
-                       c.agedPeCycles = v;
-                   },
-                   0.0, 1e7);
-
-    // --- workload.* ----------------------------------------------------
-    f.push_back({"workload.trace",
-                 "block-trace file to replay (empty: synthetic "
-                 "generator)",
-                 nullptr, nullptr, nullptr,
-                 [](const std::string &v) {
-                     return [v](trace::WorkloadConfig &c) {
-                         c.trace = v;
-                     };
-                 }});
-    f.push_back({"workload.format",
-                 "trace dialect: auto|csv|msr|alibaba",
-                 nullptr, nullptr, nullptr,
-                 [](const std::string &v) {
-                     trace::TraceFormat parsed;
-                     if (v != "auto" &&
-                         !trace::parseTraceFormat(v, parsed))
-                         badValue("workload.format", v,
-                                  "auto|csv|msr|alibaba");
-                     return [v](trace::WorkloadConfig &c) {
-                         c.format = v;
-                     };
-                 }});
-    f.push_back({"workload.arrival",
-                 "injection mode: closed|timestamp|poisson",
-                 nullptr, nullptr, nullptr,
-                 [](const std::string &v) {
-                     trace::ArrivalMode parsed;
-                     if (!trace::parseArrivalMode(v, parsed))
-                         badValue("workload.arrival", v,
-                                  "closed|timestamp|poisson");
-                     return [v](trace::WorkloadConfig &c) {
-                         c.arrival = v;
-                     };
-                 }});
-    f.push_back({"workload.rateKiops",
-                 "offered load of the Poisson open loop (kIOPS)",
-                 nullptr, nullptr, nullptr,
-                 [](const std::string &v) {
-                     const double parsed = parseDoubleValue(
-                         "workload.rateKiops", v, 0.0, 1e6, true);
-                     return [parsed](trace::WorkloadConfig &c) {
-                         c.rateKiops = parsed;
-                     };
-                 }});
-    f.push_back({"workload.queueCap",
-                 "bounded host-queue capacity (open loop)",
-                 nullptr, nullptr, nullptr,
-                 [](const std::string &v) {
-                     const long long parsed = parseIntValue(
-                         "workload.queueCap", v, 1, 1 << 24);
-                     return [parsed](trace::WorkloadConfig &c) {
-                         c.queueCap = static_cast<int>(parsed);
-                     };
-                 }});
-    f.push_back({"workload.arrivalSeed",
-                 "seed of the Poisson arrival process",
-                 nullptr, nullptr, nullptr,
-                 [](const std::string &v) {
-                     const std::uint64_t parsed = parseU64Value(
-                         "workload.arrivalSeed", v, 0, ~0ull);
-                     return [parsed](trace::WorkloadConfig &c) {
-                         c.arrivalSeed = parsed;
-                     };
-                 }});
-
     return f;
 }
 
-const std::vector<Field> &
-fields()
+/** Run `set` once against a scratch default Cfg (fatal on error). */
+template <class Cfg>
+void
+dryRun(const Setter<Cfg> &set, const std::string &value)
 {
-    static const std::vector<Field> f = makeFields();
-    return f;
+    Cfg scratch;
+    set(scratch, value);
+}
+
+/** Replay the `--set`s whose setter targets a Cfg; true if any did. */
+template <class Cfg>
+bool
+replay(const std::vector<std::pair<const OptionField *, std::string>> &sets,
+       Cfg &cfg)
+{
+    bool any = false;
+    for (const auto &[field, value] : sets) {
+        if (const auto *set = std::get_if<Setter<Cfg>>(&field->set)) {
+            (*set)(cfg, value);
+            any = true;
+        }
+    }
+    return any;
 }
 
 } // namespace
@@ -550,17 +369,14 @@ OptionSet::addSet(const std::string &key_value)
     const std::string key = key_value.substr(0, eq);
     const std::string value = key_value.substr(eq + 1);
 
-    for (const Field &field : fields()) {
+    for (const OptionField &field : fields()) {
         if (key != field.key)
             continue;
-        if (field.makeSsd)
-            ssdOps_.push_back(field.makeSsd(value));
-        else if (field.makeFleet)
-            fleetOps_.push_back(field.makeFleet(value));
-        else if (field.makeWorkload)
-            workloadOps_.push_back(field.makeWorkload(value));
-        else
-            runOps_.push_back(field.makeRun(value));
+        // Fail now, before any simulation: run the setter once against
+        // a scratch default config.
+        std::visit([&value](const auto &set) { dryRun(set, value); },
+                   field.set);
+        sets_.emplace_back(&field, value);
         return;
     }
     fatal("--set: unknown key '", key,
@@ -586,34 +402,27 @@ OptionSet::setWorkload(const std::string &name)
 void
 OptionSet::applyTo(ssd::SsdConfig &cfg) const
 {
-    for (const auto &op : ssdOps_)
-        op(cfg);
-    if (!ssdOps_.empty())
+    if (replay(sets_, cfg))
         cfg.validate();
 }
 
 void
 OptionSet::applyTo(RunScale &scale) const
 {
-    for (const auto &op : runOps_)
-        op(scale);
+    replay(sets_, scale);
 }
 
 void
 OptionSet::applyTo(fabric::FleetConfig &cfg) const
 {
-    for (const auto &op : fleetOps_)
-        op(cfg);
-    if (!fleetOps_.empty())
+    if (replay(sets_, cfg))
         cfg.validate();
 }
 
 void
 OptionSet::applyTo(trace::WorkloadConfig &cfg) const
 {
-    for (const auto &op : workloadOps_)
-        op(cfg);
-    if (!workloadOps_.empty())
+    if (replay(sets_, cfg))
         cfg.validate();
 }
 
@@ -621,7 +430,7 @@ std::vector<OptionKey>
 OptionSet::knownKeys()
 {
     std::vector<OptionKey> keys;
-    for (const Field &field : fields())
+    for (const OptionField &field : fields())
         keys.push_back({field.key, field.help});
     return keys;
 }

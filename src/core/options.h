@@ -6,16 +6,21 @@
  * `--set timing.tR=45`, `--set run.requests=2000`); values are parsed
  * with the field's type and domain at option-parse time, so an unknown
  * key or a nonsense value fails loudly before any simulation starts.
- * Overrides are applied *after* a scenario sets its own defaults —
- * scenario < command line — and re-validated via SsdConfig::validate().
+ * Numbers are parsed strictly (parseNumber): plain decimal only, so a
+ * leading blank, a '+' sign, hex or trailing text is rejected for
+ * doubles exactly as for integers. Overrides are applied *after* a
+ * scenario sets its own defaults — scenario < command line — and
+ * re-validated via SsdConfig::validate().
  */
 
 #ifndef RIF_CORE_OPTIONS_H
 #define RIF_CORE_OPTIONS_H
 
-#include <functional>
+#include <charconv>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -33,12 +38,34 @@ struct WorkloadConfig;
 
 namespace core {
 
+/**
+ * Parse all of `text` as a T with std::from_chars: decimal digits, an
+ * optional '-', and for floating point a fraction and exponent (plus
+ * `inf`/`nan`, which callers reject by domain). Anything else — blanks,
+ * '+', hex, trailing characters, overflow — yields nullopt. The one
+ * number parser of every CLI surface (`--set`, `--scale`, `--jobs`).
+ */
+template <class T>
+std::optional<T>
+parseNumber(std::string_view text)
+{
+    T out{};
+    const char *end = text.data() + text.size();
+    const auto res = std::from_chars(text.data(), end, out);
+    if (res.ec != std::errc{} || res.ptr != end)
+        return std::nullopt;
+    return out;
+}
+
 /** One settable key and its help string, for `rif help set`. */
 struct OptionKey
 {
     const char *key;
     const char *help;
 };
+
+/** One `--set` descriptor (defined in options.cc). */
+struct OptionField;
 
 /** A validated batch of `--set` / `--workload` overrides. */
 class OptionSet
@@ -76,21 +103,14 @@ class OptionSet
      *  validate. */
     void applyTo(trace::WorkloadConfig &cfg) const;
 
-    bool empty() const
-    {
-        return ssdOps_.empty() && runOps_.empty() && fleetOps_.empty() &&
-               workloadOps_.empty() && !workload_;
-    }
+    bool empty() const { return sets_.empty() && !workload_; }
 
     /** Every recognized `--set` key, in listing order. */
     static std::vector<OptionKey> knownKeys();
 
   private:
-    std::vector<std::function<void(ssd::SsdConfig &)>> ssdOps_;
-    std::vector<std::function<void(RunScale &)>> runOps_;
-    std::vector<std::function<void(fabric::FleetConfig &)>> fleetOps_;
-    std::vector<std::function<void(trace::WorkloadConfig &)>>
-        workloadOps_;
+    /** Every `--set` in command-line order: its field and raw value. */
+    std::vector<std::pair<const OptionField *, std::string>> sets_;
     std::optional<std::string> workload_;
 };
 

@@ -24,8 +24,8 @@ namespace core {
 /**
  * Per-run context handed to a scenario body: the sink to report
  * through, the workload-size scale factor and the user's layered
- * overrides. Bodies call apply() after setting their own defaults so
- * `--set` wins over scenario defaults.
+ * overrides. Bodies call opts.applyTo() after setting their own
+ * defaults so `--set` wins over scenario defaults.
  */
 struct ScenarioContext
 {
@@ -35,36 +35,6 @@ struct ScenarioContext
 
     /** base * scale as a count >= 1, clamped against int overflow. */
     int scaled(std::uint64_t base) const;
-
-    /** Layer the `--set ssd.*` overrides on top of `cfg` and validate. */
-    void
-    apply(ssd::SsdConfig &cfg) const
-    {
-        opts.applyTo(cfg);
-    }
-
-    /** Layer the `--set run.*` overrides on top of `rs`. */
-    void
-    apply(RunScale &rs) const
-    {
-        opts.applyTo(rs);
-    }
-
-    /** Layer the `--set fleet.*` overrides on top of `cfg` and
-     *  validate. */
-    void
-    apply(fabric::FleetConfig &cfg) const
-    {
-        opts.applyTo(cfg);
-    }
-
-    /** Layer the `--set workload.*` overrides on top of `cfg` and
-     *  validate. */
-    void
-    apply(trace::WorkloadConfig &cfg) const
-    {
-        opts.applyTo(cfg);
-    }
 
     /** The `--workload` override, or the scenario's default. */
     std::string

@@ -8,6 +8,7 @@
 #include <ostream>
 #include <vector>
 
+#include "common/json.h"
 #include "common/parallel.h"
 
 namespace rif {
@@ -27,29 +28,6 @@ nextRecorderEpoch()
     static std::uint64_t next = 1;
     std::unique_lock<std::mutex> lock(m);
     return next++;
-}
-
-std::string
-escapeJson(const char *s)
-{
-    std::string out;
-    for (; *s; ++s) {
-        switch (*s) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(*s) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", *s);
-                out += buf;
-            } else {
-                out += *s;
-            }
-        }
-    }
-    return out;
 }
 
 /**
@@ -244,7 +222,7 @@ TraceScope::writeChromeJson(std::ostream &os) const
         first = false;
         os << "\n  {\"ph\": \"M\", \"pid\": " << track
            << ", \"name\": \"process_name\", \"args\": {\"name\": \""
-           << escapeJson(label.c_str()) << "\"}}";
+           << jsonEscape(label) << "\"}}";
     }
     char ts[32], dur[32];
     for (const TraceEvent &e : events) {
@@ -255,7 +233,7 @@ TraceScope::writeChromeJson(std::ostream &os) const
         // three decimals is exact.
         std::snprintf(ts, sizeof(ts), "%.3f",
                       static_cast<double>(e.ts) / 1000.0);
-        os << "\n  {\"name\": \"" << escapeJson(e.name) << "\", \"ph\": \""
+        os << "\n  {\"name\": \"" << jsonEscape(e.name) << "\", \"ph\": \""
            << e.phase << "\", \"pid\": " << e.track
            << ", \"tid\": " << e.lane << ", \"ts\": " << ts;
         if (e.phase == 'X') {
@@ -266,7 +244,7 @@ TraceScope::writeChromeJson(std::ostream &os) const
             os << ", \"s\": \"t\"";
         }
         if (e.argName)
-            os << ", \"args\": {\"" << escapeJson(e.argName)
+            os << ", \"args\": {\"" << jsonEscape(e.argName)
                << "\": " << e.argValue << "}";
         os << "}";
     }
@@ -284,15 +262,15 @@ TraceScope::writeJsonl(std::ostream &os) const
 
     for (const auto &[track, label] : labels)
         os << "{\"label\": {\"track\": " << track << ", \"name\": \""
-           << escapeJson(label.c_str()) << "\"}}\n";
+           << jsonEscape(label) << "\"}}\n";
     for (const TraceEvent &e : events) {
-        os << "{\"name\": \"" << escapeJson(e.name) << "\", \"ph\": \""
+        os << "{\"name\": \"" << jsonEscape(e.name) << "\", \"ph\": \""
            << e.phase << "\", \"track\": " << e.track
            << ", \"lane\": " << e.lane << ", \"ts_ns\": " << e.ts;
         if (e.phase == 'X')
             os << ", \"dur_ns\": " << e.dur;
         if (e.argName)
-            os << ", \"args\": {\"" << escapeJson(e.argName)
+            os << ", \"args\": {\"" << jsonEscape(e.argName)
                << "\": " << e.argValue << "}";
         os << "}\n";
     }

@@ -204,12 +204,14 @@ TEST(Ftl, FreeSpaceCountersMatchRecount)
                 const bool found = ftl.nextGcJob(job);
                 // No low plane: no job. A low plane and no job in
                 // flight: its full blocks are all eligible victims.
-                if (!anyLow)
+                if (!anyLow) {
                     ASSERT_FALSE(found) << "seed=" << seed
                                         << " step=" << step;
-                if (anyLow && inFlight.empty())
+                }
+                if (anyLow && inFlight.empty()) {
                     ASSERT_TRUE(found) << "seed=" << seed
                                        << " step=" << step;
+                }
                 if (found) {
                     EXPECT_LT(ftl.freeBlocksInPlane(job.channel, job.die,
                                                     job.plane),

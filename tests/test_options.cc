@@ -144,6 +144,44 @@ TEST(OptionSetDeathTest, RejectsOutOfDomainValuesEagerly)
     EXPECT_DEATH(opts.addSet("geometry.pageBytes=128"), "invalid value");
 }
 
+TEST(OptionSetDeathTest, DoublesParseAsStrictlyAsIntegers)
+{
+    core::OptionSet opts;
+    // A blank, a '+' sign and hex are rejected for every number type.
+    EXPECT_DEATH(opts.addSet("ssd.hostGBps= 5"), "invalid value");
+    EXPECT_DEATH(opts.addSet("ssd.hostGBps=0x10"), "invalid value");
+    EXPECT_DEATH(opts.addSet("ssd.hostGBps=+5"), "invalid value");
+    EXPECT_DEATH(opts.addSet("ssd.queueDepth= 5"), "invalid value");
+    EXPECT_DEATH(opts.addSet("ssd.queueDepth=+5"), "invalid value");
+}
+
+TEST(OptionSetDeathTest, EveryKeyRejectsNonsenseByName)
+{
+    // workload.trace takes any path, so any string is a valid value.
+    for (const core::OptionKey &k : core::OptionSet::knownKeys()) {
+        const std::string key = k.key;
+        if (key == "workload.trace")
+            continue;
+        core::OptionSet opts;
+        EXPECT_DEATH(opts.addSet(key + "=bogus"),
+                     "--set " + key + ": invalid value 'bogus'")
+            << key;
+    }
+}
+
+TEST(ParseNumber, AcceptsOnlyPlainDecimal)
+{
+    EXPECT_EQ(core::parseNumber<int>("42"), 42);
+    EXPECT_EQ(core::parseNumber<int>("-7"), -7);
+    EXPECT_EQ(core::parseNumber<double>("2.5e3"), 2500.0);
+    EXPECT_EQ(core::parseNumber<double>(".5"), 0.5);
+    for (const char *bad : {"", " 4", "4 ", "+4", "0x10", "4x", "1e"})
+        EXPECT_FALSE(core::parseNumber<double>(bad).has_value()) << bad;
+    EXPECT_FALSE(core::parseNumber<int>("1.5").has_value());
+    EXPECT_FALSE(core::parseNumber<int>("99999999999").has_value());
+    EXPECT_FALSE(core::parseNumber<std::uint32_t>("-1").has_value());
+}
+
 TEST(OptionSetDeathTest, CrossFieldNonsenseFailsOnValidate)
 {
     // Each value is individually in-domain; the combination is nonsense
