@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <mutex>
 
 namespace rif {
 namespace log_detail {
@@ -15,8 +16,12 @@ emit(const char *level, const std::string &msg)
 }
 
 void
-exitFatal()
+exitFatal(const std::string &msg)
 {
+    // Never unlocked: the holder ends the process.
+    static std::mutex first;
+    first.lock();
+    emit("fatal", msg);
     std::cout.flush();
     std::fflush(nullptr);
     std::_Exit(1);

@@ -21,12 +21,15 @@ namespace log_detail {
 void emit(const char *level, const std::string &msg);
 
 /**
- * Flush stdout and terminate with status 1, skipping static destructors
- * and atexit handlers. fatal() may fire on a worker-pool thread while
- * other workers still run; std::exit would destroy the pool and every
- * other static underneath them.
+ * Print a fatal message, flush stdout and terminate with status 1,
+ * skipping static destructors and atexit handlers. fatal() may fire on
+ * a worker-pool thread while other workers still run; std::exit would
+ * destroy the pool and every other static underneath them. The first
+ * caller wins: a later caller, say another worker that hit the same
+ * configuration error, blocks until the process is gone, so a failure
+ * prints exactly one line.
  */
-[[noreturn]] void exitFatal();
+[[noreturn]] void exitFatal(const std::string &msg);
 
 /** Build a message from stream-style arguments. */
 template <typename... Args>
@@ -60,8 +63,7 @@ template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
 {
-    log_detail::emit("fatal", log_detail::format(std::forward<Args>(args)...));
-    log_detail::exitFatal();
+    log_detail::exitFatal(log_detail::format(std::forward<Args>(args)...));
 }
 
 /** Warn about questionable but non-fatal behaviour. */

@@ -134,6 +134,7 @@ Ftl::allocateInPlane(std::size_t plane_idx, std::uint64_t lpn)
         meta.writeCursor = 0;
         meta.validCount = 0;
         meta.readCount = 0;
+        meta.layoutPages = 0;
         clearBlockValid(bi);
     }
 
@@ -184,7 +185,6 @@ Ftl::installMappings(std::uint64_t footprint_pages)
               "geometry.diesPerChannel, geometry.planesPerDie, "
               "geometry.blocksPerPlane or geometry.pagesPerBlock");
 
-    mapping_.assign(footprint_pages, kInvalidPpn);
     retentionDays_.assign(footprint_pages, 0.0f);
 
     const std::size_t nplanes = g.totalPlanes();
@@ -192,30 +192,23 @@ Ftl::installMappings(std::uint64_t footprint_pages)
         static_cast<double>(footprint_pages) * config_.preconditionFill);
 
     // Channel-striped layout: LPN l lives in plane l % nplanes as that
-    // plane's (l / nplanes)-th page. Phase A opens whole blocks
-    // plane-major (block-granular metadata only); phase B installs the
-    // page mappings in LPN order so the mapping_ writes are sequential
-    // rather than striding one cache line per store. The resulting FTL
-    // state is identical to the historical per-page allocateInPlane
-    // loop.
+    // plane's (l / nplanes)-th page. Each plane fills blocks 0, 1, 2, ...
+    // in order, so page p of block b holds LPN (b * ppb + p) * nplanes +
+    // plane. That is closed-form: a block records how many leading pages
+    // carry it (layoutPages) and buildRelocationJob computes their LPNs,
+    // so the install writes no reverse-map entry and costs O(blocks)
+    // plus one sequential mapping pass. The resulting state is the one
+    // the per-page allocateInPlane loop would build.
     const std::uint64_t ppb =
         static_cast<std::uint64_t>(g.pagesPerBlock);
-    const std::uint64_t max_per_plane =
-        (filled + nplanes - 1) / nplanes;
-    const std::uint64_t nseq = (max_per_plane + ppb - 1) / ppb;
-    // Per (open-order, plane) cell: the block's base PPN and its
-    // reverse-map array, read sequentially by phase B's inner loop.
-    std::vector<Ppn> bases(nseq * nplanes, 0);
-    std::vector<std::uint32_t *> reverse(nseq * nplanes, nullptr);
-
     for (std::size_t pi = 0; pi < nplanes; ++pi) {
         const std::uint64_t count =
             pi < filled ? (filled - pi - 1) / nplanes + 1 : 0;
         auto &plane = planes_[pi];
-        std::uint64_t k = 0;
-        std::uint64_t seq = 0;
-        while (k < count) {
+        for (std::uint64_t k = 0; k < count;) {
             const int block = popFreeBlock(pi);
+            RIF_ASSERT(static_cast<std::uint64_t>(block) == k / ppb,
+                       "install needs the fresh free list's block order");
             const std::size_t bi = blockIndex(pi, block);
             auto &meta = blocks_[bi];
             const std::uint64_t run =
@@ -224,6 +217,7 @@ Ftl::installMappings(std::uint64_t footprint_pages)
             meta.readCount = 0;
             meta.writeCursor = static_cast<std::uint16_t>(run);
             meta.validCount = static_cast<std::uint16_t>(run);
+            meta.layoutPages = static_cast<std::uint16_t>(run);
             // First `run` validity bits set, the rest clear.
             std::uint64_t *vw = validWords(bi);
             const std::size_t full =
@@ -238,32 +232,23 @@ Ftl::installMappings(std::uint64_t footprint_pages)
             }
             for (; w < validWordsPerBlock_; ++w)
                 vw[w] = 0;
-            const std::uint64_t base_idx = bi * ppb;
-            RIF_ASSERT(base_idx + run <= kInvalidPpn);
-            bases[seq * nplanes + pi] = static_cast<Ppn>(base_idx);
-            reverse[seq * nplanes + pi] = blockLpns(bi);
+            RIF_ASSERT(bi * ppb + run <= kInvalidPpn);
             plane.activeBlock = run == ppb ? -1 : block;
             k += run;
-            ++seq;
         }
     }
 
-    // Phase B: LPN (seq * ppb + page) * nplanes + pi — advance lpn
-    // linearly and index the phase-A tables row by row.
-    std::uint64_t lpn = 0;
-    for (std::uint64_t seq = 0; seq < nseq && lpn < filled; ++seq) {
-        const Ppn *base_row = &bases[seq * nplanes];
-        std::uint32_t *const *rev_row = &reverse[seq * nplanes];
-        for (std::uint64_t page = 0; page < ppb && lpn < filled;
-             ++page) {
-            for (std::size_t pi = 0; pi < nplanes && lpn < filled;
-                 ++pi, ++lpn) {
-                rev_row[pi][page] = static_cast<std::uint32_t>(lpn);
-                mapping_[lpn] =
-                    base_row[pi] + static_cast<Ppn>(page);
-            }
-        }
+    // The k-th page of plane pi is PPN pi * pagesPerPlane + k: fill the
+    // mapping in LPN order, each entry written once.
+    const Ppn pages_per_plane =
+        static_cast<Ppn>(g.blocksPerPlane * ppb);
+    mapping_.reserve(footprint_pages);
+    for (Ppn k = 0; mapping_.size() < filled; ++k) {
+        for (std::size_t pi = 0; pi < nplanes && mapping_.size() < filled;
+             ++pi)
+            mapping_.push_back(static_cast<Ppn>(pi) * pages_per_plane + k);
     }
+    mapping_.resize(footprint_pages, kInvalidPpn);
     return filled;
 }
 
@@ -363,11 +348,19 @@ Ftl::buildRelocationJob(std::size_t plane_idx, int victim, GcJob &out)
     out.block = victim;
     out.lpnsToMove.clear();
     const std::uint32_t *lpns = blockLpns(bi);
+    // The install layout's pages carry closed-form LPNs (see
+    // installMappings); the reverse map holds the pages written since.
+    const std::uint64_t layout_base =
+        static_cast<std::uint64_t>(victim) * g.pagesPerBlock;
+    const std::uint64_t nplanes = g.totalPlanes();
     for (int p = 0; p < g.pagesPerBlock; ++p) {
         if (pageValid(bi, p)) {
             // Confirm the mapping still points here (a host write may
             // have superseded the page since).
-            const std::uint64_t lpn = lpns[p];
+            const std::uint64_t lpn =
+                p < meta.layoutPages
+                    ? (layout_base + p) * nplanes + plane_idx
+                    : lpns[p];
             nand::PhysAddr a;
             a.channel = out.channel;
             a.die = out.die;
@@ -451,6 +444,7 @@ Ftl::completeErase(const GcJob &job)
     meta.free = true;
     meta.eraseCount++;
     meta.writeCursor = 0;
+    meta.layoutPages = 0;
     clearBlockValid(bi);
     pushFreeBlock(pi, job.block);
     ++erases_;
@@ -487,9 +481,10 @@ Ftl::snapshot() const
 void
 Ftl::restore(const FtlSnapshot &snap)
 {
-    // Rebuild the deterministic install state, then overlay the stored
-    // retention ages and generator: byte-for-byte the state
-    // precondition() would have produced, minus the per-page draws.
+    // Rebuild the closed-form install state (O(blocks) plus the mapping
+    // pass), then overlay the stored retention ages and generator:
+    // byte-for-byte the state precondition() would have produced, minus
+    // the per-page draws.
     installMappings(snap.footprintPages);
     RIF_ASSERT(retentionDays_.size() == snap.retentionDays.size());
     std::copy(snap.retentionDays.begin(), snap.retentionDays.end(),

@@ -49,11 +49,12 @@ struct GcJob
 /**
  * Post-precondition FTL state, captured for reuse across simulations of
  * the same (geometry, workload, seed) point. The mapping and block
- * metadata are a pure function of the configuration (installMappings is
- * deterministic), so only the randomized parts need storing: the drawn
- * retention ages and the generator state after the draws. Restoring is
- * re-running the deterministic install plus two copies — far cheaper
- * than half a million uniform draws.
+ * metadata are a pure function of the configuration (the install layout
+ * is closed-form, see installMappings), so only the randomized parts
+ * need storing: the drawn retention ages and the generator state after
+ * the draws. Restoring re-runs the install, which costs O(blocks) plus
+ * one sequential mapping pass and writes no reverse-map entry, then
+ * copies the ages: far cheaper than half a million uniform draws.
  */
 struct FtlSnapshot
 {
@@ -80,8 +81,7 @@ class Ftl
      * Predicate form for composite (multi-tenant) layouts: `is_cold`
      * decides per LPN whether the page carries refresh-window-aged
      * data. Templated so the (per-page) predicate call inlines; the
-     * mapping installation itself runs through a bulk plane-major pass
-     * (see installMappings).
+     * mapping installation itself is closed-form (see installMappings).
      */
     template <typename ColdPredicate,
               typename = std::enable_if_t<std::is_invocable_r_v<
@@ -180,6 +180,12 @@ class Ftl
         float factor = 1.0f;
         bool free = true;
         bool gcPending = false;
+        /**
+         * Leading pages that carry the install layout, whose LPNs are
+         * closed-form (see installMappings); the reverse map holds only
+         * the pages written after them.
+         */
+        std::uint16_t layoutPages = 0;
     };
 
     struct PlaneState
@@ -192,9 +198,11 @@ class Ftl
     std::size_t blockIndex(std::size_t plane_idx, int block) const;
     /**
      * Bulk preconditioning pass: size the mapping and install the
-     * channel-striped initial layout plane-major (whole blocks at a
-     * time), producing exactly the state the per-page allocateInPlane
-     * loop used to build. Returns the number of pages filled.
+     * channel-striped initial layout. The layout is closed-form, so the
+     * pass opens whole blocks (recording their layoutPages), fills the
+     * mapping sequentially and writes no reverse-map entry; the state
+     * is exactly the one the per-page allocateInPlane loop would build.
+     * Returns the number of pages filled.
      */
     std::uint64_t installMappings(std::uint64_t footprint_pages);
     Ppn encodePpn(const nand::PhysAddr &a) const;
@@ -278,9 +286,10 @@ class Ftl
     std::vector<float> retentionDays_;
     std::vector<BlockMeta> blocks_;
     /**
-     * Flat per-page reverse map, blocks * pagesPerBlock entries.
-     * Deliberately left uninitialized: entries are only read where the
-     * validity bit (or the write cursor during install) covers them.
+     * Flat per-page reverse map, blocks * pagesPerBlock entries, written
+     * only by allocateInPlane. Deliberately left uninitialized: an entry
+     * is only read for a valid page at or beyond its block's
+     * layoutPages, so the install never faults these pages in.
      */
     std::unique_ptr<std::uint32_t[]> lpnOf_;
     /** Flat per-page validity bitset, validWordsPerBlock_ per block. */

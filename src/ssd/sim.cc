@@ -33,11 +33,15 @@ Simulator::ringFor(Tick delay)
 {
     if (delay == 0)
         return 0;
-    // Two choices among rings 1..8: the top three bits of a Fibonacci
-    // hash, then the next three.
+    // Two choices among rings 1..8: bits 45..47 of a Fibonacci hash,
+    // then bits 40..42. These bits give the drive's five hot fixed
+    // delays at the default timing (tEccMin 1 000, tDmaPage 13 000,
+    // tR + tPred 42 500, 122 500 and tProg 400 000 ticks) five
+    // different first choices, so none of them waits for another's
+    // ring to drain.
     const std::uint64_t h = delay * 0x9E3779B97F4A7C15ull;
-    const auto a = static_cast<std::uint32_t>(1 + (h >> 61));
-    const auto b = static_cast<std::uint32_t>(1 + ((h >> 58) & 7));
+    const auto a = static_cast<std::uint32_t>(1 + ((h >> 45) & 7));
+    const auto b = static_cast<std::uint32_t>(1 + ((h >> 40) & 7));
     if (rings_[a].delay == delay)
         return a;
     if (rings_[b].delay == delay)

@@ -4,7 +4,8 @@
  * policies or wear levels over one workload (fig17/18/19, the policy
  * ablations) re-derive byte-identical preconditioned drives once per
  * simulation; caching the post-precondition snapshot turns every repeat
- * into a deterministic re-install plus two copies.
+ * into the closed-form install (O(blocks) plus one sequential mapping
+ * pass) and a copy of the retention ages, with no per-page draws.
  *
  * Keys hash every input that shapes the snapshot — geometry, RBER model
  * parameters, seed, fill fraction, age windows, footprint, and the

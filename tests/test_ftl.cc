@@ -335,6 +335,150 @@ TEST(Ftl, SnapshotRestoreEqualsFreshPrecondition)
     }
 }
 
+/**
+ * Drive three FTLs of one configuration in lockstep: one restored from
+ * a snapshot, one freshly preconditioned, and an oracle that writes the
+ * install layout page by page through allocateWrite, so its reverse map
+ * holds every page. Host writes, reads (a hot set, to trip the
+ * read-disturb threshold), GC and read-disturb relocation must pick the
+ * same victims and move the same LPNs in all three; relocation of an
+ * installed page computes its LPN from the closed-form layout.
+ */
+void
+expectLockstep(const SsdConfig &cfg, std::uint64_t footprint)
+{
+    const std::uint64_t cold_start = footprint / 2;
+    Ftl fresh(cfg, Rng(21));
+    fresh.precondition(footprint, cold_start);
+    Ftl source(cfg, Rng(21));
+    source.precondition(footprint, cold_start);
+    Ftl restored(cfg, Rng(21));
+    restored.restore(source.snapshot());
+
+    // The oracle's round-robin write cursor ends where the installed
+    // FTLs' starts only if the fill is a whole number of plane rows.
+    const std::uint64_t filled = static_cast<std::uint64_t>(
+        static_cast<double>(footprint) * cfg.preconditionFill);
+    const std::uint64_t nplanes = cfg.geometry.totalPlanes();
+    ASSERT_EQ(filled % nplanes, 0u);
+    SsdConfig empty = cfg;
+    empty.preconditionFill = 0.0;
+    Ftl oracle(empty, Rng(21));
+    oracle.precondition(footprint, cold_start);
+    for (std::uint64_t lpn = 0; lpn < filled; ++lpn)
+        oracle.allocateWrite(lpn);
+
+    Ftl *const ftls[] = {&fresh, &restored, &oracle};
+    const auto expect_same_state = [&] {
+        for (const Ftl *f : {&restored, &oracle}) {
+            ASSERT_EQ(f->validPages(), fresh.validPages());
+            ASSERT_EQ(f->totalFreeBlocks(), fresh.totalFreeBlocks());
+            ASSERT_EQ(f->erasesPerformed(), fresh.erasesPerformed());
+        }
+    };
+    const auto expect_same_read = [&](std::uint64_t lpn) {
+        const ReadTranslation a = fresh.translateRead(lpn);
+        const ReadTranslation b = restored.translateRead(lpn);
+        const ReadTranslation c = oracle.translateRead(lpn);
+        ASSERT_TRUE(a.addr == b.addr) << "lpn " << lpn;
+        ASSERT_TRUE(a.addr == c.addr) << "lpn " << lpn;
+        ASSERT_EQ(a.type, b.type);
+        ASSERT_EQ(a.type, c.type);
+        // Retention ages match only between the two installed FTLs.
+        ASSERT_EQ(a.rber, b.rber) << "lpn " << lpn;
+    };
+    expect_same_state();
+
+    std::uint64_t gc_jobs = 0;
+    std::uint64_t disturb_jobs = 0;
+    std::uint64_t moved = 0;
+    Rng ops(99);
+    for (int step = 0; step < 40000; ++step) {
+        // The checks run in lambdas, whose ASSERTs return only from
+        // the lambda: stop at the first divergence.
+        if (::testing::Test::HasFatalFailure())
+            return;
+        if (ops.chance(0.3)) {
+            expect_same_read(static_cast<std::uint64_t>(ops.uniform() * 64));
+        } else {
+            const auto lpn = static_cast<std::uint64_t>(
+                ops.uniform() * static_cast<double>(footprint));
+            const nand::PhysAddr a = fresh.allocateWrite(lpn);
+            ASSERT_TRUE(restored.allocateWrite(lpn) == a);
+            ASSERT_TRUE(oracle.allocateWrite(lpn) == a);
+        }
+        for (;;) {
+            GcJob jobs[3];
+            bool gc = true;
+            if (!fresh.nextGcJob(jobs[0])) {
+                gc = false;
+                if (!fresh.nextReadDisturbJob(jobs[0]))
+                    break;
+            }
+            for (int i = 1; i < 3; ++i) {
+                ASSERT_TRUE(gc ? ftls[i]->nextGcJob(jobs[i])
+                               : ftls[i]->nextReadDisturbJob(jobs[i]));
+                ASSERT_EQ(jobs[i].channel, jobs[0].channel);
+                ASSERT_EQ(jobs[i].die, jobs[0].die);
+                ASSERT_EQ(jobs[i].plane, jobs[0].plane);
+                ASSERT_EQ(jobs[i].block, jobs[0].block);
+                ASSERT_EQ(jobs[i].lpnsToMove, jobs[0].lpnsToMove);
+            }
+            ++(gc ? gc_jobs : disturb_jobs);
+            moved += jobs[0].lpnsToMove.size();
+            for (int i = 0; i < 3; ++i) {
+                for (const std::uint64_t lpn : jobs[i].lpnsToMove)
+                    ftls[i]->allocateWrite(lpn);
+                ftls[i]->completeErase(jobs[i]);
+            }
+            expect_same_state();
+        }
+    }
+    EXPECT_GT(gc_jobs, 0u);
+    EXPECT_GT(disturb_jobs, 0u);
+    EXPECT_GT(moved, 0u);
+    for (std::uint64_t lpn = 0; lpn < footprint; ++lpn)
+        expect_same_read(lpn);
+    expect_same_state();
+}
+
+SsdConfig
+lockstepConfig()
+{
+    SsdConfig cfg = tinyConfig();
+    cfg.readDisturbThreshold = 200;
+    return cfg;
+}
+
+TEST(FtlLockstep, PlanesSpanSeveralBlocksWithPartlyFilledActiveBlock)
+{
+    // 9000 / 8 planes = 1125 pages per plane: 17 full blocks plus an
+    // active block holding 37 installed pages.
+    expectLockstep(lockstepConfig(), 9000);
+}
+
+TEST(FtlLockstep, WholeBlocksPerPlane)
+{
+    // 64 pages x 8 planes x 16 blocks: no active block after install.
+    expectLockstep(lockstepConfig(), 64 * 8 * 16);
+}
+
+TEST(FtlLockstep, PartialPreconditionFill)
+{
+    SsdConfig cfg = lockstepConfig();
+    cfg.preconditionFill = 0.6;
+    // 6000 installed pages (750 per plane, an active block of 46);
+    // the rest map lazily on first touch.
+    expectLockstep(cfg, 10000);
+}
+
+TEST(FtlLockstep, HybridSlcBlocks)
+{
+    SsdConfig cfg = lockstepConfig();
+    cfg.slcBlockFraction = 0.25;
+    expectLockstep(cfg, 9000);
+}
+
 TEST(Ftl, HybridSlcBlocksReadAsLsbWithScaledRber)
 {
     SsdConfig cfg = tinyConfig();

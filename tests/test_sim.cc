@@ -509,13 +509,13 @@ TEST(Simulator, NextEventBoundMatchesContractModel)
 
 /**
  * A small fixed delay alphabet for the delay rings: 0 (the same-tick
- * ring), 9, 13 000 and 42 500, whose two hashed ring choices are the
+ * ring), 43, 13 000 and 42 006, whose two hashed ring choices are the
  * same pair (so with two of them pending the third has no ring and
- * goes to the heap alone), 400 000 and 7, which share one choice with
+ * goes to the heap alone), 400 002 and 7, which share one choice with
  * them, and bursts of 80 keys at one delay, more than a fresh ring
  * holds, so rings grow while keys wait in them.
  */
-constexpr Tick kRingDelays[] = {0, 9, 13000, 42500, 400000, 7};
+constexpr Tick kRingDelays[] = {0, 43, 13000, 42006, 400002, 7};
 
 /** The two hashed ring choices of a non-zero delay (as in sim.cc),
  *  lower first. */
@@ -523,8 +523,8 @@ std::pair<unsigned, unsigned>
 ringChoices(Tick delay)
 {
     const std::uint64_t h = delay * 0x9E3779B97F4A7C15ull;
-    return std::minmax(static_cast<unsigned>(h >> 61),
-                       static_cast<unsigned>((h >> 58) & 7));
+    return std::minmax(static_cast<unsigned>((h >> 45) & 7),
+                       static_cast<unsigned>((h >> 40) & 7));
 }
 
 TEST(Simulator, RingAlphabetCollidesOnBothChoices)
@@ -533,8 +533,16 @@ TEST(Simulator, RingAlphabetCollidesOnBothChoices)
     // colliders so the heap fallback stays exercised.
     const auto pair = ringChoices(13000);
     EXPECT_NE(pair.first, pair.second);
-    EXPECT_EQ(ringChoices(42500), pair);
-    EXPECT_EQ(ringChoices(9), pair);
+    EXPECT_EQ(ringChoices(42006), pair);
+    EXPECT_EQ(ringChoices(43), pair);
+    const auto shares_one = [&](Tick d) {
+        const auto p = ringChoices(d);
+        return (p.first == pair.first || p.first == pair.second ||
+                p.second == pair.first || p.second == pair.second) &&
+               p != pair;
+    };
+    EXPECT_TRUE(shares_one(400002));
+    EXPECT_TRUE(shares_one(7));
 }
 
 /**
