@@ -4,16 +4,20 @@
  * syndrome computation (full and pruned, i.e. the ODEAR datapath's
  * work), and min-sum decoding at easy/threshold/hopeless RBER. The
  * Reference* variants time the retained per-edge kernels so the
- * word-parallel speedup is measured in-tree, and BM_ParallelDecode
- * times the thread-pool Monte-Carlo harness end to end.
+ * word-parallel speedup is measured in-tree, BM_MinSumCheckPass and
+ * BM_MinSumVarPass time the two batched min-sum kernels one pass at a
+ * time, and BM_ParallelDecode times the thread-pool Monte-Carlo
+ * harness end to end.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "ldpc/batch.h"
 #include "ldpc/channel.h"
 #include "ldpc/code.h"
@@ -281,6 +285,119 @@ BENCHMARK(BM_DecodeBatch)
     ->Args({64, 60})
     ->Args({8, 160})
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * The batched min-sum state of the paper code after its first real
+ * iteration: 8 words at RBER 0.016 (the BM_DecodeBatch/8/160 words),
+ * one check pass from the zero state and one variable pass. The
+ * per-pass benchmarks time their kernel on it.
+ */
+struct PassState
+{
+    std::vector<std::uint8_t> chanSign;
+    float llr = 0.0f;
+    std::vector<float> total;
+    std::vector<simd::MinSumCheck8> checks;
+    std::vector<std::uint8_t> edgeSign;
+    CodewordBatch hard;
+};
+
+PassState
+firstIterationState()
+{
+    const QcLdpcCode &code = theCode();
+    const auto &ev = code.checkAdjacency();
+    const auto &cs = code.checkOffsets();
+    const std::size_t n = code.params().n();
+    const std::size_t m = code.params().m();
+    constexpr std::size_t L = MinSumDecoder::kBatchLanes;
+    const double rber = 0.016;
+    Rng rng(5);
+    PassState s;
+    s.chanSign.assign(n, 0);
+    for (std::size_t l = 0; l < L; ++l) {
+        BitVec word = code.encode(randomData(code.params().k(), rng));
+        injectErrors(word, rber, rng);
+        for (std::size_t v = 0; v < n; ++v)
+            s.chanSign[v] |= static_cast<std::uint8_t>(
+                static_cast<unsigned>(word.get(v)) << l);
+    }
+    DecodeWorkspace ws;
+    s.llr = ws.llrMagnitude(rber);
+    s.total.resize(n * L);
+    s.checks.assign(m, simd::MinSumCheck8{});
+    s.edgeSign.assign(ev.size(), 0);
+    s.hard.reset(n, L);
+    // On the zero state every c2v is +-0, so this first variable pass
+    // sets each posterior to its channel LLR.
+    simd::minsumVarPass8(s.chanSign.data(), s.llr, n, cs.data(), m,
+                         ev.data(), s.checks.data(), s.edgeSign.data(),
+                         s.total.data(), s.hard.words());
+    simd::minsumCheckPass8(cs.data(), m, ev.data(), s.total.data(),
+                           s.checks.data(), s.edgeSign.data(), 0.8f);
+    simd::minsumVarPass8(s.chanSign.data(), s.llr, n, cs.data(), m,
+                         ev.data(), s.checks.data(), s.edgeSign.data(),
+                         s.total.data(), s.hard.words());
+    return s;
+}
+
+void
+BM_MinSumCheckPass(benchmark::State &state)
+{
+    // One 8-lane check-node pass over every edge of the paper code.
+    // ns_per_edge is wall time over passes x edges. Each pass folds the
+    // fixed posteriors into the state the previous pass left; the
+    // kernel has no data-dependent branch, so its cost is the same
+    // every pass.
+    const QcLdpcCode &code = theCode();
+    const auto &ev = code.checkAdjacency();
+    const auto &cs = code.checkOffsets();
+    const std::size_t m = code.params().m();
+    PassState s = firstIterationState();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (auto _ : state) {
+        simd::minsumCheckPass8(cs.data(), m, ev.data(), s.total.data(),
+                               s.checks.data(), s.edgeSign.data(), 0.8f);
+        benchmark::DoNotOptimize(s.checks.data());
+        benchmark::ClobberMemory();
+    }
+    const double ns = std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    state.counters["ns_per_edge"] =
+        ns / (static_cast<double>(state.iterations()) *
+              static_cast<double>(ev.size()));
+}
+BENCHMARK(BM_MinSumCheckPass)->Unit(benchmark::kMicrosecond);
+
+void
+BM_MinSumVarPass(benchmark::State &state)
+{
+    // One 8-lane variable-node pass (posterior sums and the packed hard
+    // decisions) on the first iteration's check state; ns_per_edge as
+    // in BM_MinSumCheckPass. Every pass recomputes the same totals.
+    const QcLdpcCode &code = theCode();
+    const auto &ev = code.checkAdjacency();
+    const auto &cs = code.checkOffsets();
+    const std::size_t n = code.params().n();
+    const std::size_t m = code.params().m();
+    PassState s = firstIterationState();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (auto _ : state) {
+        simd::minsumVarPass8(s.chanSign.data(), s.llr, n, cs.data(), m,
+                             ev.data(), s.checks.data(), s.edgeSign.data(),
+                             s.total.data(), s.hard.words());
+        benchmark::DoNotOptimize(s.total.data());
+        benchmark::ClobberMemory();
+    }
+    const double ns = std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    state.counters["ns_per_edge"] =
+        ns / (static_cast<double>(state.iterations()) *
+              static_cast<double>(ev.size()));
+}
+BENCHMARK(BM_MinSumVarPass)->Unit(benchmark::kMicrosecond);
 
 void
 BM_MinSumDecodeLoop(benchmark::State &state)

@@ -124,7 +124,7 @@ zetaSum(std::uint64_t n, double theta)
 } // namespace
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
-    : n_(n), theta_(theta)
+    : n_(n), rank1Bound_(1.0 + std::pow(0.5, theta))
 {
     RIF_ASSERT(n > 0);
     RIF_ASSERT(theta >= 0.0 && theta < 1.0,
@@ -133,8 +133,8 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
     for (std::uint64_t i = 0; i < 2 && i < n; ++i)
         zeta2 += 1.0 / std::pow(static_cast<double>(i + 1), theta);
     zetaN_ = zetaSum(n, theta);
-    alpha_ = 1.0 / (1.0 - theta_);
-    eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta_)) /
+    alpha_ = 1.0 / (1.0 - theta);
+    eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
            (1.0 - zeta2 / zetaN_);
 }
 
@@ -147,7 +147,7 @@ ZipfSampler::sample(Rng &rng) const
     const double uz = u * zetaN_;
     if (uz < 1.0)
         return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_))
+    if (uz < rank1Bound_)
         return 1;
     const auto r = static_cast<std::uint64_t>(
         static_cast<double>(n_) *

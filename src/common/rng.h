@@ -96,8 +96,9 @@ class Rng
 
 /**
  * Zipf-distributed integer sampler over [0, n): rank r is drawn with
- * probability proportional to 1/(r+1)^theta. Uses precomputed CDF with
- * binary search; suitable for hot-set modeling in workload generators.
+ * probability proportional to 1/(r+1)^theta. Uses the rejection-free
+ * YCSB method on constants precomputed at construction; suitable for
+ * hot-set modeling in workload generators.
  */
 class ZipfSampler
 {
@@ -111,7 +112,7 @@ class ZipfSampler
 
   private:
     std::uint64_t n_;
-    double theta_;
+    double rank1Bound_; ///< 1 + 0.5^theta: u * zetaN below it draws rank 1
     double zetaN_;
     double alpha_;
     double eta_;

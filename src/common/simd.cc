@@ -182,30 +182,38 @@ laneSignMask(std::uint8_t bits)
         reinterpret_cast<const __m256i *>(kLaneSign.row[bits])));
 }
 
-/** One check's MinSumCheck8, held in registers. */
-struct CheckRegs
+/**
+ * One check's MinSumCheck8 in the form c2v is rebuilt from: base =
+ * mag1 ^ sign and delta = mag1 ^ mag2, so that selecting mag2 on the
+ * minimum edge is one AND and one XOR rather than a blend.
+ */
+struct C2vRegs
 {
-    __m256 mag1, mag2, sign;
+    __m256 base, delta;
     __m256i minEdge;
 };
 
-__attribute__((target("avx2"))) inline CheckRegs
-loadCheck(const MinSumCheck8 &c)
+__attribute__((target("avx2"))) inline C2vRegs
+loadC2v(const MinSumCheck8 &c)
 {
-    return {_mm256_loadu_ps(c.mag1), _mm256_loadu_ps(c.mag2),
-            _mm256_loadu_ps(reinterpret_cast<const float *>(c.sign)),
+    const __m256 mag1 = _mm256_loadu_ps(c.mag1);
+    return {_mm256_xor_ps(
+                mag1, _mm256_loadu_ps(reinterpret_cast<const float *>(c.sign))),
+            _mm256_xor_ps(mag1, _mm256_loadu_ps(c.mag2)),
             _mm256_loadu_si256(reinterpret_cast<const __m256i *>(c.minEdge))};
 }
 
-/** All 8 lanes of c2v(e), rebuilt from its check's state. */
+/**
+ * All 8 lanes of c2v(e), E = e in every lane: the bits of
+ * (e == minEdge ? mag2 : mag1) ^ sign ^ (edge sign bit), ±0 included.
+ */
 __attribute__((target("avx2"))) inline __m256
-c2vLanes(const CheckRegs &c, std::uint32_t e, std::uint8_t edge_bits)
+c2vXor(const C2vRegs &c, __m256i E, std::uint8_t edge_bits)
 {
-    const __m256 isMin = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
-        c.minEdge, _mm256_set1_epi32(static_cast<int>(e))));
-    const __m256 mag = _mm256_blendv_ps(c.mag1, c.mag2, isMin);
-    return _mm256_xor_ps(mag,
-                         _mm256_xor_ps(c.sign, laneSignMask(edge_bits)));
+    const __m256 isMin =
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(c.minEdge, E));
+    return _mm256_xor_ps(_mm256_xor_ps(c.base, laneSignMask(edge_bits)),
+                         _mm256_and_ps(isMin, c.delta));
 }
 
 __attribute__((target("avx2"))) void
@@ -216,43 +224,50 @@ minsumCheckPass8Avx2(const std::uint32_t *cs, std::size_t m,
 {
     // One 256-bit vector holds all 8 lanes of a message or a state
     // field. Sign flips are sign-bit XORs and |x| an AND, so every lane
-    // computes the exact float sequence of the scalar path.
+    // computes the exact float sequence of the scalar path. The loop
+    // has no blend: minEdge is an unsigned max over the increasing edge
+    // indices that improve min1, and the sign product accumulates as
+    // the XOR of the v < 0 masks, cut to the sign bit once per check
+    // (DESIGN.md §5f).
     const __m256 vabs =
         _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
     const __m256 vsign = _mm256_castsi256_ps(
         _mm256_set1_epi32(static_cast<int>(kFloatSignBit)));
     const __m256 vzero = _mm256_setzero_ps();
     const __m256 valpha = _mm256_set1_ps(alpha);
+    const __m256i vone = _mm256_set1_epi32(1);
     for (std::size_t chk = 0; chk < m; ++chk) {
         MinSumCheck8 &c = checks[chk];
-        const CheckRegs old = loadCheck(c);
+        const C2vRegs old = loadC2v(c);
         const std::uint32_t lo = cs[chk];
         const std::uint32_t hi = cs[chk + 1];
         __m256 min1 = _mm256_set1_ps(1e30f);
         __m256 min2 = min1;
-        __m256 sgn = vzero;
-        __m256i minE = _mm256_set1_epi32(static_cast<int>(lo));
-        for (std::uint32_t e = lo; e < hi; ++e) {
+        __m256 negs = vzero;
+        __m256i E = _mm256_set1_epi32(static_cast<int>(lo));
+        __m256i minE = E;
+        for (std::uint32_t e = lo; e < hi;
+             ++e, E = _mm256_add_epi32(E, vone)) {
             const __m256 v = _mm256_sub_ps(
                 _mm256_loadu_ps(total +
                                 static_cast<std::size_t>(edge_var[e]) * 8),
-                c2vLanes(old, e, edge_sign[e]));
+                c2vXor(old, E, edge_sign[e]));
             const __m256 neg = _mm256_cmp_ps(v, vzero, _CMP_LT_OQ);
             edge_sign[e] =
                 static_cast<std::uint8_t>(_mm256_movemask_ps(neg));
-            sgn = _mm256_xor_ps(sgn, _mm256_and_ps(neg, vsign));
+            negs = _mm256_xor_ps(negs, neg);
             const __m256 mag = _mm256_and_ps(v, vabs);
             const __m256 lt1 = _mm256_cmp_ps(mag, min1, _CMP_LT_OQ);
-            minE = _mm256_blendv_epi8(
-                minE, _mm256_set1_epi32(static_cast<int>(e)),
-                _mm256_castps_si256(lt1));
+            minE = _mm256_max_epu32(
+                minE, _mm256_and_si256(_mm256_castps_si256(lt1), E));
             min2 = _mm256_min_ps(_mm256_max_ps(mag, min1), min2);
             min1 = _mm256_min_ps(mag, min1);
         }
         _mm256_storeu_ps(c.mag1, _mm256_mul_ps(valpha, min1));
         _mm256_storeu_ps(c.mag2, _mm256_mul_ps(valpha, min2));
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(c.minEdge), minE);
-        _mm256_storeu_ps(reinterpret_cast<float *>(c.sign), sgn);
+        _mm256_storeu_ps(reinterpret_cast<float *>(c.sign),
+                         _mm256_and_ps(negs, vsign));
     }
 }
 
@@ -264,15 +279,20 @@ minsumVarPass8Avx2(const std::uint8_t *chan_sign, float llr, std::size_t n,
                    std::uint64_t *hard_words)
 {
     const __m256 vllr = _mm256_set1_ps(llr);
+    const __m256i vone = _mm256_set1_epi32(1);
     for (std::size_t v = 0; v < n; ++v)
         _mm256_storeu_ps(total + v * 8,
                          _mm256_xor_ps(vllr, laneSignMask(chan_sign[v])));
     for (std::size_t chk = 0; chk < m; ++chk) {
-        const CheckRegs c = loadCheck(checks[chk]);
-        for (std::uint32_t e = cs[chk]; e < cs[chk + 1]; ++e) {
+        const C2vRegs c = loadC2v(checks[chk]);
+        const std::uint32_t lo = cs[chk];
+        const std::uint32_t hi = cs[chk + 1];
+        __m256i E = _mm256_set1_epi32(static_cast<int>(lo));
+        for (std::uint32_t e = lo; e < hi;
+             ++e, E = _mm256_add_epi32(E, vone)) {
             float *tv = total + static_cast<std::size_t>(edge_var[e]) * 8;
             _mm256_storeu_ps(tv, _mm256_add_ps(_mm256_loadu_ps(tv),
-                                               c2vLanes(c, e, edge_sign[e])));
+                                               c2vXor(c, E, edge_sign[e])));
         }
     }
     // Hard decisions, 64 variables per word: byte k holds the lane bits

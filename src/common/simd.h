@@ -31,9 +31,17 @@
  * single-word MinSumDecoder::decode bit for bit; DESIGN.md §5f gives
  * the argument.
  *
- * In the AVX2 passes a lane sign mask (bit l of a sign byte as lane l's
- * float sign bit) is one aligned load from a constant 256-row table, and
- * the variable pass packs its hard decisions with movemasks: one
+ * The AVX2 passes use no blend. Each rebuilds c2v in XOR form from
+ * base = mag1 ^ sign and delta = mag1 ^ mag2, hoisted per check:
+ * c2v = base ^ laneSign ^ (e == minEdge ? delta : 0), with e a running
+ * vector of the edge index. The check pass tracks minEdge as an unsigned
+ * max over the improving edge indices and accumulates the sign product
+ * as the XOR of the v2c < 0 masks, cut to the sign bit once per check.
+ * Each of the three is exact (DESIGN.md §5f).
+ *
+ * A lane sign mask (bit l of a sign byte as lane l's float sign bit) is
+ * one aligned load from a constant 256-row table, and the variable pass
+ * packs its hard decisions with movemasks: one
  * movemask_ps of total < 0 per variable gives a byte of lane bits, and a
  * 64-bit shift plus movemask_epi8 per lane turns 32 such bytes into 32
  * bits of that lane's word. The test is total < 0, not the sign bit, so
@@ -86,8 +94,12 @@ inline constexpr std::uint32_t kFloatSignBit = 0x80000000u;
  *   c2v(e, l) = (e == minEdge[l] ? mag2[l] : mag1[l]), sign bit flipped
  *               by sign[l] ^ (bit l of the edge's v2c sign byte)
  *
+ * which, as bits, is (mag1 ^ sign) ^ (edge sign bit) ^ (e == minEdge ?
+ * mag1 ^ mag2 : 0): the form the AVX2 kernels evaluate, ±0 included.
  * mag1/mag2 carry the normalization already (alpha * min1, alpha * min2:
- * alpha * s * mag with s = +-1 equals +-(alpha * mag) exactly). An
+ * alpha * s * mag with s = +-1 equals +-(alpha * mag) exactly). minEdge
+ * is the last edge, in edge order, whose |v2c| was strictly below every
+ * earlier one, or the check's first edge if none was below 1e30. An
  * all-zero state encodes "every message is +0", the state before the
  * first iteration.
  */

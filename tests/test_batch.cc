@@ -39,8 +39,17 @@ smallParams(int t = 64)
 
 TEST(SimdDispatch, BackendNameIsKnown)
 {
+    // A RIF_SIMD build on an AVX2 CPU must dispatch to the AVX2 kernels:
+    // otherwise the kernel tests below would compare the scalar kernels
+    // with the scalar oracle and pass on a dispatch regression.
     const std::string name = simd::backendName();
-    EXPECT_TRUE(name == "avx2" || name == "scalar") << name;
+#if RIF_SIMD_ENABLED && defined(__x86_64__)
+    if (__builtin_cpu_supports("avx2")) {
+        EXPECT_EQ(name, "avx2");
+        return;
+    }
+#endif
+    EXPECT_EQ(name, "scalar");
 }
 
 TEST(SimdDispatch, XorWordsMatchesPlainLoop)
@@ -101,65 +110,117 @@ TEST(SimdDispatch, XorFunnelWordsMatchesPlainLoop)
     }
 }
 
+/**
+ * p - base as an address. A kernel handed the result and edge indices
+ * in [base, base + n) touches only those elements, which land back
+ * inside p's array of n elements; no array of 2^31 edges is needed.
+ */
+template <typename T>
+T *
+rebased(T *p, std::uint32_t base)
+{
+    return reinterpret_cast<T *>(reinterpret_cast<std::uintptr_t>(p) -
+                                 std::uintptr_t{base} * sizeof(T));
+}
+
 TEST(SimdDispatch, MinSumCheckPassMatchesScalarLadder)
 {
-    // One check over 4 variables; lane l's posteriors in totals[l]. The
-    // lanes cover a two-way tie for the minimum (lanes 0, 3), an all-way
-    // tie (lane 1), a tie for the second minimum (lane 4) and a zero
-    // posterior (lane 5). Two passes over the same posteriors: the
-    // second rebuilds the first pass's c2v from the compressed state.
-    constexpr std::size_t L = 8, deg = 4;
-    const float totals[L][deg] = {
-        {3.0f, -2.0f, 2.0f, 5.0f},   {1.0f, 1.0f, 1.0f, 1.0f},
-        {4.0f, 3.0f, -3.0f, 0.5f},   {-1.0f, -4.0f, -1.0f, -6.0f},
-        {7.0f, -0.25f, 6.5f, -6.5f}, {0.0f, 2.0f, -1.5f, 2.5f},
-        {-9.0f, 8.0f, -7.0f, 6.0f},  {0.75f, 0.5f, 0.25f, 0.125f}};
+    // Three checks in one call, on edges [0, 4), [4, 9) and [9, 12);
+    // edge e reads variable e, and lane l's posteriors are totals[l].
+    // Check 0 covers a two-way tie for the minimum (lanes 0, 3), an
+    // all-way tie (lane 1), a tie for the second minimum (lane 4) and a
+    // zero posterior (lane 5). Checks 1 and 2 start past edge 0 and
+    // cover a strict minimum on the check's first edge (check 1 lanes
+    // 0, 4, 6), a strict minimum after a tie (check 1 lane 1, check 2
+    // lane 0) and lanes where no |v2c| falls below the ladder's start
+    // of 1e30, whose minEdge stays the first edge (check 1 lane 3,
+    // check 2 lane 1). Two passes over the same posteriors: the second
+    // rebuilds the first pass's c2v from the compressed state.
+    //
+    // The call runs once at edge 0 and once with every edge index moved
+    // up by 2^31 - 6, so that check 1 straddles 2^31: minEdge must be
+    // tracked over unsigned indices.
+    constexpr std::size_t L = 8, edges = 12, nchecks = 3;
+    const std::uint32_t local[nchecks + 1] = {0, 4, 9, 12};
+    const float totals[L][edges] = {
+        {3.0f, -2.0f, 2.0f, 5.0f, 0.5f, 2.0f, 1.0f, 3.0f, 4.0f, 1.0f,
+         1.0f, 0.5f},
+        {1.0f, 1.0f, 1.0f, 1.0f, 2.0f, 2.0f, -1.0f, 3.0f, 2.0f, 2e30f,
+         1e30f, -5e30f},
+        {4.0f, 3.0f, -3.0f, 0.5f, 1.0f, 3.0f, 1.0f, 2.0f, 5.0f, -4.0f,
+         2.0f, 3.0f},
+        {-1.0f, -4.0f, -1.0f, -6.0f, 1e30f, -2e30f, 3e38f, -1e30f, 1e31f,
+         0.25f, -0.5f, 0.125f},
+        {7.0f, -0.25f, 6.5f, -6.5f, -0.25f, 1.0f, -2.0f, 3.0f, 0.5f, 6.0f,
+         6.0f, -6.0f},
+        {0.0f, 2.0f, -1.5f, 2.5f, 5.0f, 4.0f, 3.0f, 2.0f, 1.0f, 0.0f, 0.0f,
+         -1.0f},
+        {-9.0f, 8.0f, -7.0f, 6.0f, 0.0f, 0.0f, -1.0f, 0.0f, 2.0f, 1.5f,
+         -1.5f, 1.0f},
+        {0.75f, 0.5f, 0.25f, 0.125f, 3.0f, -3.0f, 3.0f, -3.0f, 0.125f,
+         -2.0f, 2.0f, -2.0f}};
     const float alpha = 0.8f;
-    const std::uint32_t offsets[2] = {0, deg};
-    const std::uint32_t edge_var[deg] = {0, 1, 2, 3};
-    std::vector<float> total(deg * L);
-    for (std::size_t v = 0; v < deg; ++v)
+    std::vector<float> total(edges * L);
+    std::uint32_t edge_var[edges];
+    for (std::size_t e = 0; e < edges; ++e) {
+        edge_var[e] = static_cast<std::uint32_t>(e);
         for (std::size_t l = 0; l < L; ++l)
-            total[v * L + l] = totals[l][v];
+            total[e * L + l] = totals[l][e];
+    }
 
-    simd::MinSumCheck8 state{};
-    std::uint8_t edge_sign[deg] = {};
-    float c2v[L][deg] = {}; // the reference's messages, all +0 at first
-    for (int pass = 0; pass < 2; ++pass) {
-        simd::minsumCheckPass8(offsets, 1, edge_var, total.data(), &state,
-                               edge_sign, alpha);
-        for (std::size_t l = 0; l < L; ++l) {
-            // The if/else ladder of MinSumDecoder::decode.
-            float v2c[deg];
-            float min1 = 1e30f, min2 = 1e30f;
-            std::uint32_t min_e = 0;
-            int sign = 1;
-            for (std::uint32_t e = 0; e < deg; ++e) {
-                v2c[e] = totals[l][e] - c2v[l][e];
-                const float mag = std::fabs(v2c[e]);
-                if (v2c[e] < 0.0f)
-                    sign = -sign;
-                if (mag < min1) {
-                    min2 = min1;
-                    min1 = mag;
-                    min_e = e;
-                } else if (mag < min2) {
-                    min2 = mag;
+    for (const std::uint32_t base : {0u, (1u << 31) - 6u}) {
+        std::uint32_t offsets[nchecks + 1];
+        for (std::size_t k = 0; k <= nchecks; ++k)
+            offsets[k] = base + local[k];
+        simd::MinSumCheck8 state[nchecks] = {};
+        std::uint8_t edge_sign[edges] = {};
+        float c2v[L][edges] = {}; // the reference's messages, all +0 first
+        for (int pass = 0; pass < 2; ++pass) {
+            simd::minsumCheckPass8(offsets, nchecks,
+                                   rebased(edge_var, base), total.data(),
+                                   state, rebased(edge_sign, base), alpha);
+            for (std::size_t chk = 0; chk < nchecks; ++chk) {
+                const simd::MinSumCheck8 &c = state[chk];
+                const std::uint32_t lo = local[chk], hi = local[chk + 1];
+                for (std::size_t l = 0; l < L; ++l) {
+                    // The if/else ladder of MinSumDecoder::decode.
+                    float v2c[edges];
+                    float min1 = 1e30f, min2 = 1e30f;
+                    std::uint32_t min_e = lo;
+                    int sign = 1;
+                    for (std::uint32_t e = lo; e < hi; ++e) {
+                        v2c[e] = totals[l][e] - c2v[l][e];
+                        const float mag = std::fabs(v2c[e]);
+                        if (v2c[e] < 0.0f)
+                            sign = -sign;
+                        if (mag < min1) {
+                            min2 = min1;
+                            min1 = mag;
+                            min_e = e;
+                        } else if (mag < min2) {
+                            min2 = mag;
+                        }
+                        EXPECT_EQ((edge_sign[e] >> l) & 1u,
+                                  v2c[e] < 0.0f ? 1u : 0u)
+                            << "base " << base << " pass " << pass
+                            << " lane " << l << " edge " << e;
+                    }
+                    const auto where = ::testing::Message()
+                                       << "base " << base << " pass "
+                                       << pass << " check " << chk
+                                       << " lane " << l;
+                    EXPECT_EQ(c.minEdge[l], base + min_e) << where;
+                    EXPECT_EQ(c.mag1[l], alpha * min1) << where;
+                    EXPECT_EQ(c.mag2[l], alpha * min2) << where;
+                    EXPECT_EQ(c.sign[l], sign < 0 ? simd::kFloatSignBit : 0u)
+                        << where;
+                    for (std::uint32_t e = lo; e < hi; ++e) {
+                        float s = static_cast<float>(sign);
+                        if (v2c[e] < 0.0f)
+                            s = -s;
+                        c2v[l][e] = alpha * s * (e == min_e ? min2 : min1);
+                    }
                 }
-                EXPECT_EQ((edge_sign[e] >> l) & 1u, v2c[e] < 0.0f ? 1u : 0u)
-                    << "pass " << pass << " lane " << l << " edge " << e;
-            }
-            EXPECT_EQ(state.minEdge[l], min_e)
-                << "pass " << pass << " lane " << l;
-            EXPECT_EQ(state.mag1[l], alpha * min1) << "lane " << l;
-            EXPECT_EQ(state.mag2[l], alpha * min2) << "lane " << l;
-            EXPECT_EQ(state.sign[l], sign < 0 ? simd::kFloatSignBit : 0u)
-                << "lane " << l;
-            for (std::uint32_t e = 0; e < deg; ++e) {
-                float s = static_cast<float>(sign);
-                if (v2c[e] < 0.0f)
-                    s = -s;
-                c2v[l][e] = alpha * s * (e == min_e ? min2 : min1);
             }
         }
     }
@@ -219,6 +280,60 @@ TEST(SimdDispatch, MinSumVarPassAddsInEdgeOrder)
                 << "variable " << v << " lane " << l;
         }
     }
+}
+
+TEST(SimdDispatch, MinSumVarPassRebuildsSignedZeros)
+{
+    // Hand-set states with zero magnitudes: mag1 = +0 under a set sign
+    // bit rebuilds c2v as -0.0f. With llr = 0 every total starts at
+    // +-0, and -0 + -0 = -0 while -0 + +0 = +0, so a message rebuilt
+    // with the wrong zero shows in the bits of total. The reference is
+    // the blend form: (e == minEdge ? mag2 : mag1), its sign bit
+    // flipped by sign ^ the edge's sign bit.
+    constexpr std::size_t L = 8, n = 3;
+    const std::uint32_t cs[3] = {0, 3, 5};
+    const std::uint32_t edge_var[5] = {0, 1, 2, 0, 2};
+    const std::uint8_t edge_sign[5] = {0x0f, 0x33, 0x55, 0x0f, 0x3c};
+    const std::uint8_t chan_sign[n] = {0xff, 0x00, 0x5a};
+    simd::MinSumCheck8 checks[2] = {};
+    for (std::size_t l = 0; l < L; ++l) {
+        checks[0].mag1[l] = l & 1u ? 0.5f : 0.0f;
+        checks[0].mag2[l] = l & 2u ? 1.5f : 0.0f;
+        checks[0].sign[l] = l & 4u ? simd::kFloatSignBit : 0u;
+        checks[0].minEdge[l] = static_cast<std::uint32_t>(l % 3);
+        checks[1].mag1[l] = 0.0f;
+        checks[1].mag2[l] = l & 1u ? 0.25f : 0.0f;
+        checks[1].sign[l] = l & 2u ? simd::kFloatSignBit : 0u;
+        checks[1].minEdge[l] = 3u + static_cast<std::uint32_t>(l & 1u);
+    }
+    std::vector<float> total(n * L);
+    std::vector<std::uint64_t> hard(L);
+    simd::minsumVarPass8(chan_sign, 0.0f, n, cs, 2, edge_var, checks,
+                         edge_sign, total.data(), hard.data());
+
+    int negative_zeros = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+        for (std::size_t l = 0; l < L; ++l) {
+            float want = (chan_sign[v] >> l) & 1u ? -0.0f : 0.0f;
+            for (std::uint32_t e = 0; e < 5; ++e) {
+                if (edge_var[e] != v)
+                    continue;
+                const simd::MinSumCheck8 &c = checks[e < 3 ? 0 : 1];
+                const float mag = e == c.minEdge[l] ? c.mag2[l] : c.mag1[l];
+                const std::uint32_t flip =
+                    c.sign[l] ^ ((edge_sign[e] >> l) & 1u ? simd::kFloatSignBit
+                                                          : 0u);
+                want += std::bit_cast<float>(
+                    std::bit_cast<std::uint32_t>(mag) ^ flip);
+            }
+            const auto got = std::bit_cast<std::uint32_t>(total[v * L + l]);
+            ASSERT_EQ(got, std::bit_cast<std::uint32_t>(want))
+                << "variable " << v << " lane " << l;
+            negative_zeros += got == simd::kFloatSignBit;
+        }
+    }
+    // The fixture must reach the case it is about.
+    EXPECT_GT(negative_zeros, 0);
 }
 
 TEST(SimdDispatch, MinSumVarPassPackEdgeCases)
