@@ -66,8 +66,7 @@ quiet "$rif" help set
 cached=(fig03_ldpc_capability fig04_retention fig11_14_rp_accuracy
         ablation_tpred table01_config trace_replay fleet_open_loop)
 quiet "$rif" run "${cached[@]}" "${tiny[@]}" --cache-dir "$tmp/cache"
-quiet "$rif" run "${cached[@]}" "${tiny[@]}" --cache-dir "$tmp/cache" \
-    --jobs 2
+quiet "$rif" run "${cached[@]}" "${tiny[@]}" --cache-dir "$tmp/cache"
 
 # The CSV and JSONL sinks, to stdout and to a file.
 quiet "$rif" run table01_config fig07_timeline "${tiny[@]}" --format=csv

@@ -15,7 +15,6 @@
  *   --workload W       workload override for single-workload scenarios
  *   --format F         table (default) | csv | jsonl
  *   --out FILE         write results to FILE instead of stdout
- *   --jobs N           run up to N scenarios concurrently
  *   --cache-dir DIR    persist cached artifacts across invocations
  *   --no-cache         disable every memoization layer
  *   --metrics[=FILE]   append each scenario's metric registry to its
@@ -24,8 +23,9 @@
  *                      (Chrome trace_event JSON; JSONL for *.jsonl)
  *
  * With no overrides the table output is byte-identical to the legacy
- * one-binary-per-figure benches at any RIF_THREADS, any --jobs count
- * and any cache state.
+ * one-binary-per-figure benches at any RIF_THREADS and any cache
+ * state. Selected scenarios run concurrently on the one RIF_THREADS
+ * worker team, and their output stays in selection order.
  */
 
 #include <algorithm>
@@ -37,6 +37,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/parse.h"
 #include "core/artifact_cache.h"
 #include "core/scenario.h"
 
@@ -67,8 +68,6 @@ printUsage(std::ostream &os)
           "table02_workloads`)\n"
           "  --format F       table (default) | csv | jsonl\n"
           "  --out FILE       write to FILE instead of stdout\n"
-          "  --jobs N         run up to N scenarios concurrently "
-          "(output stays in name order)\n"
           "  --cache-dir DIR  persist expensive artifacts (sweeps, "
           "calibrations) across runs\n"
           "  --no-cache       disable artifact memoization (results "
@@ -129,16 +128,6 @@ parseScale(const std::string &value)
     return *v;
 }
 
-int
-parseJobs(const std::string &value)
-{
-    const auto v = parseNumber<int>(value);
-    if (!v || *v < 1 || *v > 256)
-        fatal("--jobs expects an integer in [1, 256], got '", value,
-              "'");
-    return *v;
-}
-
 /** Everything `rif run` / `rif metrics` parse from their arguments. */
 struct RunArgs
 {
@@ -148,7 +137,6 @@ struct RunArgs
     SinkFormat format = SinkFormat::Table;
     std::string out_path;
     OptionSet opts;
-    int jobs = 1;
     ObservabilityOptions obs;
 };
 
@@ -203,8 +191,6 @@ parseRunArgs(const std::vector<std::string> &args, const char *command)
             a.format = *f;
         } else if (value_of(arg, "--out", i, value)) {
             a.out_path = value;
-        } else if (value_of(arg, "--jobs", i, value)) {
-            a.jobs = parseJobs(value);
         } else if (value_of(arg, "--cache-dir", i, value)) {
             ArtifactCache::instance().setDiskDir(value);
         } else if (arg == "--no-cache") {
@@ -253,7 +239,7 @@ cmdRun(const std::vector<std::string> &args)
     }
     std::ostream &os = a.out_path.empty() ? std::cout : file;
 
-    runScenarios(selected, a.format, os, a.scale, a.opts, a.jobs, a.obs);
+    runScenarios(selected, a.format, os, a.scale, a.opts, a.obs);
     return 0;
 }
 

@@ -7,6 +7,7 @@
  */
 
 #include <cmath>
+#include <iterator>
 
 #include "core/experiment.h"
 #include "core/scenario.h"
@@ -24,28 +25,37 @@ run(core::ScenarioContext &ctx)
 
     const char *workloads[] = {"Ali121", "Ali124", "Sys0", "Sys1"};
     const double pes[] = {0.0, 1000.0, 2000.0};
+    constexpr std::size_t kWorkloads = std::size(workloads);
+
+    // Run 2 * (p * kWorkloads + w) is SSDzero, the next one SSDone.
+    const auto results = parallelRuns(
+        2 * std::size(pes) * kWorkloads, [&](std::size_t i) {
+            Experiment e;
+            e.withPolicy(i % 2 ? ssd::PolicyKind::IdealOffChip
+                               : ssd::PolicyKind::Zero)
+                .withPeCycles(pes[i / (2 * kWorkloads)]);
+            ctx.opts.applyTo(e.config());
+            return e.run(workloads[i / 2 % kWorkloads], rs);
+        });
 
     Table t("Fig. 6: I/O bandwidth (MB/s)");
     t.setHeader({"P/E", "workload", "SSDzero", "SSDone", "drop%"});
 
-    for (double pe : pes) {
+    for (std::size_t p = 0; p < std::size(pes); ++p) {
         double gm_drop = 1.0;
         int n = 0;
-        for (const char *w : workloads) {
-            Experiment zero, one;
-            zero.withPolicy(ssd::PolicyKind::Zero).withPeCycles(pe);
-            one.withPolicy(ssd::PolicyKind::IdealOffChip).withPeCycles(pe);
-            ctx.opts.applyTo(zero.config());
-            ctx.opts.applyTo(one.config());
-            const double bw_zero = zero.run(w, rs).bandwidthMBps();
-            const double bw_one = one.run(w, rs).bandwidthMBps();
+        for (std::size_t w = 0; w < kWorkloads; ++w) {
+            const std::size_t i = 2 * (p * kWorkloads + w);
+            const double bw_zero = results[i].bandwidthMBps();
+            const double bw_one = results[i + 1].bandwidthMBps();
             const double drop = 100.0 * (1.0 - bw_one / bw_zero);
             gm_drop *= bw_one / bw_zero;
             ++n;
-            t.addRow({Table::num(pe, 0), w, Table::num(bw_zero, 0),
-                      Table::num(bw_one, 0), Table::num(drop, 1)});
+            t.addRow({Table::num(pes[p], 0), workloads[w],
+                      Table::num(bw_zero, 0), Table::num(bw_one, 0),
+                      Table::num(drop, 1)});
         }
-        t.addRow({Table::num(pe, 0), "average", "", "",
+        t.addRow({Table::num(pes[p], 0), "average", "", "",
                   Table::num(100.0 * (1.0 - std::pow(gm_drop, 1.0 / n)),
                              1)});
     }

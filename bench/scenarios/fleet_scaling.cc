@@ -6,7 +6,7 @@
  * modeled makespan and IOPS, so the EXPERIMENTS.md wall-clock table
  * (events/s at RIF_THREADS=1/2/8) has a stable events denominator.
  * All emitted values are simulated quantities: the sink output is
- * byte-identical at any RIF_THREADS / --jobs setting.
+ * byte-identical at any RIF_THREADS setting.
  */
 
 #include <string>

@@ -9,15 +9,15 @@
  * commutative, associative operations — counters sum, gauges take the
  * max, distributions form a sorted multiset — and snapshots order
  * entries by metric *name*, so the published bytes are identical at
- * any RIF_THREADS / --jobs setting. Metric ids are process-global and
+ * any RIF_THREADS setting. Metric ids are process-global and
  * registration-order dependent; names are the stable identity.
  *
  * Scoping: a MetricsScope installs a Collector as the thread's active
  * collector; the pool in common/parallel propagates it to workers via
- * registerTaskContext, so bumps from inside parallelFor bodies land in
- * the scope that started the region. Scopes nest — finish() folds the
- * inner collector into the enclosing one, which is how per-run
- * snapshots aggregate into per-scenario totals.
+ * registerTaskContext, so bumps from inside parallelFor bodies (nested
+ * ones included) land in the scope that started the region. Scopes
+ * nest — finish() folds the inner collector into the enclosing one,
+ * which is how per-run snapshots aggregate into per-scenario totals.
  *
  * See docs/OBSERVABILITY.md for the naming scheme and the full catalog.
  */

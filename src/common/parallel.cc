@@ -1,5 +1,6 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -9,13 +10,14 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "common/parse.h"
 
 namespace rif {
 
 namespace {
 
-/** True while this thread executes a parallelFor body. */
-thread_local bool t_inParallel = false;
+/** This thread's member id; 0 on a thread outside the team. */
+thread_local int t_member = 0;
 
 constexpr int kMaxContextHooks = 8;
 TaskContextHooks g_ctx_hooks[kMaxContextHooks];
@@ -48,11 +50,10 @@ int
 defaultThreadCount()
 {
     if (const char *env = std::getenv("RIF_THREADS")) {
-        char *end = nullptr;
-        const long n = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && n > 0) {
-            if (n <= kMaxThreads)
-                return static_cast<int>(n);
+        const auto n = parseNumber<long long>(env);
+        if (n && *n > 0) {
+            if (*n <= kMaxThreads)
+                return static_cast<int>(*n);
             warn("RIF_THREADS value '", env, "' exceeds the maximum of ",
                  kMaxThreads, "; using ", kMaxThreads);
             return kMaxThreads;
@@ -64,19 +65,53 @@ defaultThreadCount()
 }
 
 /**
+ * One open parallelFor. It lives on its caller's stack from publish
+ * until its caller has closed it and every helper has counted out.
+ */
+struct Job
+{
+    const std::function<void(std::size_t, int)> *body;
+    std::size_t size;
+    std::size_t chunk;
+    std::atomic<std::size_t> cursor{0};
+    CapturedContexts ctx;
+    /** The job whose body published this one; outlives it. */
+    const Job *parent;
+    int depth;
+    /** Threads other than the caller inside runChunks (under mutex_). */
+    int helpers = 0;
+    /** First exception of any body (under mutex_). */
+    std::exception_ptr error;
+
+    bool
+    drained() const
+    {
+        return cursor.load(std::memory_order_relaxed) >= size;
+    }
+
+    bool
+    nestedIn(const Job *ancestor) const
+    {
+        for (const Job *p = parent; p; p = p->parent)
+            if (p == ancestor)
+                return true;
+        return false;
+    }
+};
+
+/** The job whose chunk this thread is executing, if any. */
+thread_local const Job *t_job = nullptr;
+
+/**
  * The one pool implementation: a persistent team of members parked on
- * a condition variable between jobs. Under `mutex_`, the caller
- * publishes the job, sets `remaining_` to the number of other members
- * and bumps `generation_`, then wakes them all; each member runs its
- * share and counts itself out under the same mutex, and the last one
- * wakes the caller. Shutdown is one more generation with `stopping_`
- * set.
- *
- * Every member (the caller is member 0) pulls index chunks from one
- * atomic cursor until the job drains; members with an id at or above
- * the job size have nothing to pull and skip the body. Callers on
- * different threads that share one team are serialized by
- * `dispatchMutex_`, which only the dispatch path takes.
+ * one condition variable. Under `mutex_`, a caller adds its job to
+ * `open_` and wakes the team; members take the deepest open job that
+ * has chunks left, pull index chunks from its atomic cursor, and count
+ * out under the mutex. A caller runs its own chunks, closes the job
+ * (no new helper can join) and waits for its helpers, meanwhile
+ * helping only jobs nested inside its own. A helper leaves a job after
+ * a chunk when a deeper one has opened. Every job can finish on its
+ * caller alone, so nesting cannot deadlock.
  */
 class WorkerTeam
 {
@@ -93,9 +128,8 @@ class WorkerTeam
         {
             std::lock_guard<std::mutex> lock(mutex_);
             stopping_ = true;
-            ++generation_;
         }
-        wakeCv_.notify_all();
+        cv_.notify_all();
         for (auto &t : threads_)
             t.join();
     }
@@ -105,117 +139,129 @@ class WorkerTeam
 
     int members() const { return members_; }
 
-    /**
-     * Run fn(i, member) for every i in [0, n) across all members. Only
-     * for a team of two or more and a job of two or more indices that
-     * is not nested in another job's body.
-     */
+    /** Run fn(i, worker) for every i in [0, n) across the team. */
     void
     run(std::size_t n, const std::function<void(std::size_t, int)> &fn)
     {
-        std::lock_guard<std::mutex> serial(dispatchMutex_);
+        // Chunked index handout amortizes the atomic for cheap bodies
+        // while keeping tail imbalance small.
+        Job job{&fn, n,
+                std::max<std::size_t>(
+                    1, n / (static_cast<std::size_t>(members_) * 8)),
+                {}, captureTaskContexts(), t_job,
+                t_job ? t_job->depth + 1 : 1, 0, nullptr};
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            job_ = &fn;
-            jobSize_ = n;
-            // Chunked index handout amortizes the atomic for cheap
-            // bodies while keeping tail imbalance small.
-            chunk_ = std::max<std::size_t>(
-                1, n / (static_cast<std::size_t>(members_) * 8));
-            cursor_.store(0, std::memory_order_relaxed);
-            ctx_ = captureTaskContexts();
-            error_ = nullptr;
-            remaining_ = members_ - 1;
-            ++generation_;
+            open_.push_back(&job);
+            if (job.depth > deepest_.load(std::memory_order_relaxed))
+                deepest_.store(job.depth, std::memory_order_relaxed);
         }
-        wakeCv_.notify_all();
-        runBody(0);
+        cv_.notify_all();
+        runChunks(job, false);
+
         std::unique_lock<std::mutex> lock(mutex_);
-        doneCv_.wait(lock, [&] { return remaining_ == 0; });
-        job_ = nullptr;
-        if (error_)
-            std::rethrow_exception(error_);
+        open_.erase(std::find(open_.begin(), open_.end(), &job));
+        int deepest = 0;
+        for (const Job *j : open_)
+            deepest = std::max(deepest, j->depth);
+        deepest_.store(deepest, std::memory_order_relaxed);
+        while (job.helpers > 0) {
+            if (Job *nested = pick(&job))
+                help(*nested, lock);
+            else
+                cv_.wait(lock);
+        }
+        if (job.error)
+            std::rethrow_exception(job.error);
     }
 
   private:
-    void
-    runBody(int member)
+    /**
+     * The deepest open job with chunks left, nested inside `within`
+     * when given. Caller holds mutex_.
+     */
+    Job *
+    pick(const Job *within) const
     {
-        if (static_cast<std::size_t>(member) >= jobSize_)
-            return;
-        // Member 0 is the submitting thread and already carries the
-        // ambient contexts; everyone else adopts the captured ones for
-        // the duration of the job.
+        Job *best = nullptr;
+        for (Job *j : open_)
+            if (!j->drained() && (!best || j->depth > best->depth) &&
+                (!within || j->nestedIn(within)))
+                best = j;
+        return best;
+    }
+
+    /** Run chunks of another thread's job; `lock` held around. */
+    void
+    help(Job &job, std::unique_lock<std::mutex> &lock)
+    {
+        ++job.helpers;
+        lock.unlock();
+        runChunks(job, true);
+        lock.lock();
+        if (--job.helpers == 0)
+            cv_.notify_all();
+    }
+
+    void
+    runChunks(Job &job, bool helper)
+    {
+        // The caller already carries the ambient contexts; a helper
+        // adopts the captured ones while it works on the job.
         void *prev[kMaxContextHooks];
-        const bool foreign = member != 0;
-        if (foreign)
-            for (int h = 0; h < ctx_.count; ++h)
-                prev[h] = g_ctx_hooks[h].install(ctx_.vals[h]);
-        t_inParallel = true;
+        if (helper)
+            for (int h = 0; h < job.ctx.count; ++h)
+                prev[h] = g_ctx_hooks[h].install(job.ctx.vals[h]);
+        const Job *outer = t_job;
+        t_job = &job;
         while (true) {
             const std::size_t begin =
-                cursor_.fetch_add(chunk_, std::memory_order_relaxed);
-            if (begin >= jobSize_)
+                job.cursor.fetch_add(job.chunk, std::memory_order_relaxed);
+            if (begin >= job.size)
                 break;
-            const std::size_t end = std::min(jobSize_, begin + chunk_);
+            const std::size_t end = std::min(job.size, begin + job.chunk);
             try {
                 for (std::size_t i = begin; i < end; ++i)
-                    (*job_)(i, member);
+                    (*job.body)(i, t_member);
             } catch (...) {
-                std::unique_lock<std::mutex> lock(mutex_);
-                if (!error_)
-                    error_ = std::current_exception();
+                std::lock_guard<std::mutex> lock(mutex_);
+                if (!job.error)
+                    job.error = std::current_exception();
                 // Swallow the rest of the chunk; the cursor keeps
                 // advancing so the job still drains.
             }
+            if (helper &&
+                deepest_.load(std::memory_order_relaxed) > job.depth)
+                break;
         }
-        t_inParallel = false;
-        if (foreign)
-            for (int h = ctx_.count - 1; h >= 0; --h)
+        t_job = outer;
+        if (helper)
+            for (int h = job.ctx.count - 1; h >= 0; --h)
                 g_ctx_hooks[h].restore(prev[h]);
     }
 
     void
     memberLoop(int member)
     {
-        std::uint64_t seen = 0;
-        while (true) {
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                wakeCv_.wait(lock, [&] { return generation_ != seen; });
-                seen = generation_;
-                if (stopping_)
-                    return;
-            }
-            runBody(member);
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (--remaining_ == 0)
-                doneCv_.notify_one();
+        t_member = member;
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (!stopping_) {
+            if (Job *job = pick(nullptr))
+                help(*job, lock);
+            else
+                cv_.wait(lock);
         }
     }
 
     const int members_;
 
-    /** Serializes callers sharing the team. */
-    std::mutex dispatchMutex_;
-
-    /**
-     * Guards everything below. Members read the job fields without it,
-     * but only after seeing `generation_` move under it, and the caller
-     * rewrites them only after every member has counted itself out.
-     */
+    /** Guards `open_`, `stopping_` and every job's helpers / error. */
     std::mutex mutex_;
-    const std::function<void(std::size_t, int)> *job_ = nullptr;
-    std::size_t jobSize_ = 0;
-    std::size_t chunk_ = 1;
-    std::atomic<std::size_t> cursor_{0};
-    CapturedContexts ctx_;
-    std::condition_variable wakeCv_;
-    std::condition_variable doneCv_;
-    std::uint64_t generation_ = 0;
-    int remaining_ = 0;
+    std::condition_variable cv_;
+    std::vector<Job *> open_;
+    /** Deepest depth in `open_`; written under mutex_. */
+    std::atomic<int> deepest_{0};
     bool stopping_ = false;
-    std::exception_ptr error_;
 
     /** Declared last: members use everything above. */
     std::vector<std::thread> threads_;
@@ -224,14 +270,9 @@ class WorkerTeam
 std::unique_ptr<WorkerTeam> g_pool;
 std::mutex g_pool_mutex;
 
-/** Arena team installed on this thread, if any (see ThreadArena). */
-thread_local WorkerTeam *t_arena = nullptr;
-
 WorkerTeam &
 pool()
 {
-    if (t_arena)
-        return *t_arena;
     std::unique_lock<std::mutex> lock(g_pool_mutex);
     if (!g_pool)
         g_pool = std::make_unique<WorkerTeam>(
@@ -258,14 +299,6 @@ globalThreadCount()
     return pool().members();
 }
 
-int
-configuredThreadCount()
-{
-    std::unique_lock<std::mutex> lock(g_pool_mutex);
-    return g_thread_override > 0 ? g_thread_override
-                                 : defaultThreadCount();
-}
-
 void
 setGlobalThreadCount(int n)
 {
@@ -276,46 +309,19 @@ setGlobalThreadCount(int n)
         g_pool = std::make_unique<WorkerTeam>(g_thread_override);
 }
 
-struct ThreadArena::Impl
-{
-    explicit Impl(int threads)
-        : team(threads), prev(t_arena)
-    {
-        t_arena = &team;
-    }
-    ~Impl() { t_arena = prev; }
-
-    WorkerTeam team;
-    WorkerTeam *prev;
-};
-
-ThreadArena::ThreadArena(int threads)
-    : impl_(std::make_unique<Impl>(
-          std::max(1, std::min(threads, kMaxThreads))))
-{
-}
-
-ThreadArena::~ThreadArena() = default;
-
-int
-ThreadArena::threadCount() const
-{
-    return impl_->team.members();
-}
-
 void
 parallelForWorker(std::size_t n,
                   const std::function<void(std::size_t, int)> &fn)
 {
-    // A nested call (a body that itself fans out) runs inline: its
-    // team is busy with the enclosing job.
-    WorkerTeam *team = n > 1 && !t_inParallel ? &pool() : nullptr;
-    if (!team || team->members() == 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i, 0);
-        return;
+    if (n > 1) {
+        WorkerTeam &team = pool();
+        if (team.members() > 1) {
+            team.run(n, fn);
+            return;
+        }
     }
-    team->run(n, fn);
+    for (std::size_t i = 0; i < n; ++i)
+        fn(i, t_member);
 }
 
 void

@@ -15,19 +15,22 @@
  *    passed to the parallelForWorker callback; scratch affects speed,
  *    never results.
  *
- * The pool is a persistent team of members parked on a condition
- * variable between jobs: a parallelFor publishes the job under one
- * mutex and wakes them, every member (the caller is member 0) pulls
- * index chunks from one atomic cursor, and the last member to finish
- * wakes the caller. A job runs inline on the caller when the pool has
- * one member, when it has at most one index, or when it is issued from
- * inside another job's body.
+ * The pool is one persistent team of members parked on a condition
+ * variable. A parallelFor publishes a job record from its caller's
+ * stack, and several jobs may be open at once: a parallelFor issued
+ * inside a body (a scenario's drive sweep, a sweep's fleet
+ * preconditioning) joins the same team. Idle members take chunks from
+ * the deepest open job. A caller runs its own chunks, then, while its
+ * helpers finish, only chunks of jobs nested inside its own. So every
+ * thread budget is the one RIF_THREADS budget, and no thread enters a
+ * job twice. A job runs inline on the caller when the pool has one
+ * member or the job has at most one index.
  *
  * The pool size defaults to the hardware concurrency and can be
- * overridden with the RIF_THREADS environment variable (a positive
- * integer; anything else warns and falls back to the hardware count,
- * values above 256 warn and clamp) or setGlobalThreadCount() (used by
- * the determinism tests).
+ * overridden with the RIF_THREADS environment variable (plain decimal
+ * digits, parsed by parseNumber; anything else warns and falls back to
+ * the hardware count, values above 256 warn and clamp) or
+ * setGlobalThreadCount() (used by the determinism tests).
  */
 
 #ifndef RIF_COMMON_PARALLEL_H
@@ -36,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -44,22 +46,12 @@
 namespace rif {
 
 /**
- * Number of threads parallelFor bodies execute on from the calling
- * thread (including it): the active ThreadArena's budget if one is
- * installed on this thread, otherwise the global pool size. Resolution
- * order for the global size: explicit setGlobalThreadCount() override,
- * then RIF_THREADS, then std::thread::hardware_concurrency().
+ * Number of threads parallelFor bodies execute on (including the
+ * caller): the pool size. Resolution order: explicit
+ * setGlobalThreadCount() override, then RIF_THREADS, then
+ * std::thread::hardware_concurrency().
  */
 int globalThreadCount();
-
-/**
- * The configured global thread budget — override > RIF_THREADS >
- * hardware — without instantiating the pool and ignoring any arena on
- * the calling thread. The scenario scheduler divides this among its
- * workers so scenario-level x intra-scenario parallelism never
- * oversubscribes the machine.
- */
-int configuredThreadCount();
 
 /**
  * Override the global pool size; n <= 0 resets to the RIF_THREADS /
@@ -69,51 +61,24 @@ int configuredThreadCount();
 void setGlobalThreadCount(int n);
 
 /**
- * Run fn(i) for every i in [0, n) across the global pool (or the
- * calling thread's ThreadArena) and block until all complete. Bodies
- * must be data-race free with each other; write outputs to per-index
- * slots for determinism. Exceptions from bodies are rethrown (first one
- * wins) after the loop drains. Threads that share one pool may call
- * concurrently: the pool runs their jobs one at a time.
+ * Run fn(i) for every i in [0, n) across the global pool and block
+ * until all complete. Bodies must be data-race free with each other;
+ * write outputs to per-index slots for determinism. Exceptions from
+ * bodies are rethrown (first one wins) after the loop drains. Bodies
+ * may themselves call parallelFor, and threads may call concurrently:
+ * every job shares the one team.
  */
 void parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn);
 
 /**
  * parallelFor variant passing the executing worker id in
  * [0, globalThreadCount()) so callers can index per-worker scratch
- * (e.g. one DecodeWorkspace per worker). Worker 0 is the calling thread.
+ * (e.g. one DecodeWorkspace per worker). The id is the executing
+ * member's, or 0 on a thread outside the team (the one that called the
+ * outermost parallelFor). No two threads run one job under the same id.
  */
 void parallelForWorker(
     std::size_t n, const std::function<void(std::size_t, int)> &fn);
-
-/**
- * RAII private thread pool for the calling thread: a team of its own,
- * the same implementation as the global pool. While alive, every
- * parallelFor / parallelForWorker issued from this thread runs on the
- * arena's own members instead of the global pool, so several threads
- * can each drive their own parallel region concurrently (on the shared
- * global pool their jobs would run one at a time). The scenario
- * scheduler gives each of its workers an arena of budget
- * max(1, configuredThreadCount() / jobs).
- *
- * Arenas change only which threads execute bodies, never the index
- * decomposition, so results stay bit-identical. Not nestable on one
- * thread (the inner parallelFor of a nested region already runs inline).
- */
-class ThreadArena
-{
-  public:
-    explicit ThreadArena(int threads);
-    ~ThreadArena();
-    ThreadArena(const ThreadArena &) = delete;
-    ThreadArena &operator=(const ThreadArena &) = delete;
-
-    int threadCount() const;
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
 
 /**
  * Thread-local ambient context propagated into parallel regions.
@@ -122,7 +87,7 @@ class ThreadArena
  * (the active metrics collector, the active trace recorder) register a
  * hook triple once at startup. When a parallelFor publishes a job, the
  * pool calls capture() on the submitting thread; every *other* member
- * that participates wraps its share of the job in install(captured) /
+ * that runs chunks of the job wraps them in install(captured) /
  * restore(previous). The submitting thread already carries the context,
  * so it is left untouched. Hooks must be cheap (pointer copies) and
  * must not themselves start parallel regions.

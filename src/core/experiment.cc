@@ -51,10 +51,12 @@ parallelRuns(std::size_t n,
              const std::function<RunResult(std::size_t)> &job)
 {
     std::vector<RunResult> out(n);
+    const std::uint32_t base = tracing::currentTrack();
     parallelFor(n, [&](std::size_t i) {
-        // Give each point its own trace track so events from concurrent
-        // runs never interleave (and drops stay per-track deterministic).
-        tracing::TrackScope track(static_cast<std::uint32_t>(i));
+        // Give each point its own trace track, numbered from the
+        // caller's, so events from concurrent runs never interleave (and
+        // drops stay per-track deterministic).
+        tracing::TrackScope track(base + static_cast<std::uint32_t>(i));
         out[i] = job(i);
     });
     return out;

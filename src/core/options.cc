@@ -5,6 +5,7 @@
 #include <variant>
 
 #include "common/logging.h"
+#include "common/parse.h"
 #include "fabric/config.h"
 #include "trace/trace.h"
 #include "trace/stream.h"

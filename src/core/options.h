@@ -16,10 +16,8 @@
 #ifndef RIF_CORE_OPTIONS_H
 #define RIF_CORE_OPTIONS_H
 
-#include <charconv>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,25 +35,6 @@ struct WorkloadConfig;
 } // namespace trace
 
 namespace core {
-
-/**
- * Parse all of `text` as a T with std::from_chars: decimal digits, an
- * optional '-', and for floating point a fraction and exponent (plus
- * `inf`/`nan`, which callers reject by domain). Anything else — blanks,
- * '+', hex, trailing characters, overflow — yields nullopt. The one
- * number parser of every CLI surface (`--set`, `--scale`, `--jobs`).
- */
-template <class T>
-std::optional<T>
-parseNumber(std::string_view text)
-{
-    T out{};
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(text.data(), end, out);
-    if (res.ec != std::errc{} || res.ptr != end)
-        return std::nullopt;
-    return out;
-}
 
 /** One settable key and its help string, for `rif help set`. */
 struct OptionKey

@@ -1,13 +1,12 @@
 #include "core/scenario.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -81,11 +80,10 @@ runScenario(const Scenario &scenario, ResultSink &sink, double scale,
 void
 runScenarios(const std::vector<const Scenario *> &selected,
              SinkFormat format, std::ostream &os, double scale,
-             const OptionSet &opts, int jobs,
-             const ObservabilityOptions &obs)
+             const OptionSet &opts, const ObservabilityOptions &obs)
 {
     // The trace scope (when requested) spans the whole invocation; the
-    // --jobs workers join it via RecorderScope below.
+    // pool carries its recorder into every scenario body.
     std::optional<tracing::TraceScope> trace;
     if (!obs.tracePath.empty())
         trace.emplace();
@@ -93,61 +91,39 @@ runScenarios(const std::vector<const Scenario *> &selected,
     const bool want_metrics = obs.wantMetrics();
     std::vector<metrics::Snapshot> snaps(selected.size());
 
-    // Run scenario `i` into `sink`, capturing its registry snapshot
-    // (and appending it to the scenario's own output for --metrics).
-    const auto run_one = [&](std::size_t i, ResultSink &sink) {
-        if (!want_metrics) {
-            runScenario(*selected[i], sink, scale, opts);
-            return;
-        }
-        metrics::MetricsScope scope;
-        runScenario(*selected[i], sink, scale, opts);
-        snaps[i] = scope.finish();
-        if (obs.metricsTable)
-            sink.table(snaps[i].toTable(std::string("metrics: ") +
-                                        selected[i]->name));
-    };
+    // Scenario i reports into buffers[i]. A buffer reaches `os` as soon
+    // as it and every buffer before it are complete, so the stream
+    // keeps selection order at any thread count and, on one thread,
+    // still grows one scenario at a time.
+    std::vector<std::ostringstream> buffers(selected.size());
+    std::vector<bool> done(selected.size(), false);
+    std::size_t flushed = 0;
+    std::mutex flush_mutex;
 
-    if (jobs > static_cast<int>(selected.size()))
-        jobs = static_cast<int>(selected.size());
-    if (jobs <= 1) {
-        const auto sink = makeSink(format, os);
-        for (std::size_t i = 0; i < selected.size(); ++i)
-            run_one(i, *sink);
-    } else {
-        // Cooperative thread-budget handshake: the scenario workers
-        // divide the configured RIF_THREADS budget, so worker x inner
-        // parallelism stays at the budget no matter how --jobs and
-        // RIF_THREADS combine.
-        const int budget = std::max(1, configuredThreadCount() / jobs);
-
-        // Private buffer per scenario, emitted in selection order
-        // below: interleaving never reaches the stream, so the bytes
-        // match the sequential path at any job count.
-        std::vector<std::ostringstream> buffers(selected.size());
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> workers;
-        workers.reserve(static_cast<std::size_t>(jobs));
-        for (int w = 0; w < jobs; ++w) {
-            workers.emplace_back([&] {
-                ThreadArena arena(budget);
-                tracing::RecorderScope recorder(
-                    trace ? &trace->recorder() : nullptr);
-                for (;;) {
-                    const std::size_t i =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= selected.size())
-                        return;
-                    const auto sink = makeSink(format, buffers[i]);
-                    run_one(i, *sink);
-                }
-            });
+    parallelFor(selected.size(), [&](std::size_t i) {
+        // Scenario i numbers its runs' trace tracks from i << 16, so
+        // concurrent scenarios never share a track or its budget.
+        tracing::TrackScope track(static_cast<std::uint32_t>(i) << 16);
+        {
+            const auto sink = makeSink(format, buffers[i]);
+            std::optional<metrics::MetricsScope> scope;
+            if (want_metrics)
+                scope.emplace();
+            runScenario(*selected[i], *sink, scale, opts);
+            if (scope) {
+                snaps[i] = scope->finish();
+                if (obs.metricsTable)
+                    sink->table(snaps[i].toTable(
+                        std::string("metrics: ") + selected[i]->name));
+            }
         }
-        for (std::thread &worker : workers)
-            worker.join();
-        for (std::ostringstream &buffer : buffers)
-            os << buffer.str();
-    }
+        std::lock_guard<std::mutex> lock(flush_mutex);
+        done[i] = true;
+        for (; flushed < selected.size() && done[flushed]; ++flushed) {
+            os << buffers[flushed].str();
+            buffers[flushed].str({});
+        }
+    });
 
     if (!obs.metricsPath.empty()) {
         std::ofstream file(obs.metricsPath);

@@ -98,10 +98,9 @@ void runScenario(const Scenario &scenario, ResultSink &sink, double scale,
 /**
  * Observability switches for a `rif run` invocation (`--metrics`,
  * `--trace`). Metrics wrap every selected scenario in its own
- * MetricsScope; the per-scenario snapshots are deterministic, so both
- * surfaces are byte-identical at any RIF_THREADS / --jobs setting (the
- * trace additionally requires a single-scenario selection, since
- * concurrent scenarios may share track ids — see docs/OBSERVABILITY.md).
+ * MetricsScope, and each scenario numbers its trace tracks from its own
+ * base (see runScenarios). Snapshots and tracks are deterministic, so
+ * both surfaces are byte-identical at any RIF_THREADS setting.
  */
 struct ObservabilityOptions
 {
@@ -120,21 +119,18 @@ struct ObservabilityOptions
 };
 
 /**
- * Run `selected` with up to `jobs` concurrent scenario workers
- * (`rif run --jobs N`). Each scenario reports into a private buffer and
- * the buffers are emitted on `os` in selection order, so the bytes are
- * identical to a sequential run at any job count. Workers split the
- * configured RIF_THREADS budget between them (each gets a private
- * ThreadArena of max(1, budget/jobs) threads), so scenario-level and
- * data-level parallelism never oversubscribe the machine. jobs <= 1 is
- * exactly the sequential path, streaming straight to `os`. `obs` selects
- * the metrics and trace capture (`--metrics`, `--trace`); pass `{}` for
+ * Run `selected` as one parallelFor over the selection, on the same
+ * worker team as the scenarios' own inner loops. Each scenario reports
+ * into a private buffer, and the buffers reach `os` in selection order
+ * as soon as each prefix is complete, so the bytes are identical at any
+ * RIF_THREADS and a one-thread run streams scenario by scenario.
+ * Scenario i runs under the trace track base i << 16. `obs` selects the
+ * metrics and trace capture (`--metrics`, `--trace`); pass `{}` for
  * none.
  */
 void runScenarios(const std::vector<const Scenario *> &selected,
                   SinkFormat format, std::ostream &os, double scale,
-                  const OptionSet &opts, int jobs,
-                  const ObservabilityOptions &obs);
+                  const OptionSet &opts, const ObservabilityOptions &obs);
 
 } // namespace core
 } // namespace rif

@@ -13,7 +13,7 @@
  * pid) keeps at most a fixed budget of events, further records bump a
  * drop counter. Because timestamps are simulated ticks and every track
  * is written by exactly one thread in deterministic order, the emitted
- * JSON is byte-identical at any RIF_THREADS / --jobs setting — the
+ * JSON is byte-identical at any RIF_THREADS setting — the
  * trace shows what the *simulated* SSD did, not the host scheduler.
  *
  * See docs/OBSERVABILITY.md for the format spec and a worked example.
@@ -98,9 +98,10 @@ instant(const char *name, Tick ts, std::uint32_t lane = 0,
 void setTrackLabel(std::uint32_t track, const std::string &label);
 
 /**
- * RAII track selection for the current thread; parallelRuns wraps each
- * run body in TrackScope(runIndex) so every simulated run gets its own
- * timeline regardless of which worker executes it.
+ * RAII track selection for the current thread. runScenarios gives
+ * scenario i the track base i << 16, and parallelRuns wraps each run
+ * body in TrackScope(base + runIndex), so every simulated run gets its
+ * own timeline regardless of which worker executes it.
  */
 class TrackScope
 {
@@ -116,28 +117,6 @@ class TrackScope
 
   private:
     std::uint32_t prev_;
-};
-
-/**
- * RAII installation of an *existing* recorder on this thread. The
- * `--jobs` scenario workers are plain std::threads (not pool workers),
- * so they join the driver's TraceScope explicitly with one of these.
- * A null recorder is allowed and records nothing.
- */
-class RecorderScope
-{
-  public:
-    explicit RecorderScope(Recorder *recorder)
-        : prev_(detail::t_recorder)
-    {
-        detail::t_recorder = recorder;
-    }
-    ~RecorderScope() { detail::t_recorder = prev_; }
-    RecorderScope(const RecorderScope &) = delete;
-    RecorderScope &operator=(const RecorderScope &) = delete;
-
-  private:
-    Recorder *prev_;
 };
 
 /**

@@ -19,8 +19,8 @@
  * only the drives with work inside its window (skipping an idle drive
  * is a proven no-op on its kernel); a round is far too short to pay
  * for a pool wake-up. Only preconditioning, once per replay, runs
- * drives in parallel, on the shared worker pool (common/parallel.h) or
- * the calling thread's ThreadArena inside a `rif --jobs` worker.
+ * drives in parallel, on the one worker team (common/parallel.h); inside
+ * a scenario or a drive sweep that job joins the team as a nested one.
  * Results are bit-identical at any thread count.
  * See DESIGN.md §5i for the protocol and the correctness argument.
  */
@@ -60,7 +60,7 @@ struct FleetStats
     /**
      * Rounds in which at most one drive had work at or before the
      * horizon. A pure function of simulated state — identical at any
-     * RIF_THREADS / --jobs setting.
+     * RIF_THREADS setting.
      */
     std::uint64_t roundsCoalesced = 0;
     /**

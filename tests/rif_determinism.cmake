@@ -3,7 +3,7 @@
 # The swept set covers the three substrate families: the event-driven
 # simulator (ablation_tpred) and the two analytic NAND-chain studies
 # (qlc_retry, rvs_cadence). A final pass runs the analytic pair in one
-# invocation at --jobs 1 vs --jobs 4 to pin scenario-level parallelism.
+# invocation at RIF_THREADS=1 vs 4 to pin scenario-level parallelism.
 # Invoked as:
 #   cmake -DRIF_BIN=<path to rif> -P rif_determinism.cmake
 
@@ -44,20 +44,21 @@ foreach(scenario ablation_tpred qlc_retry rvs_cadence)
         "rif determinism: ${scenario} identical at RIF_THREADS=1/2/8")
 endforeach()
 
-# Scenario-level parallelism: the new analytic pair in one invocation
-# must emit the same bytes whether the scenarios run sequentially or as
-# concurrent jobs.
+# Scenario-level parallelism: the analytic pair in one invocation must
+# emit the same bytes whether the scenarios run one after the other or
+# as concurrent jobs on the worker team.
 set(jobs_outs "")
-foreach(jobs 1 4)
-    set(out ${CMAKE_CURRENT_BINARY_DIR}/rif_det_jobs_${jobs}.csv)
+foreach(threads 1 4)
+    set(out ${CMAKE_CURRENT_BINARY_DIR}/rif_det_pair_${threads}.csv)
     execute_process(
-        COMMAND ${RIF_BIN} run qlc_retry rvs_cadence --scale 0.02
-                --format=csv --jobs ${jobs} --out ${out}
+        COMMAND ${CMAKE_COMMAND} -E env RIF_THREADS=${threads}
+                ${RIF_BIN} run qlc_retry rvs_cadence --scale 0.02
+                --format=csv --out ${out}
         RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
         message(FATAL_ERROR
-            "rif run qlc_retry rvs_cadence --jobs ${jobs} failed "
-            "(rc=${rc})")
+            "rif run qlc_retry rvs_cadence failed at "
+            "RIF_THREADS=${threads} (rc=${rc})")
     endif()
     list(APPEND jobs_outs ${out})
 endforeach()
@@ -68,9 +69,10 @@ execute_process(
     RESULT_VARIABLE same)
 if(NOT same EQUAL 0)
     message(FATAL_ERROR
-        "qlc_retry+rvs_cadence output differs between --jobs 1 and "
-        "--jobs 4")
+        "qlc_retry+rvs_cadence output differs between RIF_THREADS=1 "
+        "and 4")
 endif()
 
 message(STATUS
-    "rif determinism: qlc_retry+rvs_cadence identical at --jobs 1/4")
+    "rif determinism: qlc_retry+rvs_cadence identical at "
+    "RIF_THREADS=1/4")

@@ -1,9 +1,10 @@
 # ctest script: the fleet scenarios through the real `rif` driver —
 # the drive-parallel simulator's acceptance gate. Each scenario runs at
-# RIF_THREADS=1/2/8 crossed with --jobs 1/4 and must produce
-# byte-identical CSV output: drives advance concurrently between
-# conservative barriers, so neither the worker budget nor scenario-level
-# parallelism may leak into results. fleet_p99 additionally runs at 16
+# RIF_THREADS=1/2/4/8 and must produce byte-identical CSV output: drives
+# precondition concurrently (as a job nested in the scenario's own when
+# the scenario runs them inside a sweep) and advance between
+# conservative barriers, so the worker budget may not leak into
+# results. fleet_p99 additionally runs at 16
 # drives (--set fleet.drives=16), the fleet-width determinism target;
 # fleet_scaling also runs with a 1 us link (tiny lookahead window: many
 # short rounds, the stress case for round coalescing and the epoch
@@ -34,22 +35,19 @@ foreach(case ${cases})
     string(REGEX REPLACE "[^A-Za-z0-9_.]" "_" tag "${tag}")
 
     set(outs "")
-    foreach(threads 1 2 8)
-        foreach(jobs 1 4)
-            set(out
-                ${CMAKE_CURRENT_BINARY_DIR}/rif_fleet_${tag}_${threads}_${jobs}.csv)
-            execute_process(
-                COMMAND ${CMAKE_COMMAND} -E env RIF_THREADS=${threads}
-                        ${RIF_BIN} run ${scenario} --quick --jobs ${jobs}
-                        --format=csv --out ${out} ${extra}
-                RESULT_VARIABLE rc)
-            if(NOT rc EQUAL 0)
-                message(FATAL_ERROR
-                    "rif run ${scenario} ${extra} failed at "
-                    "RIF_THREADS=${threads} --jobs ${jobs} (rc=${rc})")
-            endif()
-            list(APPEND outs ${out})
-        endforeach()
+    foreach(threads 1 2 4 8)
+        set(out ${CMAKE_CURRENT_BINARY_DIR}/rif_fleet_${tag}_${threads}.csv)
+        execute_process(
+            COMMAND ${CMAKE_COMMAND} -E env RIF_THREADS=${threads}
+                    ${RIF_BIN} run ${scenario} --quick
+                    --format=csv --out ${out} ${extra}
+            RESULT_VARIABLE rc)
+        if(NOT rc EQUAL 0)
+            message(FATAL_ERROR
+                "rif run ${scenario} ${extra} failed at "
+                "RIF_THREADS=${threads} (rc=${rc})")
+        endif()
+        list(APPEND outs ${out})
     endforeach()
 
     list(GET outs 0 ref)
@@ -65,5 +63,5 @@ foreach(case ${cases})
     endforeach()
     message(STATUS
         "fleet determinism: ${scenario} ${extra} identical at "
-        "RIF_THREADS=1/2/8 x --jobs 1/4")
+        "RIF_THREADS=1/2/4/8")
 endforeach()

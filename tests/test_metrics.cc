@@ -121,7 +121,7 @@ TEST(MetricsSnapshot, PercentilesMatchPercentileTracker)
 std::string
 jsonAtThreads(int threads)
 {
-    ThreadArena arena(threads);
+    setGlobalThreadCount(threads);
     const int events = registerMetric("test.threads.events", Kind::Counter);
     const int high = registerMetric("test.threads.high", Kind::Gauge);
     const int vals =
@@ -138,6 +138,7 @@ jsonAtThreads(int threads)
     });
     std::ostringstream os;
     scope.finish().writeJson(os);
+    setGlobalThreadCount(0);
     return os.str();
 }
 
@@ -155,12 +156,13 @@ TEST(MetricsCollector, DirectApiMergesAcrossShards)
     const int cid = registerMetric("test.collector.c", Kind::Counter);
     const int gid = registerMetric("test.collector.g", Kind::Gauge);
     Collector col;
-    ThreadArena arena(4);
+    setGlobalThreadCount(4);
     MetricsScope scope; // installs a scope, but we drive `col` directly
     parallelFor(16, [&](std::size_t i) {
         col.add(cid, 1);
         col.gaugeMax(gid, i);
     });
+    setGlobalThreadCount(0);
     const Snapshot snap = col.snapshot();
     EXPECT_EQ(snap.value("test.collector.c"), 16u);
     EXPECT_EQ(snap.value("test.collector.g"), 15u);

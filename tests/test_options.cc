@@ -11,6 +11,7 @@
 #include <limits>
 
 #include "bench_util.h"
+#include "common/parse.h"
 #include "core/options.h"
 #include "trace/trace.h"
 
@@ -171,15 +172,15 @@ TEST(OptionSetDeathTest, EveryKeyRejectsNonsenseByName)
 
 TEST(ParseNumber, AcceptsOnlyPlainDecimal)
 {
-    EXPECT_EQ(core::parseNumber<int>("42"), 42);
-    EXPECT_EQ(core::parseNumber<int>("-7"), -7);
-    EXPECT_EQ(core::parseNumber<double>("2.5e3"), 2500.0);
-    EXPECT_EQ(core::parseNumber<double>(".5"), 0.5);
+    EXPECT_EQ(parseNumber<int>("42"), 42);
+    EXPECT_EQ(parseNumber<int>("-7"), -7);
+    EXPECT_EQ(parseNumber<double>("2.5e3"), 2500.0);
+    EXPECT_EQ(parseNumber<double>(".5"), 0.5);
     for (const char *bad : {"", " 4", "4 ", "+4", "0x10", "4x", "1e"})
-        EXPECT_FALSE(core::parseNumber<double>(bad).has_value()) << bad;
-    EXPECT_FALSE(core::parseNumber<int>("1.5").has_value());
-    EXPECT_FALSE(core::parseNumber<int>("99999999999").has_value());
-    EXPECT_FALSE(core::parseNumber<std::uint32_t>("-1").has_value());
+        EXPECT_FALSE(parseNumber<double>(bad).has_value()) << bad;
+    EXPECT_FALSE(parseNumber<int>("1.5").has_value());
+    EXPECT_FALSE(parseNumber<int>("99999999999").has_value());
+    EXPECT_FALSE(parseNumber<std::uint32_t>("-1").has_value());
 }
 
 TEST(OptionSetDeathTest, CrossFieldNonsenseFailsOnValidate)

@@ -1,14 +1,15 @@
 /**
  * @file
  * Tests for the parallel harness: pool mechanics (full coverage, worker
- * ids, exception propagation, nesting, park/wake, concurrent callers,
- * arenas and their teardown), the RIF_THREADS override, and the
+ * ids, exception propagation, nested jobs joining the team, park/wake,
+ * concurrent callers, teardown), the RIF_THREADS override, and the
  * bit-identical-at-any-thread-count guarantee of every parallelized
  * Monte-Carlo sweep.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -99,7 +100,7 @@ TEST(ParallelFor, ExceptionPropagatesToCaller)
     EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ParallelFor, NestedCallsRunInline)
+TEST(ParallelFor, NestedCallsJoinTheTeam)
 {
     PoolGuard guard;
     setGlobalThreadCount(4);
@@ -110,6 +111,78 @@ TEST(ParallelFor, NestedCallsRunInline)
         });
     });
     EXPECT_EQ(total.load(), 256);
+}
+
+TEST(ParallelFor, NestedJobRunsOnMoreThanOneThread)
+{
+    // Outer index 0 publishes an inner job of four indices that
+    // rendezvous: they all meet only if all four team threads are
+    // inside the nested job at once, whichever of them ran index 1.
+    // Four threads in one job at once must also hold four distinct
+    // worker ids, or per-worker scratch would race.
+    PoolGuard guard;
+    setGlobalThreadCount(4);
+    std::atomic<std::size_t> arrived{0};
+    std::atomic<bool> allMet{true};
+    std::vector<int> ids(4, -1);
+    parallelFor(2, [&](std::size_t o) {
+        if (o != 0)
+            return;
+        parallelForWorker(4, [&](std::size_t i, int worker) {
+            ids[i] = worker;
+            arrived.fetch_add(1);
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(20);
+            while (arrived.load() < 4) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                    allMet = false;
+                    return;
+                }
+                std::this_thread::yield();
+            }
+        });
+    });
+    ASSERT_TRUE(allMet.load());
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(ids, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(ParallelFor, NestedExceptionReachesItsOwnCaller)
+{
+    PoolGuard guard;
+    setGlobalThreadCount(4);
+    std::atomic<int> caught{0};
+    std::atomic<int> inner{0};
+    parallelFor(8, [&](std::size_t o) {
+        try {
+            parallelFor(100, [&](std::size_t i) {
+                inner.fetch_add(1, std::memory_order_relaxed);
+                if (o == 3 && i == 37)
+                    throw std::runtime_error("inner boom");
+            });
+        } catch (const std::runtime_error &) {
+            caught.fetch_add(1);
+        }
+    });
+    // Only the outer index whose inner job threw sees the exception;
+    // the outer job itself completes without one.
+    EXPECT_EQ(caught.load(), 1);
+    EXPECT_GE(inner.load(), 700);
+    // The team survives: a nested exception left uncaught still
+    // reaches the outermost caller, and the next job runs in full.
+    EXPECT_THROW(parallelFor(8,
+                             [&](std::size_t o) {
+                                 parallelFor(8, [&](std::size_t i) {
+                                     if (o == 5 && i == 2)
+                                         throw std::runtime_error("boom");
+                                 });
+                             }),
+                 std::runtime_error);
+    std::atomic<int> count{0};
+    parallelFor(64, [&](std::size_t) {
+        parallelFor(4, [&](std::size_t) { count.fetch_add(1); });
+    });
+    EXPECT_EQ(count.load(), 256);
 }
 
 TEST(ParallelFor, BackToBackCallsCoverEveryIndexExactlyOnce)
@@ -183,11 +256,11 @@ TEST(ParallelFor, MembersParkedBetweenCallsAreWoken)
     }
 }
 
-TEST(ParallelFor, ConcurrentCallersOnTheSharedPoolAreSerialized)
+TEST(ParallelFor, ConcurrentCallersShareTheTeam)
 {
-    // Two threads without arenas share the global pool; each call must
-    // still run its every index exactly once (and must not deadlock —
-    // ctest bounds this executable with a timeout).
+    // Two threads outside the team publish jobs at once; each call
+    // must still run its every index exactly once (and must not
+    // deadlock — ctest bounds this executable with a timeout).
     PoolGuard guard;
     setGlobalThreadCount(4);
     std::atomic<int> badCalls{0};
@@ -206,61 +279,51 @@ TEST(ParallelFor, ConcurrentCallersOnTheSharedPoolAreSerialized)
     a.join();
     b.join();
     EXPECT_EQ(badCalls.load(), 0);
+
+    // Both callers' jobs are open at once: each job's indices wait for
+    // the other job to start, so the calls complete only if the team
+    // does not run them one at a time.
+    std::atomic<int> started{0};
+    std::atomic<bool> allMet{true};
+    const auto overlapping = [&] {
+        parallelFor(2, [&](std::size_t i) {
+            if (i != 0)
+                return;
+            started.fetch_add(1);
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(20);
+            while (started.load() < 2) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                    allMet = false;
+                    return;
+                }
+                std::this_thread::yield();
+            }
+        });
+    };
+    std::thread c(overlapping);
+    std::thread d(overlapping);
+    c.join();
+    d.join();
+    EXPECT_TRUE(allMet.load());
 }
 
-TEST(ThreadArena, ExceptionPropagatesAndArenaSurvives)
-{
-    PoolGuard guard;
-    ThreadArena arena(4);
-    EXPECT_THROW(parallelFor(64,
-                             [&](std::size_t i) {
-                                 if (i == 2)
-                                     throw std::runtime_error("boom");
-                             }),
-                 std::runtime_error);
-    std::atomic<int> count{0};
-    parallelFor(64, [&](std::size_t) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 64);
-}
-
-TEST(ThreadArena, RunsInlineAtABudgetOfOne)
-{
-    PoolGuard guard;
-    setGlobalThreadCount(8);
-    ThreadArena arena(1);
-    EXPECT_EQ(arena.threadCount(), 1);
-    EXPECT_EQ(globalThreadCount(), 1);
-    const std::thread::id self = std::this_thread::get_id();
-    int hits = 0;
-    parallelForWorker(100, [&](std::size_t, int worker) {
-        EXPECT_EQ(worker, 0);
-        EXPECT_EQ(std::this_thread::get_id(), self);
-        ++hits;
-    });
-    EXPECT_EQ(hits, 100);
-}
-
-TEST(ThreadArena, TeardownWithAndWithoutJobs)
+TEST(ParallelConfig, TeardownWithAndWithoutJobs)
 {
     // Shutdown must reach members that never saw a job as well as
     // members that just finished one; a lost wake hangs the join (ctest
     // bounds this executable with a timeout).
     PoolGuard guard;
     for (int r = 0; r < 200; ++r) {
-        { ThreadArena idle(4); }
-        std::atomic<int> count{0};
-        {
-            ThreadArena arena(4);
-            parallelFor(64, [&](std::size_t) { count.fetch_add(1); });
-        }
-        ASSERT_EQ(count.load(), 64) << "round " << r;
-    }
-    // The global pool's teardown, via setGlobalThreadCount.
-    for (int r = 0; r < 20; ++r) {
+        // The first team is torn down before it sees a job; the second
+        // right after a job with nested ones.
+        setGlobalThreadCount(4);
         setGlobalThreadCount(4);
         std::atomic<int> count{0};
-        parallelFor(64, [&](std::size_t) { count.fetch_add(1); });
-        ASSERT_EQ(count.load(), 64) << "round " << r;
+        parallelFor(64, [&](std::size_t) {
+            parallelFor(2, [&](std::size_t) { count.fetch_add(1); });
+        });
+        ASSERT_EQ(count.load(), 128) << "round " << r;
         setGlobalThreadCount(0);
     }
 }
@@ -272,6 +335,15 @@ TEST(ParallelConfig, SetGlobalThreadCountOverrides)
     EXPECT_EQ(globalThreadCount(), 3);
     setGlobalThreadCount(1);
     EXPECT_EQ(globalThreadCount(), 1);
+    // A one-member team runs every index inline on the caller.
+    const std::thread::id self = std::this_thread::get_id();
+    int hits = 0;
+    parallelForWorker(100, [&](std::size_t, int worker) {
+        EXPECT_EQ(worker, 0);
+        EXPECT_EQ(std::this_thread::get_id(), self);
+        ++hits;
+    });
+    EXPECT_EQ(hits, 100);
 }
 
 TEST(ParallelConfig, RifThreadsEnvIsHonored)
@@ -284,15 +356,19 @@ TEST(ParallelConfig, RifThreadsEnvIsHonored)
     setGlobalThreadCount(0);
     const int hardware = globalThreadCount(); // hardware default
     EXPECT_GE(hardware, 1);
-    // Trailing garbage is invalid as a whole, not read as its prefix
-    // (two prefixes, so one of them differs from the hardware count).
-    for (const char *junk : {"2x", "3threads"}) {
+    // Only plain decimal digits count: trailing garbage, a sign, a
+    // blank or hex is invalid as a whole, never read as a prefix (two
+    // prefixes, so one of them differs from the hardware count).
+    for (const char *junk : {"2x", "3threads", "+2", "+3", " 2", " 3",
+                             "2 ", "0x3"}) {
         setenv("RIF_THREADS", junk, 1);
-        EXPECT_EQ(configuredThreadCount(), hardware) << junk;
+        setGlobalThreadCount(0);
+        EXPECT_EQ(globalThreadCount(), hardware) << junk;
     }
     // Oversized values clamp to the maximum budget.
     setenv("RIF_THREADS", "300", 1);
-    EXPECT_EQ(configuredThreadCount(), 256);
+    setGlobalThreadCount(0);
+    EXPECT_EQ(globalThreadCount(), 256);
 }
 
 TEST(ForkStreams, DeterministicAndIndependent)

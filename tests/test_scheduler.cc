@@ -1,9 +1,11 @@
 /**
  * @file
- * Tests of the parallel scenario scheduler: runScenarios() must emit
- * byte-identical output at every --jobs count and every RIF_THREADS
- * budget, keep the selection order on the stream, and degrade cleanly
- * on edge cases (empty selection, jobs > scenarios).
+ * Tests of the parallel scenario scheduler: runScenarios() runs each
+ * selected scenario as one job on the worker team and must emit
+ * byte-identical output at every RIF_THREADS budget, for selections
+ * both smaller and larger than the team, keep the selection order on
+ * the stream, and degrade cleanly on edge cases (empty selection, one
+ * scenario).
  */
 
 #include <gtest/gtest.h>
@@ -47,29 +49,36 @@ cheapSelection()
 }
 
 std::string
-render(const std::vector<const Scenario *> &selected, int jobs)
+render(const std::vector<const Scenario *> &selected)
 {
     std::ostringstream os;
     const core::OptionSet no_overrides;
     core::runScenarios(selected, core::SinkFormat::Csv, os, 0.02,
-                       no_overrides, jobs, {});
+                       no_overrides, {});
     return os.str();
 }
 
 TEST(Scheduler, OutputIsIdenticalAcrossJobsAndThreadBudgets)
 {
+    // Selections of 1, 4 and 12 scenario jobs against teams of 1, 2
+    // and 8 threads: fewer jobs than threads leaves members free for
+    // the scenarios' inner loops, more jobs than threads queues them.
     ThreadGuard guard;
-    const auto selected = cheapSelection();
+    const auto cheap = cheapSelection();
+    std::vector<const Scenario *> twelve;
+    for (int r = 0; r < 3; ++r)
+        twelve.insert(twelve.end(), cheap.begin(), cheap.end());
 
-    setGlobalThreadCount(1);
-    const std::string reference = render(selected, 1);
-    ASSERT_FALSE(reference.empty());
-
-    for (int threads : {1, 2, 8}) {
-        setGlobalThreadCount(threads);
-        for (int jobs : {1, 2, 8}) {
-            EXPECT_EQ(render(selected, jobs), reference)
-                << "RIF_THREADS=" << threads << " --jobs " << jobs;
+    for (const auto &selected :
+         {std::vector<const Scenario *>{cheap.back()}, cheap, twelve}) {
+        setGlobalThreadCount(1);
+        const std::string reference = render(selected);
+        ASSERT_FALSE(reference.empty());
+        for (int threads : {2, 8}) {
+            setGlobalThreadCount(threads);
+            EXPECT_EQ(render(selected), reference)
+                << "RIF_THREADS=" << threads << ", "
+                << selected.size() << " scenarios";
         }
     }
 }
@@ -79,11 +88,12 @@ TEST(Scheduler, KeepsSelectionOrderNotCompletionOrder)
     ThreadGuard guard;
     // Reversed selection must come out reversed, even with concurrent
     // workers finishing the cheap scenarios first.
+    setGlobalThreadCount(4);
     auto selected = cheapSelection();
     std::vector<const Scenario *> reversed(selected.rbegin(),
                                            selected.rend());
-    const std::string forward = render(selected, 4);
-    const std::string backward = render(reversed, 4);
+    const std::string forward = render(selected);
+    const std::string backward = render(reversed);
     EXPECT_NE(forward, backward);
     // Same bytes, different concatenation order: the banner of the
     // first selected scenario leads the stream.
@@ -96,18 +106,19 @@ TEST(Scheduler, HandlesEdgeSelections)
     ThreadGuard guard;
     std::ostringstream os;
     const core::OptionSet no_overrides;
+    setGlobalThreadCount(8);
     core::runScenarios({}, core::SinkFormat::Csv, os, 0.02, no_overrides,
-                       8, {});
+                       {});
     EXPECT_EQ(os.str(), "");
 
+    // One scenario on a team of eight runs as a one-index job: inline
+    // on the caller, with the same bytes as on one thread.
     const Scenario *s =
         ScenarioRegistry::instance().find("table01_config");
     ASSERT_NE(s, nullptr);
-    // jobs far beyond the selection size clamps instead of spawning
-    // idle workers.
-    const std::string one = render({s}, 1);
-    const std::string many = render({s}, 256);
-    EXPECT_EQ(one, many);
+    const std::string many = render({s});
+    setGlobalThreadCount(1);
+    EXPECT_EQ(render({s}), many);
 }
 
 } // namespace

@@ -4,7 +4,6 @@
 
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
@@ -118,24 +117,11 @@ TEST(Tracing, TrackScopeRestoresThePreviousTrack)
     EXPECT_EQ(currentTrack(), 0u);
 }
 
-TEST(Tracing, RecorderScopeJoinsAnExistingRecorder)
-{
-    TraceScope trace;
-    Recorder *r = &trace.recorder();
-    std::thread other([&] {
-        EXPECT_EQ(activeRecorder(), nullptr);
-        RecorderScope join(r);
-        instant("from.other.thread", 42);
-    });
-    other.join();
-    EXPECT_EQ(trace.eventCount(), 1u);
-}
-
 /** The emitted bytes must not depend on the pool size. */
 std::string
 chromeJsonAtThreads(int threads)
 {
-    ThreadArena arena(threads);
+    setGlobalThreadCount(threads);
     TraceScope trace;
     parallelFor(16, [&](std::size_t i) {
         // One track per index, written deterministically by whichever
@@ -148,6 +134,7 @@ chromeJsonAtThreads(int threads)
     });
     std::ostringstream os;
     trace.writeChromeJson(os);
+    setGlobalThreadCount(0);
     return os.str();
 }
 
