@@ -4,8 +4,9 @@
  * queue throughput (delay-ring kernel vs the std::function binary-heap
  * reference, under jittered and exact drive delays and a drive's share
  * of zero-delay events), die batch formation under a GC-shaped
- * backlog, read-script planning (pooled in-place vs allocating), and
- * end-to-end simulated requests per second of the full SSD model.
+ * backlog, read-script planning (pooled in-place vs allocating), FTL
+ * preconditioning and snapshot restore (pages/s), and end-to-end
+ * simulated requests per second of the full SSD model.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "common/pool.h"
 #include "core/experiment.h"
 #include "ssd/devices.h"
+#include "ssd/ftl.h"
 #include "ssd/policy.h"
 #include "ssd/sim.h"
 
@@ -330,6 +332,57 @@ BM_PageOpPooled(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PageOpPooled);
+
+/** A fleet drive's footprint (rifbench fleet_poisson: 8 drives share a
+ *  1 M-page layout), on the default geometry. */
+constexpr std::uint64_t kFleetDrivePages = 131072;
+
+/** The cold half of the footprint, as the synthetic workloads lay out. */
+constexpr auto kColdHalf = [](std::uint64_t lpn) {
+    return lpn >= kFleetDrivePages / 2;
+};
+
+/**
+ * One drive's FTL preconditioned in place: construction, the block
+ * factor draws, the closed-form install and one retention draw per
+ * page. Items are footprint pages.
+ */
+void
+BM_FtlPrecondition(benchmark::State &state)
+{
+    const SsdConfig cfg;
+    for (auto _ : state) {
+        Ftl ftl(cfg, Rng(1));
+        ftl.precondition(kFleetDrivePages, kColdHalf);
+        benchmark::DoNotOptimize(ftl.totalFreeBlocks());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(kFleetDrivePages));
+    state.SetLabel("pages");
+}
+BENCHMARK(BM_FtlPrecondition)->Unit(benchmark::kMicrosecond);
+
+/**
+ * The same drive restored from a snapshot, as every cached sweep point
+ * and fleet drive after the first is: construction plus the restore.
+ */
+void
+BM_FtlRestore(benchmark::State &state)
+{
+    const SsdConfig cfg;
+    Ftl source(cfg, Rng(1));
+    source.precondition(kFleetDrivePages, kColdHalf);
+    const FtlSnapshot snap = source.snapshot();
+    for (auto _ : state) {
+        Ftl ftl(cfg, Rng(1));
+        ftl.restore(snap);
+        benchmark::DoNotOptimize(ftl.totalFreeBlocks());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(kFleetDrivePages));
+    state.SetLabel("pages");
+}
+BENCHMARK(BM_FtlRestore)->Unit(benchmark::kMicrosecond);
 
 void
 BM_FullSsdRun(benchmark::State &state)

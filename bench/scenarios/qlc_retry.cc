@@ -11,8 +11,10 @@
  */
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "core/scenario.h"
 #include "nand/vref_table.h"
 #include "odear/rvs_cost.h"
@@ -44,7 +46,13 @@ run(core::ScenarioContext &ctx)
                  "rvs(x1e-3)", "rvs_stale(d)", "rvs_us/rd",
                  "rif(x1e-3)"});
 
-    for (CellType cell : {CellType::Tlc, CellType::Qlc}) {
+    // The two cells are independent: each builds its own models and
+    // cost engine (tracked-read state never crosses cells) and fills
+    // its own rows, which join the table in cell order.
+    const CellType cells[] = {CellType::Tlc, CellType::Qlc};
+    std::vector<std::vector<std::string>> rows[2];
+    parallelFor(2, [&](std::size_t c) {
+        const CellType cell = cells[c];
         const VthModel model(cell);
         const odear::RvsModule rvs(model);
         const odear::RvsCostEngine cost(model, cfg.rvsCost);
@@ -84,15 +92,18 @@ run(core::ScenarioContext &ctx)
                 rif_rber += acc / trials;
             }
             const double n = page_types;
-            t.addRow({cellTypeName(cell), Table::num(age, 1),
-                      Table::num(dflt / n * 1e3, 2),
-                      Table::num(nrr / n, 1),
-                      Table::num(rvs_rber / n * 1e3, 2),
-                      Table::num(cost.staleDays(age), 2),
-                      Table::num(rvs_us / n, 2),
-                      Table::num(rif_rber / n * 1e3, 2)});
+            rows[c].push_back({cellTypeName(cell), Table::num(age, 1),
+                               Table::num(dflt / n * 1e3, 2),
+                               Table::num(nrr / n, 1),
+                               Table::num(rvs_rber / n * 1e3, 2),
+                               Table::num(cost.staleDays(age), 2),
+                               Table::num(rvs_us / n, 2),
+                               Table::num(rif_rber / n * 1e3, 2)});
         }
-    }
+    });
+    for (const auto &cell_rows : rows)
+        for (const auto &row : cell_rows)
+            t.addRow(row);
     ctx.sink.table(t);
 
     ctx.sink.text(

@@ -29,7 +29,8 @@ class DriveView final : public trace::TraceSource
     DriveView(const trace::TraceSource &inner, const Placement &placement,
               int drive)
         : inner_(inner), placement_(placement), drive_(drive),
-          footprint_(placement.driveFootprint(inner.footprintPages()))
+          innerFootprint_(inner.footprintPages()),
+          footprint_(placement.driveFootprint(innerFootprint_))
     {
     }
 
@@ -43,7 +44,7 @@ class DriveView final : public trace::TraceSource
         const std::uint64_t gpn = placement_.globalOf(drive_, lpn, replica);
         // Chunk-row padding past the global footprint is never
         // addressed; age it hot like any other written-then-idle page.
-        return gpn < inner_.footprintPages() && inner_.isCold(gpn);
+        return gpn < innerFootprint_ && inner_.isCold(gpn);
     }
 
     bool
@@ -64,6 +65,9 @@ class DriveView final : public trace::TraceSource
     const trace::TraceSource &inner_;
     const Placement &placement_;
     int drive_;
+    /** The host workload's footprint, read once: the precondition's
+     *  cold predicate asks for it per installed page. */
+    std::uint64_t innerFootprint_;
     std::uint64_t footprint_;
 };
 

@@ -28,17 +28,23 @@ Ftl::Ftl(const SsdConfig &config, Rng rng)
     slcBlocksPerPlane_ = static_cast<int>(config_.slcBlockFraction *
                                           g.blocksPerPlane);
     const std::size_t nplanes = g.totalPlanes();
+    nplanes_ = nplanes;
+    pagesPerPlane_ = static_cast<std::uint64_t>(g.blocksPerPlane) *
+                     static_cast<std::uint64_t>(g.pagesPerBlock);
+    // Every PPN must stay below the override sentinel.
+    RIF_ASSERT(g.totalPages() < kNotOverridden,
+               "geometry exceeds the 32-bit physical page space");
     planes_.resize(nplanes);
     const std::size_t nblocks =
         nplanes * static_cast<std::size_t>(g.blocksPerPlane);
+    // Per-block factors and per-page state are written by precondition()
+    // or restore(), never here.
     blocks_.resize(nblocks);
     lpnOf_.reset(new std::uint32_t[nblocks * static_cast<std::size_t>(
                                                  g.pagesPerBlock)]);
     validWordsPerBlock_ =
         (static_cast<std::size_t>(g.pagesPerBlock) + 63) / 64;
-    validBits_.assign(nblocks * validWordsPerBlock_, 0);
-    for (auto &b : blocks_)
-        b.factor = static_cast<float>(rberModel_.sampleBlockFactor(rng_));
+    validBits_.reset(new std::uint64_t[nblocks * validWordsPerBlock_]);
     for (std::size_t p = 0; p < nplanes; ++p) {
         auto &plane = planes_[p];
         plane.freeBlocks.reserve(g.blocksPerPlane);
@@ -50,6 +56,24 @@ Ftl::Ftl(const SsdConfig &config, Rng rng)
     freeTotal_ = nblocks;
     lowPlanes_ =
         g.blocksPerPlane < config_.gcFreeBlockThreshold ? nplanes : 0;
+}
+
+void
+Ftl::drawBlockFactors()
+{
+    for (auto &b : blocks_)
+        b.factor = static_cast<float>(rberModel_.sampleBlockFactor(rng_));
+}
+
+void
+Ftl::setOverride(std::uint64_t lpn, Ppn ppn)
+{
+    auto &chunk = overrides_[lpn >> kOverrideShift];
+    if (!chunk) {
+        chunk.reset(new Ppn[kOverrideMask + 1]);
+        std::fill_n(chunk.get(), kOverrideMask + 1, kNotOverridden);
+    }
+    chunk[lpn & kOverrideMask] = ppn;
 }
 
 int
@@ -172,7 +196,7 @@ std::uint64_t
 Ftl::installMappings(std::uint64_t footprint_pages)
 {
     const auto &g = config_.geometry;
-    RIF_ASSERT(mapping_.empty(), "precondition must run once");
+    RIF_ASSERT(overrides_.empty(), "precondition must run once");
     // The footprint comes from workload sizing and `--set` geometry
     // overrides, so an oversized one is a configuration error, not an
     // internal invariant.
@@ -185,9 +209,6 @@ Ftl::installMappings(std::uint64_t footprint_pages)
               "geometry.diesPerChannel, geometry.planesPerDie, "
               "geometry.blocksPerPlane or geometry.pagesPerBlock");
 
-    retentionDays_.assign(footprint_pages, 0.0f);
-
-    const std::size_t nplanes = g.totalPlanes();
     const std::uint64_t filled = static_cast<std::uint64_t>(
         static_cast<double>(footprint_pages) * config_.preconditionFill);
 
@@ -196,14 +217,14 @@ Ftl::installMappings(std::uint64_t footprint_pages)
     // in order, so page p of block b holds LPN (b * ppb + p) * nplanes +
     // plane. That is closed-form: a block records how many leading pages
     // carry it (layoutPages) and buildRelocationJob computes their LPNs,
-    // so the install writes no reverse-map entry and costs O(blocks)
-    // plus one sequential mapping pass. The resulting state is the one
-    // the per-page allocateInPlane loop would build.
+    // so the install writes no reverse-map entry and no mapping entry
+    // (ppnOf computes it) and costs O(blocks). The resulting state is
+    // the one the per-page allocateInPlane loop would build.
     const std::uint64_t ppb =
         static_cast<std::uint64_t>(g.pagesPerBlock);
-    for (std::size_t pi = 0; pi < nplanes; ++pi) {
+    for (std::size_t pi = 0; pi < nplanes_; ++pi) {
         const std::uint64_t count =
-            pi < filled ? (filled - pi - 1) / nplanes + 1 : 0;
+            pi < filled ? (filled - pi - 1) / nplanes_ + 1 : 0;
         auto &plane = planes_[pi];
         for (std::uint64_t k = 0; k < count;) {
             const int block = popFreeBlock(pi);
@@ -232,41 +253,37 @@ Ftl::installMappings(std::uint64_t footprint_pages)
             }
             for (; w < validWordsPerBlock_; ++w)
                 vw[w] = 0;
-            RIF_ASSERT(bi * ppb + run <= kInvalidPpn);
             plane.activeBlock = run == ppb ? -1 : block;
             k += run;
         }
     }
 
-    // The k-th page of plane pi is PPN pi * pagesPerPlane + k: fill the
-    // mapping in LPN order, each entry written once.
-    const Ppn pages_per_plane =
-        static_cast<Ppn>(g.blocksPerPlane * ppb);
-    mapping_.reserve(footprint_pages);
-    for (Ppn k = 0; mapping_.size() < filled; ++k) {
-        for (std::size_t pi = 0; pi < nplanes && mapping_.size() < filled;
-             ++pi)
-            mapping_.push_back(static_cast<Ppn>(pi) * pages_per_plane + k);
-    }
-    mapping_.resize(footprint_pages, kInvalidPpn);
+    footprint_ = footprint_pages;
+    filled_ = filled;
+    overrides_.resize((footprint_pages + kOverrideMask) >> kOverrideShift);
     return filled;
 }
 
 ReadTranslation
 Ftl::translateRead(std::uint64_t lpn)
 {
-    RIF_ASSERT(lpn < mapping_.size(), "read beyond logical footprint");
+    RIF_ASSERT(lpn < footprint_, "read beyond logical footprint");
     ReadTranslation out;
-    Ppn ppn = mapping_[lpn];
-    if (ppn == kInvalidPpn) {
+    // A written (overridden) page is young data, age 0; only an
+    // installed page never rewritten since carries a drawn age.
+    Ppn ppn;
+    float age = 0.0f;
+    if (const Ppn *o = overrideOf(lpn)) {
+        ppn = *o;
+    } else if (lpn < filled_) {
+        ppn = installedPpn(lpn);
+        age = (*ages_)[lpn];
+    } else {
         // Reading a never-written page: serve as a fresh hot page
         // (real drives return zeroes without touching the array, but
         // traces rarely do this; map it lazily for robustness).
-        const nand::PhysAddr a = allocateInPlane(
-            lpn % config_.geometry.totalPlanes(), lpn);
-        mapping_[lpn] = encodePpn(a);
-        retentionDays_[lpn] = 0.0f;
-        ppn = mapping_[lpn];
+        ppn = encodePpn(allocateInPlane(lpn % nplanes_, lpn));
+        setOverride(lpn, ppn);
     }
     out.addr = decodePpn(ppn);
     out.type = nand::pageTypeOf(out.addr.page, config_.cellType);
@@ -286,7 +303,7 @@ Ftl::translateRead(std::uint64_t lpn)
         !meta.gcPending && !meta.free) {
         disturbCandidates_.push_back(blockIndex(pi, out.addr.block));
     }
-    out.rber = rberModel_.rber(config_.peCycles, retentionDays_[lpn],
+    out.rber = rberModel_.rber(config_.peCycles, age,
                                meta.readCount, out.type, meta.factor);
     if (slc_mode)
         out.rber *= config_.slcRberFactor;
@@ -309,9 +326,10 @@ Ftl::invalidate(Ppn ppn)
 nand::PhysAddr
 Ftl::allocateWrite(std::uint64_t lpn)
 {
-    RIF_ASSERT(lpn < mapping_.size(), "write beyond logical footprint");
-    if (mapping_[lpn] != kInvalidPpn)
-        invalidate(mapping_[lpn]);
+    RIF_ASSERT(lpn < footprint_, "write beyond logical footprint");
+    const Ppn old = ppnOf(lpn);
+    if (old != kInvalidPpn)
+        invalidate(old);
     // Round-robin across planes, skipping planes that are out of space
     // (their GC is still reclaiming); only a drive-wide exhaustion is an
     // error.
@@ -328,8 +346,7 @@ Ftl::allocateWrite(std::uint64_t lpn)
     }
     RIF_ASSERT(found, "every plane out of free blocks: GC fell behind");
     const nand::PhysAddr a = allocateInPlane(pi, lpn);
-    mapping_[lpn] = encodePpn(a);
-    retentionDays_[lpn] = 0.0f;
+    setOverride(lpn, encodePpn(a));
     return a;
 }
 
@@ -367,7 +384,7 @@ Ftl::buildRelocationJob(std::size_t plane_idx, int victim, GcJob &out)
             a.plane = out.plane;
             a.block = victim;
             a.page = p;
-            if (lpn < mapping_.size() && mapping_[lpn] == encodePpn(a))
+            if (lpn < footprint_ && ppnOf(lpn) == encodePpn(a))
                 out.lpnsToMove.push_back(lpn);
         }
     }
@@ -445,7 +462,6 @@ Ftl::completeErase(const GcJob &job)
     meta.eraseCount++;
     meta.writeCursor = 0;
     meta.layoutPages = 0;
-    clearBlockValid(bi);
     pushFreeBlock(pi, job.block);
     ++erases_;
 }
@@ -469,11 +485,16 @@ Ftl::freeBlocksInPlane(int channel, int die, int plane) const
 FtlSnapshot
 Ftl::snapshot() const
 {
-    RIF_ASSERT(erases_ == 0,
+    RIF_ASSERT(erases_ == 0 &&
+                   std::none_of(overrides_.begin(), overrides_.end(),
+                                [](const auto &c) { return c != nullptr; }),
                "snapshot must be taken right after precondition");
     FtlSnapshot s;
-    s.footprintPages = mapping_.size();
-    s.retentionDays = retentionDays_;
+    s.footprintPages = footprint_;
+    s.blockFactors.reserve(blocks_.size());
+    for (const auto &b : blocks_)
+        s.blockFactors.push_back(b.factor);
+    s.retentionDays = ages_;
     s.rng = rng_;
     return s;
 }
@@ -481,14 +502,15 @@ Ftl::snapshot() const
 void
 Ftl::restore(const FtlSnapshot &snap)
 {
-    // Rebuild the closed-form install state (O(blocks) plus the mapping
-    // pass), then overlay the stored retention ages and generator:
-    // byte-for-byte the state precondition() would have produced, minus
-    // the per-page draws.
+    // Rebuild the closed-form install state and take the stored block
+    // factors, shared ages and generator: byte-for-byte the state
+    // precondition() would have produced, in O(blocks).
+    RIF_ASSERT(snap.blockFactors.size() == blocks_.size());
+    for (std::size_t i = 0; i < blocks_.size(); ++i)
+        blocks_[i].factor = snap.blockFactors[i];
     installMappings(snap.footprintPages);
-    RIF_ASSERT(retentionDays_.size() == snap.retentionDays.size());
-    std::copy(snap.retentionDays.begin(), snap.retentionDays.end(),
-              retentionDays_.begin());
+    RIF_ASSERT(snap.retentionDays->size() == filled_);
+    ages_ = snap.retentionDays;
     rng_ = snap.rng;
 }
 

@@ -51,16 +51,20 @@ struct GcJob
  * the same (geometry, workload, seed) point. The mapping and block
  * metadata are a pure function of the configuration (the install layout
  * is closed-form, see installMappings), so only the randomized parts
- * need storing: the drawn retention ages and the generator state after
- * the draws. Restoring re-runs the install, which costs O(blocks) plus
- * one sequential mapping pass and writes no reverse-map entry, then
- * copies the ages: far cheaper than half a million uniform draws.
+ * need storing: the drawn block factors, retention ages and the
+ * generator state after the draws. The ages are immutable and shared:
+ * the builder and every restored drive read the one vector, so a
+ * restore is O(blocks) — the install plus a copy of the block factors —
+ * with no per-page work at all.
  */
 struct FtlSnapshot
 {
     std::uint64_t footprintPages = 0;
-    std::vector<float> retentionDays;
-    Rng rng{0}; ///< generator state after the retention draws
+    /** Block factors, one per block in blockIndex order. */
+    std::vector<float> blockFactors;
+    /** Ages of the installed LPNs (the first `filled` of the footprint). */
+    std::shared_ptr<const std::vector<float>> retentionDays;
+    Rng rng{0}; ///< generator state after the factor and retention draws
 };
 
 /** Page-mapping FTL. */
@@ -90,20 +94,24 @@ class Ftl
     precondition(std::uint64_t footprint_pages,
                  const ColdPredicate &is_cold)
     {
+        // Block factors draw first, then the retention ages in LPN
+        // order: the draw sequence of every earlier layout, so seeds
+        // reproduce runs bit-for-bit.
+        drawBlockFactors();
         const std::uint64_t filled = installMappings(footprint_pages);
-        // Retention ages draw in LPN order — the exact draw sequence of
-        // the historical interleaved loop, so seeds reproduce runs
-        // bit-for-bit across the bulk-pass rewrite.
+        auto ages = std::make_shared<std::vector<float>>();
+        ages->reserve(filled);
         for (std::uint64_t lpn = 0; lpn < filled; ++lpn) {
-            retentionDays_[lpn] = static_cast<float>(
+            ages->push_back(static_cast<float>(
                 is_cold(lpn)
                     ? rng_.uniform(config_.coldAgeMinDays,
                                    config_.refreshDays)
-                    : rng_.uniform(0.0, config_.hotAgeDays));
+                    : rng_.uniform(0.0, config_.hotAgeDays)));
         }
+        ages_ = std::move(ages);
     }
 
-    std::uint64_t footprintPages() const { return mapping_.size(); }
+    std::uint64_t footprintPages() const { return footprint_; }
 
     /**
      * Capture the preconditioned state. Must be called immediately
@@ -114,8 +122,9 @@ class Ftl
     /**
      * Bring a freshly constructed FTL (same config and ctor seed as the
      * snapshot's source) into the exact state precondition() produced,
-     * without redrawing the retention ages. The snapshot is read-only
-     * and can be shared across concurrent restores.
+     * without redrawing the block factors or the retention ages. The
+     * snapshot is read-only and can be shared across concurrent
+     * restores; the restored FTL shares its ages and keeps them alive.
      */
     void restore(const FtlSnapshot &snap);
 
@@ -196,15 +205,49 @@ class Ftl
 
     std::size_t planeIndex(int channel, int die, int plane) const;
     std::size_t blockIndex(std::size_t plane_idx, int block) const;
+    /** Draw every block's process-variation factor (precondition). */
+    void drawBlockFactors();
     /**
-     * Bulk preconditioning pass: size the mapping and install the
-     * channel-striped initial layout. The layout is closed-form, so the
-     * pass opens whole blocks (recording their layoutPages), fills the
-     * mapping sequentially and writes no reverse-map entry; the state
-     * is exactly the one the per-page allocateInPlane loop would build.
-     * Returns the number of pages filled.
+     * Bulk preconditioning pass: install the channel-striped initial
+     * layout. The layout is closed-form, so the pass opens whole blocks
+     * (recording their layoutPages) and writes no per-page state: the
+     * mapping of an installed LPN is computed (see ppnOf), and the
+     * state is exactly the one the per-page allocateInPlane loop would
+     * build. Returns the number of pages filled.
      */
     std::uint64_t installMappings(std::uint64_t footprint_pages);
+
+    /** The override entry of `lpn`, or null if no write placed it. */
+    const Ppn *
+    overrideOf(std::uint64_t lpn) const
+    {
+        const Ppn *chunk = overrides_[lpn >> kOverrideShift].get();
+        if (!chunk || chunk[lpn & kOverrideMask] == kNotOverridden)
+            return nullptr;
+        return chunk + (lpn & kOverrideMask);
+    }
+    /**
+     * Current PPN of `lpn`: its override if a write placed it, else
+     * the closed-form install address (kInvalidPpn beyond `filled_`).
+     */
+    Ppn
+    ppnOf(std::uint64_t lpn) const
+    {
+        const Ppn *o = overrideOf(lpn);
+        return o ? *o : installedPpn(lpn);
+    }
+    /** Closed-form install address: LPN k·nplanes + pi is page k of
+     *  plane pi, PPN pi·pagesPerPlane + k. */
+    Ppn
+    installedPpn(std::uint64_t lpn) const
+    {
+        if (lpn >= filled_)
+            return kInvalidPpn;
+        return static_cast<Ppn>((lpn % nplanes_) * pagesPerPlane_ +
+                                lpn / nplanes_);
+    }
+    /** Map `lpn` to `ppn` after a write; its retention age reads 0. */
+    void setOverride(std::uint64_t lpn, Ppn ppn);
     Ppn encodePpn(const nand::PhysAddr &a) const;
     nand::PhysAddr decodePpn(Ppn p) const;
     /**
@@ -242,12 +285,12 @@ class Ftl
     std::uint64_t *
     validWords(std::size_t block_idx)
     {
-        return validBits_.data() + block_idx * validWordsPerBlock_;
+        return validBits_.get() + block_idx * validWordsPerBlock_;
     }
     const std::uint64_t *
     validWords(std::size_t block_idx) const
     {
-        return validBits_.data() + block_idx * validWordsPerBlock_;
+        return validBits_.get() + block_idx * validWordsPerBlock_;
     }
     bool
     pageValid(std::size_t block_idx, int page) const
@@ -276,14 +319,35 @@ class Ftl
             w[i] = 0;
     }
 
+    /**
+     * Override chunks: 2^kOverrideShift LPNs each, allocated (filled
+     * with kNotOverridden) by the first write into the chunk. The
+     * sentinel is no real PPN (the constructor checks the geometry) and
+     * differs from kInvalidPpn.
+     */
+    static constexpr unsigned kOverrideShift = 12;
+    static constexpr std::uint64_t kOverrideMask =
+        (std::uint64_t{1} << kOverrideShift) - 1;
+    static constexpr Ppn kNotOverridden = kInvalidPpn - 1;
+
     SsdConfig config_;
     nand::RberModel rberModel_;
     Rng rng_;
     /** Leading blocks of each plane operated in SLC mode (0 = none). */
     int slcBlocksPerPlane_ = 0;
+    std::uint64_t nplanes_ = 0;
+    std::uint64_t pagesPerPlane_ = 0;
 
-    std::vector<Ppn> mapping_;
-    std::vector<float> retentionDays_;
+    std::uint64_t footprint_ = 0;
+    /** LPNs below this carry the closed-form install mapping. */
+    std::uint64_t filled_ = 0;
+    std::vector<std::unique_ptr<Ppn[]>> overrides_;
+    /**
+     * Retention ages of the installed LPNs, immutable and shared with
+     * the snapshot (and every drive restored from it). An overridden
+     * LPN was written since, so its age reads 0 instead.
+     */
+    std::shared_ptr<const std::vector<float>> ages_;
     std::vector<BlockMeta> blocks_;
     /**
      * Flat per-page reverse map, blocks * pagesPerBlock entries, written
@@ -292,8 +356,13 @@ class Ftl
      * layoutPages, so the install never faults these pages in.
      */
     std::unique_ptr<std::uint32_t[]> lpnOf_;
-    /** Flat per-page validity bitset, validWordsPerBlock_ per block. */
-    std::vector<std::uint64_t> validBits_;
+    /**
+     * Flat per-page validity bitset, validWordsPerBlock_ per block.
+     * Uninitialized like lpnOf_: a block's words are written when the
+     * install or allocateInPlane opens it, and read only while it is in
+     * use.
+     */
+    std::unique_ptr<std::uint64_t[]> validBits_;
     std::size_t validWordsPerBlock_ = 0;
     std::vector<PlaneState> planes_;
     /** Free blocks over all planes. */

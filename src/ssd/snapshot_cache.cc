@@ -90,10 +90,9 @@ preconditionCacheKey(Hasher &h, const SsdConfig &config,
     h.add(g.pageBytes);
     h.add(g.codewordsPerPage);
 
-    // The RBER parameters drive the per-block factor draws in the Ftl
-    // constructor, which advance the generator the retention draws then
-    // continue from — so they shape the stored snapshot even though the
-    // factors themselves are re-derived on restore.
+    // The RBER parameters drive the per-block factor draws at the start
+    // of precondition(), which the snapshot stores and which advance the
+    // generator the retention draws then continue from.
     nand::hashRberParams(h, config.rber);
 
     // Cell type and hybrid SLC split change the page-type striping and

@@ -4,8 +4,9 @@
  * policies or wear levels over one workload (fig17/18/19, the policy
  * ablations) re-derive byte-identical preconditioned drives once per
  * simulation; caching the post-precondition snapshot turns every repeat
- * into the closed-form install (O(blocks) plus one sequential mapping
- * pass) and a copy of the retention ages, with no per-page draws.
+ * into the closed-form install and a copy of the block factors, both
+ * O(blocks): the retention ages are shared, not copied, and nothing is
+ * redrawn.
  *
  * Keys hash every input that shapes the snapshot — geometry, RBER model
  * parameters, seed, fill fraction, age windows, footprint, and the
@@ -54,7 +55,8 @@ class FtlSnapshotCache
      * Return the snapshot for `key`, invoking `build` exactly once per
      * key even under concurrent lookups (later callers block on the
      * entry until the builder finishes). The returned snapshot is
-     * immutable and shared; callers restore by copying out of it.
+     * immutable and shared; callers restore from it (Ftl::restore),
+     * and a restored FTL keeps the shared ages alive after clear().
      */
     std::shared_ptr<const FtlSnapshot>
     getOrBuild(const CacheKey &key,

@@ -3,15 +3,20 @@
  * Tests of the FTL: preconditioning, translation, retention-age
  * assignment (cold vs hot), write allocation/invalidations, read-disturb
  * accounting, the garbage-collection lifecycle and the running
- * free-space counters behind nextGcJob() and writePressureCritical().
+ * free-space counters behind nextGcJob() and writePressureCritical(),
+ * and snapshot restores (closed-form mapping, write overrides, shared
+ * retention ages) against in-place preconditioning.
  */
 
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 #include <set>
 
+#include "common/hash.h"
 #include "ssd/ftl.h"
+#include "ssd/snapshot_cache.h"
 
 namespace rif {
 namespace ssd {
@@ -477,6 +482,193 @@ TEST(FtlLockstep, HybridSlcBlocks)
     SsdConfig cfg = lockstepConfig();
     cfg.slcBlockFraction = 0.25;
     expectLockstep(cfg, 9000);
+}
+
+/**
+ * A seeded random script — host writes, reads of never-written LPNs
+ * (fill < 1), a read-disturb hot set, GC and read-disturb relocation —
+ * on three FTLs of one small geometry in lockstep: one preconditioned
+ * in place, one restored from its snapshot through the cache (which is
+ * cleared before the script starts, so the restored drive lives on the
+ * shared ages alone), and a twin whose every installed age is 0. After
+ * every step the first two agree on translations (address, type, RBER),
+ * jobs, valid pages and free blocks. Aimed rewrites send an installed
+ * LPN back to its own closed-form page after GC erased and reopened
+ * that block; the page then reads at age 0, like the twin.
+ */
+TEST(FtlSnapshot, RestoredDriveFollowsInPlaceThroughRandomScript)
+{
+    SsdConfig cfg = tinyConfig();
+    cfg.geometry.blocksPerPlane = 12;
+    cfg.preconditionFill = 0.75;
+    cfg.readDisturbThreshold = 150;
+    cfg.coldAgeMinDays = 5.0; // every installed age is far from 0
+    const auto &g = cfg.geometry;
+    const std::uint64_t footprint = 4000;
+    const std::uint64_t filled = 3000; // fill 0.75: 375 pages per plane
+    const std::uint64_t nplanes = g.totalPlanes();
+    const std::uint64_t ppb = g.pagesPerBlock;
+
+    Ftl in_place(cfg, Rng(31));
+    Ftl restored(cfg, Rng(31));
+    {
+        Hasher h;
+        h.add("test_ftl restore script");
+        auto &cache = FtlSnapshotCache::instance();
+        std::shared_ptr<const FtlSnapshot> snap =
+            cache.getOrBuild(h.finish(), [&] {
+                in_place.precondition(footprint, 0); // all cold
+                return in_place.snapshot();
+            });
+        restored.restore(*snap);
+        snap.reset();
+        cache.clear();
+    }
+    SsdConfig zero_cfg = cfg;
+    zero_cfg.hotAgeDays = 0.0;
+    Ftl zero_age(zero_cfg, Rng(31));
+    zero_age.precondition(footprint, footprint); // all hot, age 0
+    // Same factors, other ages: the twin tells a drawn age from 0.
+    ASSERT_NE(in_place.translateRead(0).rber,
+              zero_age.translateRead(0).rber);
+    restored.translateRead(0); // read counts stay in lockstep
+
+    Ftl *const ftls[] = {&in_place, &restored, &zero_age};
+    const auto same_state = [&] {
+        ASSERT_EQ(restored.validPages(), in_place.validPages());
+        ASSERT_EQ(zero_age.validPages(), in_place.validPages());
+        ASSERT_EQ(restored.totalFreeBlocks(), in_place.totalFreeBlocks());
+        for (int c = 0; c < g.channels; ++c)
+            for (int d = 0; d < g.diesPerChannel; ++d)
+                for (int p = 0; p < g.planesPerDie; ++p)
+                    ASSERT_EQ(restored.freeBlocksInPlane(c, d, p),
+                              in_place.freeBlocksInPlane(c, d, p));
+    };
+    const auto read = [&](std::uint64_t lpn) {
+        const ReadTranslation a = in_place.translateRead(lpn);
+        const ReadTranslation b = restored.translateRead(lpn);
+        const ReadTranslation z = zero_age.translateRead(lpn);
+        EXPECT_TRUE(a.addr == b.addr) << "lpn " << lpn;
+        EXPECT_TRUE(a.addr == z.addr) << "lpn " << lpn;
+        EXPECT_EQ(a.type, b.type) << "lpn " << lpn;
+        EXPECT_EQ(a.rber, b.rber) << "lpn " << lpn;
+        return std::make_pair(a, z);
+    };
+
+    // The test's view of the allocator: the plane the next host write
+    // goes to, each plane's next free page in its open block, and the
+    // blocks GC has erased.
+    struct OpenBlock
+    {
+        int block = -1;
+        int page = 0;
+    };
+    std::vector<OpenBlock> open(nplanes);
+    std::set<std::pair<std::uint64_t, int>> erased;
+    std::uint64_t cursor = 0;
+    const auto plane_of = [&](const nand::PhysAddr &a) {
+        return (static_cast<std::uint64_t>(a.channel) * g.diesPerChannel +
+                a.die) * g.planesPerDie + a.plane;
+    };
+    const auto allocated = [&](const nand::PhysAddr &a) {
+        OpenBlock &o = open[plane_of(a)];
+        o = a.page + 1 < g.pagesPerBlock ? OpenBlock{a.block, a.page + 1}
+                                         : OpenBlock{};
+    };
+    std::set<std::uint64_t> touched; // LPNs at or past `filled` mapped
+    const auto write = [&](std::uint64_t lpn) {
+        if (lpn >= filled)
+            touched.insert(lpn);
+        const nand::PhysAddr a = in_place.allocateWrite(lpn);
+        EXPECT_TRUE(restored.allocateWrite(lpn) == a) << "lpn " << lpn;
+        EXPECT_TRUE(zero_age.allocateWrite(lpn) == a) << "lpn " << lpn;
+        allocated(a);
+        cursor = (plane_of(a) + 1) % nplanes;
+        return a;
+    };
+
+    std::uint64_t lazy_reads = 0, gc_jobs = 0, disturb_jobs = 0,
+                  home_rewrites = 0;
+    // Aim a rewrite at the next page of the cursor plane's open block,
+    // if GC erased that layout block before: the LPN whose closed-form
+    // page it is goes back home.
+    const auto rewrite_home = [&] {
+        const std::uint64_t aim = cursor;
+        const OpenBlock o = open[aim];
+        if (o.block < 0 || !erased.count({aim, o.block}))
+            return;
+        const std::uint64_t home =
+            (static_cast<std::uint64_t>(o.block) * ppb + o.page) *
+                nplanes + aim;
+        if (home >= filled)
+            return;
+        const nand::PhysAddr a = write(home);
+        if (plane_of(a) != aim || a.block != o.block || a.page != o.page)
+            return; // a plane out of space was skipped
+        ++home_rewrites;
+        const auto [got, zero] = read(home);
+        EXPECT_EQ(got.rber, zero.rber)
+            << "rewritten page at its closed-form PPN reads a drawn age";
+    };
+    Rng ops(77);
+    for (int step = 0; step < 30000 && !HasFailure(); ++step) {
+        const std::uint64_t kind = ops.below(10);
+        if (kind < 4) {
+            write(ops.below(footprint));
+        } else if (kind < 5) {
+            rewrite_home();
+        } else if (kind < 6) {
+            const std::uint64_t lpn = filled + ops.below(footprint - filled);
+            if (touched.insert(lpn).second) {
+                ++lazy_reads;
+                allocated(read(lpn).first.addr);
+            } else {
+                read(lpn);
+            }
+        } else if (kind < 8) {
+            read(ops.below(4) * nplanes); // hot set: read disturb
+        } else {
+            read(ops.below(footprint));
+        }
+        for (int guard = 0;; ++guard) {
+            ASSERT_LT(guard, 1000) << "GC made no progress";
+            GcJob jobs[3];
+            bool gc = true;
+            if (!in_place.nextGcJob(jobs[0])) {
+                gc = false;
+                if (!in_place.nextReadDisturbJob(jobs[0]))
+                    break;
+            }
+            for (int i = 1; i < 3; ++i) {
+                ASSERT_TRUE(gc ? ftls[i]->nextGcJob(jobs[i])
+                               : ftls[i]->nextReadDisturbJob(jobs[i]));
+                ASSERT_EQ(jobs[i].channel, jobs[0].channel);
+                ASSERT_EQ(jobs[i].die, jobs[0].die);
+                ASSERT_EQ(jobs[i].plane, jobs[0].plane);
+                ASSERT_EQ(jobs[i].block, jobs[0].block);
+                ASSERT_EQ(jobs[i].lpnsToMove, jobs[0].lpnsToMove);
+            }
+            ++(gc ? gc_jobs : disturb_jobs);
+            for (const std::uint64_t lpn : jobs[0].lpnsToMove)
+                write(lpn);
+            for (int i = 0; i < 3; ++i)
+                ftls[i]->completeErase(jobs[i]);
+            const std::uint64_t pi = plane_of(
+                nand::PhysAddr{jobs[0].channel, jobs[0].die,
+                               jobs[0].plane, jobs[0].block, 0});
+            erased.insert({pi, jobs[0].block});
+            if (open[pi].block == jobs[0].block)
+                open[pi] = OpenBlock{};
+        }
+        same_state();
+    }
+    EXPECT_GT(lazy_reads, 0u);
+    EXPECT_GT(gc_jobs, 0u);
+    EXPECT_GT(disturb_jobs, 0u);
+    EXPECT_GT(home_rewrites, 0u);
+    for (std::uint64_t lpn = 0; lpn < footprint; ++lpn)
+        read(lpn);
+    same_state();
 }
 
 TEST(Ftl, HybridSlcBlocksReadAsLsbWithScaledRber)
