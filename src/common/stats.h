@@ -1,45 +1,17 @@
 /**
  * @file
- * Lightweight statistics containers used by the simulator and the
- * benchmark harnesses: running moments, reservoir-free percentile tracking
- * and fixed-bin histograms for latency CDFs.
+ * Exact percentile tracking over stored samples, used by the simulator
+ * and the benchmark harnesses for read-latency tails and CDFs.
  */
 
 #ifndef RIF_COMMON_STATS_H
 #define RIF_COMMON_STATS_H
 
 #include <cstdint>
-#include <limits>
+#include <utility>
 #include <vector>
 
 namespace rif {
-
-/** Running mean/variance/min/max without storing samples (Welford). */
-class RunningStats
-{
-  public:
-    /** Add one sample. */
-    void add(double x);
-
-    /** Merge another accumulator into this one. */
-    void merge(const RunningStats &other);
-
-    std::uint64_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    double sum() const { return sum_; }
-
-  private:
-    std::uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double sum_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /**
  * Stores every sample and answers arbitrary percentile queries; used for

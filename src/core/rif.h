@@ -25,7 +25,6 @@
 #include "nand/vref_table.h"
 #include "nand/vth_model.h"
 #include "odear/accuracy.h"
-#include "odear/datapath.h"
 #include "odear/engine.h"
 #include "odear/overhead.h"
 #include "odear/rearrange.h"

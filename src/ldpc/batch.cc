@@ -1,11 +1,14 @@
 #include "ldpc/batch.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "common/simd.h"
+#include "ldpc/channel.h"
 
 namespace rif {
 namespace ldpc {
@@ -30,6 +33,46 @@ noteBatchFormed(std::size_t lanes, std::size_t capacity)
         mBatchFull.inc();
     else
         mBatchTail.inc();
+}
+
+void
+forEachTrialChunk(const QcLdpcCode &code, const std::vector<double> &rbers,
+                  std::size_t trials, std::uint64_t seed,
+                  const std::function<void(const TrialChunk &)> &body)
+{
+    constexpr std::size_t kLanes = MinSumDecoder::kBatchLanes;
+    const std::size_t chunks = (trials + kLanes - 1) / kLanes;
+    std::vector<Rng> streams = forkStreams(seed, rbers.size() * trials);
+    struct Buffers
+    {
+        BitVec data; ///< reused payload, k bits
+        std::array<BitVec, kLanes> words;
+        std::array<const BitVec *, kLanes> ptrs;
+    };
+    std::vector<Buffers> buffers(
+        static_cast<std::size_t>(globalThreadCount()));
+    for (Buffers &b : buffers) {
+        b.data = BitVec(code.params().k());
+        for (std::size_t l = 0; l < kLanes; ++l)
+            b.ptrs[l] = &b.words[l];
+    }
+    parallelForWorker(rbers.size() * chunks, [&](std::size_t i, int worker) {
+        Buffers &b = buffers[static_cast<std::size_t>(worker)];
+        TrialChunk chunk;
+        chunk.point = i / chunks;
+        chunk.first = i % chunks * kLanes;
+        chunk.lanes = std::min(kLanes, trials - chunk.first);
+        chunk.worker = worker;
+        chunk.words = b.ptrs.data();
+        for (std::size_t l = 0; l < chunk.lanes; ++l) {
+            Rng &rng = streams[chunk.point * trials + chunk.first + l];
+            randomDataInto(b.data, rng);
+            b.words[l] = code.encode(b.data);
+            injectErrors(b.words[l], rbers[chunk.point], rng);
+        }
+        body(chunk);
+        noteBatchFormed(chunk.lanes, kLanes);
+    });
 }
 
 namespace {

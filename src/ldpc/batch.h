@@ -18,6 +18,7 @@
 #define RIF_LDPC_BATCH_H
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/bitvec.h"
@@ -118,6 +119,36 @@ void prunedSyndromeWeightBatch(const QcLdpcCode &code,
  * of a trial range. See docs/OBSERVABILITY.md.
  */
 void noteBatchFormed(std::size_t lanes, std::size_t capacity);
+
+/** One chunk of a Monte-Carlo trial grid, as forEachTrialChunk hands it
+ *  to its body. */
+struct TrialChunk
+{
+    std::size_t point = 0; ///< index into the grid's RBER list
+    std::size_t first = 0; ///< first trial of the chunk within its point
+    std::size_t lanes = 0; ///< trials in the chunk (<= kBatchLanes)
+    int worker = 0;        ///< parallelForWorker id, for per-worker scratch
+    const BitVec *const *words = nullptr; ///< the lanes' corrupted words
+};
+
+/**
+ * The Monte-Carlo trial grid of the capability, RP-accuracy and
+ * RP-threshold harnesses: `trials` codewords at each of `rbers`.
+ *
+ * Every stream is forked from Rng(seed) before the parallel region, in
+ * (point, trial) order, so trial t of point p owns stream p·trials + t.
+ * One parallelForWorker then covers every (point, chunk) pair; chunk c
+ * of a point is its trials [cB, cB + B) with B =
+ * MinSumDecoder::kBatchLanes, so chunk composition — and with it every
+ * result — is independent of the thread count. Each lane's codeword is
+ * random data, encoded, with BSC errors at rbers[point], drawn from the
+ * trial's stream into per-worker buffers that stay valid for the body
+ * call. Every chunk is recorded as one formed batch (noteBatchFormed).
+ */
+void forEachTrialChunk(const QcLdpcCode &code,
+                       const std::vector<double> &rbers, std::size_t trials,
+                       std::uint64_t seed,
+                       const std::function<void(const TrialChunk &)> &body);
 
 /**
  * Reusable scratch for MinSumDecoder::decodeBatch. Buffers grow to the

@@ -101,6 +101,10 @@ VthModel::VthModel(const DistortionParams &params, CellType cell)
 {
     mCellModels.inc();
     mCellStates.observe(static_cast<std::uint64_t>(numStates_));
+    // Factory trim: the equal-density crossing of the fresh states.
+    for (int i = 1; i <= numThresholds_; ++i)
+        defaultVref_[static_cast<std::size_t>(i - 1)] =
+            optimalVref(i, 0.0, 0.0);
 }
 
 VthModel::VthModel(CellType cell)
@@ -146,21 +150,7 @@ double
 VthModel::defaultVref(int i) const
 {
     RIF_ASSERT(i >= 1 && i <= numThresholds_);
-    const auto fresh = states(0.0, 0.0);
-    // Factory trim: equal-density crossing of the fresh distributions.
-    const StateDist &lo = fresh[i - 1];
-    const StateDist &hi = fresh[i];
-    // For equal sigmas this is the midpoint; erased/P1 needs the full
-    // crossing computation.
-    double a = lo.mean, b = hi.mean;
-    for (int iter = 0; iter < 60; ++iter) {
-        const double mid = 0.5 * (a + b);
-        if (density(lo, mid) > density(hi, mid))
-            a = mid;
-        else
-            b = mid;
-    }
-    return 0.5 * (a + b);
+    return defaultVref_[static_cast<std::size_t>(i - 1)];
 }
 
 double

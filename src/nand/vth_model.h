@@ -102,7 +102,8 @@ class VthModel
     StateArray states(double pe, double ret_days) const;
 
     /** Factory-default read voltage for threshold i (1-based:
-     *  1..numThresholds()). */
+     *  1..numThresholds()): the fresh optimalVref(i, 0, 0), tabulated
+     *  at construction. */
     double defaultVref(int i) const;
 
     /**
@@ -155,6 +156,7 @@ class VthModel
     int numStates_;
     int numThresholds_;
     double stateSpan_; ///< numStates - 1, the f(s) denominator
+    std::array<double, kMaxStates - 1> defaultVref_{}; ///< by threshold - 1
 };
 
 } // namespace nand

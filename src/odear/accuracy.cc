@@ -1,13 +1,13 @@
 #include "odear/accuracy.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "ldpc/batch.h"
-#include "ldpc/channel.h"
 
 namespace rif {
 namespace odear {
@@ -37,9 +37,7 @@ measureRpAccuracy(const ldpc::QcLdpcCode &code, const RpModule &rp,
     RIF_ASSERT(config.trials > 0);
 
     const CodewordRearranger &rearranger = rp.rearranger();
-    Rng master(config.seed);
-    std::vector<AccuracyPoint> out;
-    out.reserve(config.rbers.size());
+    const auto trials = static_cast<std::size_t>(config.trials);
 
     /** Per-trial outcome: filled in parallel, reduced serially. */
     struct Trial
@@ -47,70 +45,48 @@ measureRpAccuracy(const ldpc::QcLdpcCode &code, const RpModule &rp,
         bool predictedRetry = false;
         bool decodable = false;
     };
-    const auto trials = static_cast<std::size_t>(config.trials);
-    std::vector<Trial> slots(trials);
+    std::vector<Trial> slots(config.rbers.size() * trials);
 
-    // Both halves of each trial run through the batched SoA datapath in
-    // fixed index-based chunks (chunk c = trials [cB, cB + B)), so
-    // batch composition is thread-count independent. The decoder goes
-    // through decodeBatch; the RP predictions of a chunk's concurrently
-    // in-flight codewords stage into a per-worker RpSyndromeStager and
-    // flush through the 8-lane weight kernels (scalar tail on the last
-    // partial chunk). Both are bit-identical lane for lane to their
-    // scalar forms, so the confusion matrix matches the unbatched
-    // harness exactly.
-    constexpr std::size_t kBatch = 8;
-    const std::size_t chunks = (trials + kBatch - 1) / kBatch;
+    // The decoder goes through decodeBatch; the RP predictions of a
+    // chunk's concurrently in-flight codewords stage into a per-worker
+    // RpSyndromeStager and flush through the 8-lane weight kernels
+    // (scalar tail on a point's last partial chunk). Both are
+    // bit-identical lane for lane to their scalar forms, so the
+    // confusion matrix matches the unbatched harness exactly.
     struct Scratch
     {
         ldpc::BatchDecodeWorkspace ws;
-        std::vector<BitVec> words;
-        std::vector<const BitVec *> ptrs;
-        std::vector<ldpc::DecodeResult> results;
+        std::array<ldpc::DecodeResult, ldpc::MinSumDecoder::kBatchLanes>
+            results;
+        RpSyndromeStager stager;
     };
-    std::vector<Scratch> scratch(globalThreadCount());
-    std::vector<RpSyndromeStager> stagers;
-    stagers.reserve(scratch.size());
-    for (Scratch &s : scratch) {
-        s.words.resize(kBatch);
-        s.ptrs.resize(kBatch);
-        s.results.resize(kBatch);
-        stagers.emplace_back(rp);
-    }
-
-    for (double rber : config.rbers) {
-        AccuracyPoint pt;
-        pt.rber = rber;
-        // Per-trial RNG streams forked serially so counters are identical
-        // at any thread count.
-        std::vector<Rng> streams = forkStreams(master, trials);
-        parallelForWorker(chunks, [&](std::size_t c, int worker) {
-            const std::size_t begin = c * kBatch;
-            const std::size_t lanes = std::min(kBatch, trials - begin);
-            Scratch &s = scratch[worker];
-            RpSyndromeStager &stager = stagers[worker];
-            stager.reset();
-            for (std::size_t l = 0; l < lanes; ++l) {
-                Rng &rng = streams[begin + l];
-                s.words[l] =
-                    code.encode(ldpc::randomData(code.params().k(), rng));
-                ldpc::injectErrors(s.words[l], rber, rng);
-                stager.stage(rearranger.toFlashLayout(s.words[l]));
-                s.ptrs[l] = &s.words[l];
+    std::vector<Scratch> scratch(
+        static_cast<std::size_t>(globalThreadCount()),
+        Scratch{{}, {}, RpSyndromeStager(rp)});
+    ldpc::forEachTrialChunk(
+        code, config.rbers, trials, config.seed,
+        [&](const ldpc::TrialChunk &c) {
+            Scratch &s = scratch[static_cast<std::size_t>(c.worker)];
+            s.stager.reset();
+            for (std::size_t l = 0; l < c.lanes; ++l)
+                s.stager.stage(rearranger.toFlashLayout(*c.words[l]));
+            s.stager.flush();
+            decoder.decodeBatch(c.words, c.lanes, config.rbers[c.point],
+                                s.ws, s.results.data());
+            Trial *t = &slots[c.point * trials + c.first];
+            for (std::size_t l = 0; l < c.lanes; ++l) {
+                t[l].predictedRetry = s.stager.retry(l);
+                t[l].decodable = s.results[l].success;
             }
-            stager.flush();
-            decoder.decodeBatch(s.ptrs.data(), lanes, rber, s.ws,
-                                s.results.data());
-            for (std::size_t l = 0; l < lanes; ++l) {
-                slots[begin + l].predictedRetry = stager.retry(l);
-                slots[begin + l].decodable = s.results[l].success;
-            }
-            ldpc::noteBatchFormed(lanes, kBatch);
         });
 
+    std::vector<AccuracyPoint> out;
+    out.reserve(config.rbers.size());
+    for (std::size_t p = 0; p < config.rbers.size(); ++p) {
         int correct = 0, false_retry = 0, miss = 0;
         int decodable_n = 0, undecodable_n = 0;
-        for (const Trial &s : slots) {
+        for (std::size_t i = p * trials; i < (p + 1) * trials; ++i) {
+            const Trial &s = slots[i];
             if (s.decodable)
                 ++decodable_n;
             else
@@ -128,6 +104,8 @@ measureRpAccuracy(const ldpc::QcLdpcCode &code, const RpModule &rp,
         mAccuracyFalseRetry.add(static_cast<std::uint64_t>(false_retry));
         mAccuracyMisses.add(static_cast<std::uint64_t>(miss));
         const auto n = static_cast<double>(config.trials);
+        AccuracyPoint pt;
+        pt.rber = config.rbers[p];
         pt.accuracy = correct / n;
         pt.falseRetryRate =
             decodable_n ? static_cast<double>(false_retry) / decodable_n

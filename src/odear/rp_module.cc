@@ -1,13 +1,9 @@
 #include "odear/rp_module.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
-#include "common/rng.h"
 #include "ldpc/batch.h"
-#include "ldpc/channel.h"
 
 namespace rif {
 namespace odear {
@@ -79,58 +75,38 @@ RpModule::calibrateThreshold(const ldpc::QcLdpcCode &code,
     // second (identical) rearranger.
     const CodewordRearranger &rearranger = rp.rearranger();
     const auto trials_n = static_cast<std::size_t>(trials);
-    std::vector<Rng> streams = forkStreams(seed, trials_n);
     std::vector<std::size_t> weights(trials_n, 0);
-    // Trials run through the batched weight kernels in fixed
-    // index-based chunks (chunk c = trials [cB, cB + B)), so batch
-    // composition is thread-count independent. With pruning the lanes
-    // hold flash-layout words and the rearranger's batched on-die
-    // datapath computes the weights; without pruning computedWeight is
+    // A one-point trial grid. With pruning the lanes hold flash-layout
+    // words and the rearranger's batched on-die datapath computes the
+    // weights; without pruning computedWeight is
     // syndromeWeight(toControllerLayout(toFlashLayout(w))) == the full
     // syndrome weight of w itself, so the lanes hold the codewords
     // directly. Either way each lane's value is bit-identical to the
     // scalar computedWeight of that trial.
-    constexpr std::size_t kBatch = 8;
-    const std::size_t chunks = (trials_n + kBatch - 1) / kBatch;
     struct Scratch
     {
         ldpc::CodewordBatch batch;
         ldpc::CodewordBatch synd;
-        BitVec data;
-        std::vector<std::size_t> w;
     };
     std::vector<Scratch> scratch(
         static_cast<std::size_t>(globalThreadCount()));
-    for (Scratch &s : scratch) {
-        // In-place data fill draws the same bits as randomData but
-        // without a fresh allocation per trial.
-        s.data = BitVec(code.params().k());
-        s.w.resize(kBatch);
-    }
-    parallelForWorker(chunks, [&](std::size_t c, int worker) {
-        const std::size_t begin = c * kBatch;
-        const std::size_t lanes = std::min(kBatch, trials_n - begin);
-        Scratch &s = scratch[static_cast<std::size_t>(worker)];
-        s.batch.reset(code.params().n(), lanes);
-        for (std::size_t l = 0; l < lanes; ++l) {
-            Rng &rng = streams[begin + l];
-            ldpc::randomDataInto(s.data, rng);
-            BitVec word = code.encode(s.data);
-            ldpc::injectErrors(word, capability_rber, rng);
+    ldpc::forEachTrialChunk(
+        code, {capability_rber}, trials_n, seed,
+        [&](const ldpc::TrialChunk &c) {
+            Scratch &s = scratch[static_cast<std::size_t>(c.worker)];
+            s.batch.reset(code.params().n(), c.lanes);
+            for (std::size_t l = 0; l < c.lanes; ++l) {
+                if (config.usePruning)
+                    s.batch.setLane(l, rearranger.toFlashLayout(*c.words[l]));
+                else
+                    s.batch.setLane(l, *c.words[l]);
+            }
+            std::size_t *out = &weights[c.first];
             if (config.usePruning)
-                s.batch.setLane(l, rearranger.toFlashLayout(word));
+                rearranger.onDieSyndromeWeightBatch(s.batch, s.synd, out);
             else
-                s.batch.setLane(l, word);
-        }
-        if (config.usePruning)
-            rearranger.onDieSyndromeWeightBatch(s.batch, s.synd,
-                                                s.w.data());
-        else
-            ldpc::syndromeWeightBatch(code, s.batch, s.synd, s.w.data());
-        for (std::size_t l = 0; l < lanes; ++l)
-            weights[begin + l] = s.w[l];
-        ldpc::noteBatchFormed(lanes, kBatch);
-    });
+                ldpc::syndromeWeightBatch(code, s.batch, s.synd, out);
+        });
     std::size_t sum = 0;
     for (std::size_t w : weights)
         sum += w;

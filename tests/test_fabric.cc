@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <vector>
 
 #include "common/metrics.h"
@@ -15,6 +14,7 @@
 #include "fabric/placement.h"
 #include "ssd/ssd.h"
 #include "trace/trace.h"
+#include "pool_dispatches.h"
 
 namespace rif {
 namespace fabric {
@@ -316,26 +316,7 @@ TEST(Fleet, ResultsAreThreadCountInvariant)
     }
 }
 
-/** Pool dispatches seen so far: a TaskContextHooks capture() runs
- *  once per job handed to pool members (never for inline jobs). */
-std::atomic<std::uint64_t> gPoolDispatches{0};
-
-std::uint64_t
-poolDispatches()
-{
-    static const bool registered = [] {
-        registerTaskContext(TaskContextHooks{
-            [] {
-                gPoolDispatches.fetch_add(1, std::memory_order_relaxed);
-                return static_cast<void *>(nullptr);
-            },
-            [](void *) { return static_cast<void *>(nullptr); },
-            [](void *) {}});
-        return true;
-    }();
-    (void)registered;
-    return gPoolDispatches.load(std::memory_order_relaxed);
-}
+using rif_test_pool::poolDispatches;
 
 TEST(Fleet, RoundsIssueNoPoolJobs)
 {

@@ -14,9 +14,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "ldpc/capability.h"
@@ -25,6 +28,7 @@
 #include "nand/characterization.h"
 #include "odear/accuracy.h"
 #include "odear/rp_module.h"
+#include "pool_dispatches.h"
 
 namespace rif {
 namespace {
@@ -441,19 +445,42 @@ TEST_F(Determinism, CalibrateThresholdIsThreadCountInvariant)
     EXPECT_EQ(results[0], results[2]);
 }
 
+/** The `ldpc.batch.*` and `ldpc.decode.*` entries of a snapshot. */
+std::vector<std::pair<std::string, std::vector<double>>>
+ldpcTotals(const metrics::Snapshot &snap)
+{
+    std::vector<std::pair<std::string, std::vector<double>>> out;
+    for (const metrics::SnapshotEntry &e : snap.entries()) {
+        if (e.name.rfind("ldpc.batch.", 0) != 0 &&
+            e.name.rfind("ldpc.decode.", 0) != 0)
+            continue;
+        std::vector<double> v = e.samples;
+        v.push_back(static_cast<double>(e.value));
+        out.emplace_back(e.name, std::move(v));
+    }
+    return out;
+}
+
 TEST_F(Determinism, CapabilitySweepIsThreadCountInvariant)
 {
     PoolGuard guard;
     ldpc::CapabilitySweepConfig cfg;
-    cfg.rbers = {0.004, 0.015};
-    cfg.trials = 8;
+    cfg.rbers = {0.004, 0.01, 0.015};
+    cfg.trials = 10; // two chunks per point, the second a 2-lane tail
 
     std::vector<std::vector<ldpc::CapabilityPoint>> runs;
+    std::vector<metrics::Snapshot> snaps;
     for (int threads : {1, 2, 8}) {
         setGlobalThreadCount(threads);
+        metrics::MetricsScope scope;
         runs.push_back(measureCapability(code_, decoder_, cfg));
+        snaps.push_back(scope.finish());
     }
+    EXPECT_EQ(snaps[0].value("ldpc.batch.flush_reason.full"), 3u);
+    EXPECT_EQ(snaps[0].value("ldpc.batch.flush_reason.tail"), 3u);
+    EXPECT_EQ(snaps[0].value("ldpc.decode.attempts"), 30u);
     for (std::size_t r = 1; r < runs.size(); ++r) {
+        EXPECT_EQ(ldpcTotals(snaps[r]), ldpcTotals(snaps[0]));
         ASSERT_EQ(runs[r].size(), runs[0].size());
         for (std::size_t i = 0; i < runs[0].size(); ++i) {
             EXPECT_EQ(runs[r][i].failureProbability,
@@ -464,6 +491,34 @@ TEST_F(Determinism, CapabilitySweepIsThreadCountInvariant)
             EXPECT_EQ(runs[r][i].avgPrunedSyndromeWeight,
                       runs[0][i].avgPrunedSyndromeWeight);
         }
+    }
+}
+
+TEST_F(Determinism, SweepsPublishOnePoolJobPerCall)
+{
+    // The capability and RP-accuracy sweeps run every (point, chunk)
+    // pair in one region, so adding RBER points adds no pool job.
+    PoolGuard guard;
+    rif_test_pool::poolDispatches();
+    setGlobalThreadCount(4);
+    odear::RpConfig rp_cfg;
+    rp_cfg.rhoS = 40;
+    const odear::RpModule rp(code_, rp_cfg);
+    for (std::size_t points : {1, 3}) {
+        ldpc::CapabilitySweepConfig cap;
+        cap.rbers.assign(points, 0.01);
+        cap.trials = 16; // two chunks, so even one point reaches the pool
+        odear::AccuracySweepConfig acc;
+        acc.rbers = cap.rbers;
+        acc.trials = 16;
+
+        const std::uint64_t before = rif_test_pool::poolDispatches();
+        measureCapability(code_, decoder_, cap);
+        const std::uint64_t mid = rif_test_pool::poolDispatches();
+        measureRpAccuracy(code_, rp, decoder_, acc);
+        const std::uint64_t after = rif_test_pool::poolDispatches();
+        EXPECT_EQ(mid - before, 1u) << points << " points";
+        EXPECT_EQ(after - mid, 1u) << points << " points";
     }
 }
 
